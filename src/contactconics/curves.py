@@ -637,15 +637,15 @@ def _t_on_class(poly_in_t: BiPoly, s10: Poly, s11: Poly, modulus: Poly) -> Poly:
 
 
 def _common_infinity_contacts(
-    q: PlaneCurve, c: PlaneCurve
+    a: PlaneCurve, b: PlaneCurve
 ) -> tuple[list[InfinityContact], int]:
-    bq = q.form.infinity_form()
-    bc = c.form.infinity_form()
-    points, residual_degree = _binary_common_roots([bq, bc])
+    points, residual_degree = _binary_common_roots(
+        [a.form.infinity_form(), b.form.infinity_form()]
+    )
     records = []
     for t0, x0 in points:
         point = PlanePoint(t0, x0, ZERO)
-        records.append(InfinityContact(point, intersection_multiplicity(q, c, point)))
+        records.append(InfinityContact(point, intersection_multiplicity(a, b, point)))
     records.sort(key=lambda r: r.point.sort_key())
     return records, residual_degree
 
@@ -996,7 +996,7 @@ def _pair_class_records(
     quartic: PlaneCurve | None,
 ) -> list[_ClassRecord]:
     records: list[_ClassRecord] = []
-    inf_records, residual_degree = _common_infinity_contacts_any(a, b)
+    inf_records, residual_degree = _common_infinity_contacts(a, b)
     if residual_degree > 0:
         raise NotKRationalError(
             "pair meets the line at infinity at a non-K-rational point"
@@ -1010,20 +1010,6 @@ def _pair_class_records(
     inf_total = sum(r.multiplicity for r in inf_records)
     records.extend(_affine_class_records(a, b, others, quartic, inf_total))
     return records
-
-
-def _common_infinity_contacts_any(
-    a: PlaneCurve, b: PlaneCurve
-) -> tuple[list[InfinityContact], int]:
-    ba = a.form.infinity_form()
-    bb = b.form.infinity_form()
-    points, residual_degree = _binary_common_roots([ba, bb])
-    records = []
-    for t0, x0 in points:
-        point = PlanePoint(t0, x0, ZERO)
-        records.append(InfinityContact(point, intersection_multiplicity(a, b, point)))
-    records.sort(key=lambda r: r.point.sort_key())
-    return records, residual_degree
 
 
 def _quartic_kind_at_point(

@@ -153,17 +153,13 @@ class CaseLattice:
         return " + ".join(parts) if parts else "O"
 
 
-def _fraction(numerator: int, denominator: int = 1) -> Fraction:
-    return Fraction(numerator, denominator)
-
-
 CASE_I = CaseLattice(
     name="I",
     basis=("P1", "P2", "P3"),
     gram=(
-        (_fraction(1, 3), _fraction(1, 6), _fraction(0)),
-        (_fraction(1, 6), _fraction(1, 3), _fraction(0)),
-        (_fraction(0), _fraction(0), _fraction(1, 2)),
+        (Fraction(1, 3), Fraction(1, 6), Fraction(0)),
+        (Fraction(1, 6), Fraction(1, 3), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(1, 2)),
     ),
     fibers=(
         CaseFiber("v1", NODE_FIBER, 2, False, (1, 0, 1)),
@@ -177,8 +173,8 @@ CASE_II = CaseLattice(
     name="II",
     basis=("P1", "P2"),
     gram=(
-        (_fraction(1, 6), _fraction(0)),
-        (_fraction(0), _fraction(1, 6)),
+        (Fraction(1, 6), Fraction(0)),
+        (Fraction(0), Fraction(1, 6)),
     ),
     fibers=(
         CaseFiber("v1", NODE_FIBER, 2, False, (1, 0)),
@@ -192,8 +188,8 @@ CASE_III = CaseLattice(
     name="III",
     basis=("P1", "P2"),
     gram=(
-        (_fraction(1, 5), _fraction(1, 10)),
-        (_fraction(1, 10), _fraction(3, 10)),
+        (Fraction(1, 5), Fraction(1, 10)),
+        (Fraction(1, 10), Fraction(3, 10)),
     ),
     fibers=(
         CaseFiber("v1", NODE_FIBER, 2, False, (1, 0)),
@@ -206,8 +202,8 @@ CASE_IV = CaseLattice(
     name="IV",
     basis=("P3", "P2"),
     gram=(
-        (_fraction(1, 2), _fraction(0)),
-        (_fraction(0), _fraction(1, 12)),
+        (Fraction(1, 2), Fraction(0)),
+        (Fraction(0), Fraction(1, 12)),
     ),
     fibers=(
         CaseFiber("v1", NODE_FIBER, 2, False, (1, 1)),

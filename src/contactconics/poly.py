@@ -623,16 +623,6 @@ class BiPoly:
             acc = acc * p + c
         return acc
 
-    def subs_x_frac(self, num: Poly, den: Poly) -> Poly:
-        """Numerator of the substitution x = num/den: sum c_k num^k den^(d-k)."""
-        d = self.degree_x
-        if d < 0:
-            return Poly.zero()
-        acc = Poly.zero()
-        for k, c in enumerate(self.coeffs):
-            acc = acc + c * num**k * den ** (d - k)
-        return acc
-
     def shear_x(self, k: ElemLike) -> "BiPoly":
         """Substitute x -> x + k*t."""
         shift = BiPoly((Poly((ZERO, _elem(k))), Poly.constant(ONE)))
@@ -751,15 +741,6 @@ def bipoly_pseudo_rem(a: BiPoly, b: BiPoly) -> BiPoly:
         top = rem.lc_x
         rem = rem.scale_poly(lc_b) - b.scale_poly(top).shift_x_power(k)
     return rem
-
-
-def bipoly_divide_content(p: BiPoly) -> tuple[Poly, BiPoly]:
-    """Split off the monic t-content: p = content * primitive."""
-    if p.is_zero():
-        raise PreconditionError("content of zero")
-    content = p.content_t()
-    primitive = BiPoly(tuple(c.exact_div(content) for c in p.coeffs))
-    return content, primitive
 
 
 def sylvester_matrix(p: BiPoly, q: BiPoly) -> list[list[Poly]]:
@@ -1117,11 +1098,6 @@ def kth_subresultant_coeffs(chain: list[BiPoly], x_degree: int) -> BiPoly | None
     return None
 
 
-# Contract-facing aliases.
-gcd = poly_gcd
-resultant = resultant_x
-
-
 def k_rational_roots(p: Poly) -> tuple[list[tuple[FieldElem, int]], Poly]:
     """All roots of p in K with multiplicities, plus the rootless residual factor.
 
@@ -1201,15 +1177,28 @@ def _quadratic_roots_in_k(factor) -> list[FieldElem]:
 def _quartic_roots_in_k(factor, t) -> list[FieldElem]:
     import sympy
 
-    from .field import from_sympy
-
     out = []
     extended = sympy.Poly(factor, t, extension=[sympy.sqrt(2), sympy.I])
     for linear, _ in extended.factor_list()[1]:
         if linear.degree() == 1:
             root_expr = sympy.expand(-linear.nth(0) / linear.nth(1))
             try:
-                out.append(from_sympy(root_expr))
+                out.append(_from_sympy(root_expr))
             except ValueError:
                 continue
     return out
+
+
+def _from_sympy(expr) -> FieldElem:
+    import sympy
+
+    expanded = sympy.expand(expr)
+    r2 = sympy.sqrt(2)
+    coords = [Fraction(0)] * 4
+    basis = {1: 0, r2: 1, sympy.I: 2, sympy.I * r2: 3}
+    for monom, coeff in expanded.as_coefficients_dict().items():
+        if monom not in basis:
+            raise ValueError(f"expression {expr} is not in Q(r2, i)")
+        rational = sympy.Rational(coeff)
+        coords[basis[monom]] = Fraction(int(rational.p), int(rational.q))
+    return FieldElem(*coords)

@@ -204,14 +204,6 @@ class Section:
         return f"({self.x.to_str()}, {self.y.to_str()})"
 
 
-def add(left: Section, right: Section) -> Section:
-    return left + right
-
-
-def neg(point: Section) -> Section:
-    return -point
-
-
 def mul(count: int, point: Section) -> Section:
     return count * point
 

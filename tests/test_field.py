@@ -1,15 +1,118 @@
 """Arithmetic in Q(sqrt(2), i): exact axioms, conjugation, square roots."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import contactconics
 from contactconics import FieldElem, ONE, ZERO
 from contactconics.field import I, SQRT2
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+coordinates = st.tuples(rationals, rationals, rationals, rationals)
 elements = st.builds(FieldElem, rationals, rationals, rationals, rationals)
+
+
+class RefElem:
+    """Reference model: c0 + c1*r2 + c2*i + c3*i*r2 with four Fraction coordinates."""
+
+    def __init__(self, coords):
+        self.c = tuple(Fraction(x) for x in coords)
+
+    def __add__(self, other):
+        return RefElem(x + y for x, y in zip(self.c, other.c))
+
+    def __sub__(self, other):
+        return RefElem(x - y for x, y in zip(self.c, other.c))
+
+    def __mul__(self, other):
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        return RefElem((
+            a0 * b0 + 2 * a1 * b1 - a2 * b2 - 2 * a3 * b3,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
+            a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+        ))
+
+    def inv(self):
+        """Cofactor over the norm: the product of the three other conjugates."""
+        c0, c1, c2, c3 = self.c
+        cofactor = (
+            RefElem((c0, -c1, c2, -c3)) * RefElem((c0, c1, -c2, -c3))
+            * RefElem((c0, -c1, -c2, c3))
+        )
+        norm = (self * cofactor).c[0]
+        return RefElem(x / norm for x in cofactor.c)
+
+    def sort_key(self):
+        return tuple((x.numerator, x.denominator) for x in self.c)
+
+    def is_lex_positive(self):
+        for x in self.c:
+            if x:
+                return x > 0
+        return False
+
+    def __str__(self):
+        terms = []
+        for coeff, unit in zip(self.c, ("", "r2", "i", "i*r2")):
+            if not coeff:
+                continue
+            mag = abs(coeff)
+            body = str(mag) if not unit else unit if mag == 1 else f"{mag}*{unit}"
+            terms.append(("-" if coeff < 0 else "+", body))
+        if not terms:
+            return "0"
+        out = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+        for sign, body in terms[1:]:
+            out += f" {sign} {body}"
+        return out
+
+
+def assert_matches(value: FieldElem, ref: RefElem):
+    assert value.coords == ref.c
+    assert value.d > 0
+    assert gcd(value.n0, value.n1, value.n2, value.n3, value.d) == 1
+    assert value.sort_key() == ref.sort_key()
+    assert value.is_lex_positive() == ref.is_lex_positive()
+    assert str(value) == str(ref)
+
+
+@given(coordinates, coordinates)
+def test_arithmetic_matches_fraction_reference(x, y):
+    a, b = FieldElem(*x), FieldElem(*y)
+    ra, rb = RefElem(x), RefElem(y)
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(-a, RefElem(-c for c in x))
+    assert_matches(a * b, ra * rb)
+    if b:
+        assert_matches(b.inv(), rb.inv())
+        assert_matches(a / b, ra * rb.inv())
+        # a value reached two ways has one canonical form, hence one hash
+        assert (a * b) / b == a
+        assert hash((a * b) / b) == hash(a)
+
+
+@given(coordinates, st.integers(-20, 20))
+def test_mixed_operands_are_canonical(x, k):
+    a = FieldElem(*x)
+    for value, ref in (
+        (a + k, RefElem(x) + RefElem((k, 0, 0, 0))),
+        (k - a, RefElem((k, 0, 0, 0)) - RefElem(x)),
+        (a * Fraction(k, 7), RefElem(x) * RefElem((Fraction(k, 7), 0, 0, 0))),
+    ):
+        assert_matches(value, ref)
+    assert FieldElem.from_rational(Fraction(k, 6)) == FieldElem(Fraction(k, 6))
+    assert hash(FieldElem.from_rational(Fraction(k, 6))) == hash(FieldElem(Fraction(k, 6)))
 
 
 def test_constants():
@@ -104,3 +207,58 @@ def test_str_round_trip_examples():
     for text in ("0", "1", "-3/2", "r2", "i", "1/2*r2*i", "1 + r2 - 2*i"):
         value = parse_field_elem(text)
         assert parse_field_elem(str(value)) == value
+
+
+def _to_sympy(value: FieldElem):
+    import sympy
+
+    r2 = sympy.sqrt(2)
+    c0, c1, c2, c3 = (sympy.Rational(c.numerator, c.denominator) for c in value.coords)
+    return c0 + c1 * r2 + c2 * sympy.I + c3 * sympy.I * r2
+
+
+def _sympy_is_square(value: FieldElem) -> bool:
+    """Whether w**2 - value has a linear factor over QQ<sqrt(2), i>."""
+    import sympy
+
+    w = sympy.Symbol("w")
+    poly = sympy.Poly(w**2 - _to_sympy(value), w, extension=[sympy.sqrt(2), sympy.I])
+    return any(factor.degree() == 1 for factor, _ in poly.factor_list()[1])
+
+
+@settings(deadline=None, max_examples=15)
+@given(elements, st.sampled_from([ONE, SQRT2, I, ONE + SQRT2, ONE + I, FieldElem(3)]))
+def test_sqrt_agrees_with_sympy_factoring(a, twist):
+    for value in (a * a, a * a * twist):
+        root = value.sqrt()
+        assert (root is not None) == _sympy_is_square(value)
+        if root is not None:
+            assert root * root == value
+
+
+def test_sqrt_of_non_rational_squares():
+    half = FieldElem(Fraction(1, 2))
+    assert (I + I).sqrt() ** 2 == I + I
+    assert I.sqrt() ** 2 == I
+    assert I.sqrt() in ((ONE + I) * SQRT2 * half, -(ONE + I) * SQRT2 * half)
+    assert (FieldElem(3) + SQRT2 + SQRT2).sqrt() in (ONE + SQRT2, -ONE - SQRT2)
+    assert FieldElem(-2).sqrt() == SQRT2 * I
+    assert FieldElem(Fraction(1, 2)).sqrt() == SQRT2 * half
+    assert SQRT2.sqrt() is None
+    assert (SQRT2 * I).sqrt() is None
+
+
+def test_sqrt_does_not_import_sympy():
+    src = Path(contactconics.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from contactconics.field import FieldElem, I, SQRT2\n"
+        "for value in (FieldElem(2), FieldElem(-3), I, SQRT2 + I, (SQRT2 + I) * (SQRT2 + I)):\n"
+        "    value.sqrt()\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
