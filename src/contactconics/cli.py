@@ -258,11 +258,8 @@ def _cmd_weak_contact(args: argparse.Namespace) -> tuple[dict, str]:
         f"quartic: {quartic_name}",
         f"conic: {conic_name}",
         f"weak contact: {'true' if certificate.is_weak else 'false'}",
+        f"certificate: shear x -> x + {certificate.shear}*t",
     ]
-    if certificate.shear is None:
-        lines.append("certificate: per-point multiplicities")
-    else:
-        lines.append(f"certificate: shear x -> x + {certificate.shear}*t")
     class_rows = []
     if certificate.classes:
         lines.append("intersection classes (affine):")

@@ -9,7 +9,11 @@ and canonical arrangement fingerprints.
 Intersection points are handled as square-free factor classes of an
 eliminating resultant, never as numerical approximations; evenness of
 multiplicities (the weak-contact condition) is a statement about factor
-multiplicities.
+multiplicities.  The weak-contact test and the fingerprints read these
+classes from one routine, `_pair_intersection`: it tries a fixed range of
+shears x -> x + k*t and keeps the first whose degree-1 subresultant
+certifies one point per resultant root.  When none does, the input is
+degenerate and is rejected with a PreconditionError.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ CASE_S = "s"
 CASE_B = "b"
 CASE_SC = "sc"
 CASE_SN = "sn"
-
-_MAX_SHEAR = 8
 
 
 class PlanePoint:
@@ -388,22 +390,17 @@ def _residual_is_singular(f: BiPoly, f_t: BiPoly, f_x: BiPoly, residual: Poly) -
     is singular iff f_t also vanishes there.  Degenerate chains are
     reported as possibly-singular (conservative).
     """
+    s1 = kth_subresultant_coeffs(subresultant_chain(f, f_x), 1)
+    if s1 is None:
+        return True
+    s11 = s1.coeff_x(1)
+    s10 = s1.coeff_x(0)
     for rho, _m in squarefree_decomposition(residual):
         if (f.lc_x % rho).is_zero():
             return True
-        chain = subresultant_chain(f, f_x)
-        s1 = kth_subresultant_coeffs(chain, 1)
-        if s1 is None:
-            return True
-        s11 = s1.coeff_x(1)
-        s10 = s1.coeff_x(0)
         if poly_gcd(rho, s11).degree >= 1:
             return True
-        value = Poly.zero()
-        d = f_t.degree_x
-        for k in range(d + 1):
-            value = value + f_t.coeff_x(k) * (-s10) ** k * s11 ** (d - k)
-        reduced = value % rho
+        reduced = _t_on_class(f_t, s10, s11, rho)
         if reduced.is_zero() or poly_gcd(rho, reduced).degree >= 1:
             return True
     return False
@@ -599,13 +596,31 @@ class InfinityContact:
 @dataclass(frozen=True, slots=True)
 class ContactCertificate:
     is_weak: bool
-    shear: int | None  # None when the per-point fallback decided
+    shear: int  # the shear x -> x + shear*t whose subresultant certified the classes
     classes: tuple[ContactClass, ...]
     infinity: tuple[InfinityContact, ...]
     bezout_total: int
 
     def __bool__(self) -> bool:
         return self.is_weak
+
+
+# Shears x -> x + k*t are tried for k = 0, 1, -1, ..., _MAX_SHEAR, -_MAX_SHEAR:
+# 43 shears.  For a quartic and a smooth conic at most 42 can fail, so one
+# always certifies unless a curve contains the line Z = 0.
+# - A shear is admissible when [1 : k : 0] lies on neither curve, which makes
+#   both t-leading coefficients nonzero constants.  The quartic and the conic
+#   each meet Z = 0 in at most 4 and 2 points: at most 6 values of k.
+# - With the conic of t-degree <= 2, the degree-1 chain element is the first
+#   pseudo-remainder, equal to +-S_1 (Brown-Traub).  So s11 vanishes at a
+#   resultant root exactly when two common points line up in the direction
+#   [1 : k : 0], or a line in that direction meets both curves with
+#   multiplicity >= 2 at a common point.
+# - The at most 8 affine common points line up in at most C(8, 2) = 28
+#   directions.  A line meets the smooth conic twice at a point only along its
+#   tangent: at most 8 more directions.
+# So at most 6 + 28 + 8 = 42 values of k fail.
+_MAX_SHEAR = 21
 
 
 def _shear_values() -> Iterable[int]:
@@ -622,32 +637,83 @@ def _binary_eval(b: BinaryForm, t_val: FieldElem, x_val: FieldElem) -> FieldElem
     return acc
 
 
-def _t_on_class(poly_in_t: BiPoly, s10: Poly, s11: Poly, modulus: Poly) -> Poly:
-    """Evaluate a (t, x)-polynomial at t = -s10/s11 modulo the class factor.
+def _t_on_class(p: BiPoly, s10: Poly, s11: Poly, modulus: Poly) -> Poly:
+    """Evaluate the main variable at -s10/s11 modulo the class factor.
 
-    The input carries t in the main slot (coefficients are polynomials
-    in x).  Returns the numerator s11^deg * value reduced mod the factor.
+    The input's coefficients are polynomials in the variable of s10, s11
+    and the modulus.  Returns the numerator s11^deg * value reduced mod the
+    factor.
     """
-    d = poly_in_t.degree_x
+    d = p.degree_x
     acc = Poly.zero()
     for k in range(d + 1):
-        term = poly_in_t.coeff_x(k) * (-s10) ** k * s11 ** (d - k)
+        term = p.coeff_x(k) * (-s10) ** k * s11 ** (d - k)
         acc = acc + term
     return acc % modulus
 
 
-def _common_infinity_contacts(
-    a: PlaneCurve, b: PlaneCurve
-) -> tuple[list[InfinityContact], int]:
-    points, residual_degree = _binary_common_roots(
-        [a.form.infinity_form(), b.form.infinity_form()]
-    )
-    records = []
+@dataclass(frozen=True, slots=True)
+class _PairIntersection:
+    """Where two curves meet, from one certified shear.
+
+    The affine points are the roots of the resultant of the sheared charts,
+    grouped by the square-free `factors` with their multiplicities.  Over
+    each root the degree-1 subresultant s11*t + s10 vanishes at exactly one
+    point, t = -s10/s11 (s10 = s11 = 0 when there are no affine points).
+    """
+
+    infinity: tuple[InfinityContact, ...]
+    shear: int
+    factors: tuple[tuple[Poly, int], ...]
+    s10: Poly
+    s11: Poly
+
+
+def _pair_intersection(a: PlaneCurve, b: PlaneCurve) -> _PairIntersection:
+    """Common points at infinity, and the affine ones under the first certifying shear."""
+    at_infinity = (a.form.infinity_form(), b.form.infinity_form())
+    points, residual_degree = _binary_common_roots(at_infinity)
+    if residual_degree > 0:
+        raise NotKRationalError(
+            "the curves meet the line at infinity at a non-K-rational point"
+        )
+    contacts = []
     for t0, x0 in points:
         point = PlanePoint(t0, x0, ZERO)
-        records.append(InfinityContact(point, intersection_multiplicity(a, b, point)))
-    records.sort(key=lambda r: r.point.sort_key())
-    return records, residual_degree
+        contacts.append(InfinityContact(point, intersection_multiplicity(a, b, point)))
+    infinity = tuple(sorted(contacts, key=lambda r: r.point.sort_key()))
+    inf_total = sum(r.multiplicity for r in infinity)
+    bezout = a.degree * b.degree
+    f = a.form.dehomogenize()
+    g = b.form.dehomogenize()
+    for k in _shear_values():
+        direction = FieldElem.coerce(k)
+        if any(_binary_eval(form, ONE, direction).is_zero() for form in at_infinity):
+            continue
+        ft = f.shear_x(k)
+        gt = g.shear_x(k)
+        resultant = resultant_t(ft, gt)
+        if resultant.is_zero():
+            raise PreconditionError("the curves share a component")
+        if resultant.degree + inf_total != bezout:
+            raise IntegrityError(
+                f"intersection count audit failed: {resultant.degree} affine + "
+                f"{inf_total} at infinity != {bezout}"
+            )
+        if resultant.degree == 0:
+            return _PairIntersection(infinity, k, (), Poly.zero(), Poly.zero())
+        factors = tuple(squarefree_decomposition(resultant))
+        s1 = kth_subresultant_coeffs(subresultant_chain(ft.swap_vars(), gt.swap_vars()), 1)
+        if s1 is None:
+            continue
+        s11 = s1.coeff_x(1)
+        if s11.is_zero() or any(poly_gcd(factor, s11).degree >= 1 for factor, _m in factors):
+            continue
+        return _PairIntersection(infinity, k, factors, s1.coeff_x(0), s11)
+    raise PreconditionError(
+        f"no shear x -> x + k*t with |k| <= {_MAX_SHEAR} certifies the intersection: "
+        "a curve contains the line Z = 0, or a common point is singular on both curves"
+    )
 
 
 def is_weak_contact(q: PlaneCurve, c: PlaneCurve) -> ContactCertificate:
@@ -656,9 +722,9 @@ def is_weak_contact(q: PlaneCurve, c: PlaneCurve) -> ContactCertificate:
     Affine points are grouped into square-free factor classes of the
     resultant eliminating t after a shear x -> x + k*t; the first shear
     whose subresultant certificate guarantees one intersection point per
-    resultant root is used.  Points on the line Z = 0 are handled
-    separately through Fulton's algorithm.  Falls back to per-point
-    Fulton computations when no shear certifies.
+    resultant root is used, and one always exists unless a curve contains
+    the line Z = 0 (see `_MAX_SHEAR`).  Points on the line Z = 0 are handled
+    separately through Fulton's algorithm.
     """
     if q.degree != 4:
         raise PreconditionError("weak contact is defined against a quartic")
@@ -666,136 +732,20 @@ def is_weak_contact(q: PlaneCurve, c: PlaneCurve) -> ContactCertificate:
         raise PreconditionError("the contact curve must be a conic")
     if c.singular_points():
         raise PreconditionError("the conic must be smooth")
-    inf_records, residual_degree = _common_infinity_contacts(q, c)
-    if residual_degree > 0:
-        raise NotKRationalError(
-            "the curves meet the line at infinity at a non-K-rational point"
-        )
-    inf_total = sum(r.multiplicity for r in inf_records)
-    f = q.form.dehomogenize()
-    g = c.form.dehomogenize()
-    bezout = q.degree * c.degree
-
-    for k in _shear_values():
-        if _binary_eval(q.form.infinity_form(), ONE, FieldElem.coerce(k)).is_zero():
-            continue
-        if _binary_eval(c.form.infinity_form(), ONE, FieldElem.coerce(k)).is_zero():
-            continue
-        ft = f.shear_x(k)
-        gt = g.shear_x(k)
-        resultant = resultant_t(ft, gt)
-        if resultant.is_zero():
-            raise PreconditionError("the conic shares a component with the quartic")
-        if resultant.degree + inf_total != bezout:
-            raise IntegrityError(
-                f"intersection count audit failed: {resultant.degree} affine + "
-                f"{inf_total} at infinity != {bezout}"
-            )
-        factors = squarefree_decomposition(resultant)
-        if not _shear_certificate_holds(ft, gt, factors):
-            continue
-        classes = tuple(
-            ContactClass(factor.to_str("x"), factor.degree, mult)
-            for factor, mult in factors
-        )
-        is_weak = all(mult % 2 == 0 for _f, mult in factors) and all(
-            r.multiplicity % 2 == 0 for r in inf_records
-        )
-        return ContactCertificate(
-            is_weak=is_weak,
-            shear=k,
-            classes=classes,
-            infinity=tuple(inf_records),
-            bezout_total=bezout,
-        )
-
-    return _weak_contact_fallback(q, c, f, g, inf_records, bezout)
-
-
-def _shear_certificate_holds(
-    ft: BiPoly, gt: BiPoly, factors: list[tuple[Poly, int]]
-) -> bool:
-    """True when the degree-1 subresultant certifies one point per resultant root."""
-    if not factors:
-        return True
-    chain = subresultant_chain(ft.swap_vars(), gt.swap_vars())
-    s1 = kth_subresultant_coeffs(chain, 1)
-    if s1 is None:
-        return False
-    s11 = s1.coeff_x(1)
-    if s11.is_zero():
-        return False
-    for factor, _mult in factors:
-        if poly_gcd(factor, s11).degree >= 1:
-            return False
-    return True
-
-
-def _weak_contact_fallback(
-    q: PlaneCurve,
-    c: PlaneCurve,
-    f: BiPoly,
-    g: BiPoly,
-    inf_records: list[InfinityContact],
-    bezout: int,
-) -> ContactCertificate:
-    """Per-point Fulton check at every K-rational affine intersection point."""
-    shear = None
-    for k in _shear_values():
-        if not _binary_eval(q.form.infinity_form(), ONE, FieldElem.coerce(k)).is_zero() and not _binary_eval(
-            c.form.infinity_form(), ONE, FieldElem.coerce(k)
-        ).is_zero():
-            shear = k
-            break
-    if shear is None:
-        raise PreconditionError("no shear avoids the projection center; degenerate input")
-    ft = f.shear_x(shear)
-    gt = g.shear_x(shear)
-    resultant = resultant_t(ft, gt)
-    if resultant.is_zero():
-        raise PreconditionError("the conic shares a component with the quartic")
-    x_roots, x_residual = k_rational_roots(resultant)
-    if x_residual.degree >= 1:
-        raise NotKRationalError(
-            "shear certificate failed and the resultant has non-K-rational roots; "
-            "cannot certify parity per point"
-        )
-    classes = []
-    total = 0
-    all_even = True
-    for x0, _m in x_roots:
-        fiber_f = _poly_in_t_at(ft, x0)
-        fiber_g = _poly_in_t_at(gt, x0)
-        fiber_gcd = poly_gcd(fiber_f, fiber_g)
-        t_roots, t_residual = k_rational_roots(fiber_gcd)
-        if t_residual.degree >= 1:
-            raise NotKRationalError("intersection point with non-K t-coordinate")
-        for t0, _mt in t_roots:
-            lf = ft.shift_t(t0).shift_x(x0)
-            lg = gt.shift_t(t0).shift_x(x0)
-            mult = _fulton(lf, lg)
-            total += mult
-            if mult % 2:
-                all_even = False
-            marker = Poly((-x0, ONE))
-            classes.append(ContactClass(marker.to_str("x"), 1, mult))
-    inf_total = sum(r.multiplicity for r in inf_records)
-    if total + inf_total != bezout:
-        raise IntegrityError(
-            f"per-point audit failed: {total} affine + {inf_total} at infinity != {bezout}"
-        )
-    is_weak = all_even and all(r.multiplicity % 2 == 0 for r in inf_records)
+    pair = _pair_intersection(q, c)
+    is_weak = all(mult % 2 == 0 for _f, mult in pair.factors) and all(
+        r.multiplicity % 2 == 0 for r in pair.infinity
+    )
     return ContactCertificate(
         is_weak=is_weak,
-        shear=None,
-        classes=tuple(classes),
-        infinity=tuple(inf_records),
-        bezout_total=bezout,
+        shear=pair.shear,
+        classes=tuple(
+            ContactClass(factor.to_str("x"), factor.degree, mult)
+            for factor, mult in pair.factors
+        ),
+        infinity=pair.infinity,
+        bezout_total=q.degree * c.degree,
     )
-
-
-def _poly_in_t_at(p: BiPoly, x0: FieldElem) -> Poly:
-    return p.eval_x(x0)
 
 
 def contact_conic_type(q: PlaneCurve, c: PlaneCurve) -> int:
@@ -995,20 +945,15 @@ def _pair_class_records(
     others: Sequence[PlaneCurve],
     quartic: PlaneCurve | None,
 ) -> list[_ClassRecord]:
+    pair = _pair_intersection(a, b)
     records: list[_ClassRecord] = []
-    inf_records, residual_degree = _common_infinity_contacts(a, b)
-    if residual_degree > 0:
-        raise NotKRationalError(
-            "pair meets the line at infinity at a non-K-rational point"
-        )
-    for contact in inf_records:
+    for contact in pair.infinity:
         incidence = tuple(sorted(d.degree for d in others if d.contains(contact.point)))
         kind = _quartic_kind_at_point(quartic, a, b, contact.point)
         records.append(
             _ClassRecord(1, contact.multiplicity, kind, incidence)
         )
-    inf_total = sum(r.multiplicity for r in inf_records)
-    records.extend(_affine_class_records(a, b, others, quartic, inf_total))
+    records.extend(_refine_classes(pair, others, quartic, a, b))
     return records
 
 
@@ -1022,57 +967,15 @@ def _quartic_kind_at_point(
     return quartic.singularity_kind_at(point)
 
 
-def _affine_class_records(
-    a: PlaneCurve,
-    b: PlaneCurve,
-    others: Sequence[PlaneCurve],
-    quartic: PlaneCurve | None,
-    inf_total: int,
-) -> list[_ClassRecord]:
-    f = a.form.dehomogenize()
-    g = b.form.dehomogenize()
-    bezout = a.degree * b.degree
-    for k in _shear_values():
-        if _binary_eval(a.form.infinity_form(), ONE, FieldElem.coerce(k)).is_zero():
-            continue
-        if _binary_eval(b.form.infinity_form(), ONE, FieldElem.coerce(k)).is_zero():
-            continue
-        ft = f.shear_x(k)
-        gt = g.shear_x(k)
-        resultant = resultant_t(ft, gt)
-        if resultant.is_zero():
-            raise PreconditionError("arrangement components share a component")
-        if resultant.degree + inf_total != bezout:
-            raise IntegrityError(
-                f"pair audit failed: {resultant.degree} + {inf_total} != {bezout}"
-            )
-        if resultant.degree == 0:
-            return []
-        factors = squarefree_decomposition(resultant)
-        if not _shear_certificate_holds(ft, gt, factors):
-            continue
-        chain = subresultant_chain(ft.swap_vars(), gt.swap_vars())
-        s1 = kth_subresultant_coeffs(chain, 1)
-        s11 = s1.coeff_x(1)
-        s10 = s1.coeff_x(0)
-        return _refine_classes(
-            k, factors, s10, s11, others, quartic, a, b
-        )
-    raise NotKRationalError(
-        "no shear certificate for a component pair; cannot build the fingerprint"
-    )
-
-
 def _refine_classes(
-    shear: int,
-    factors: list[tuple[Poly, int]],
-    s10: Poly,
-    s11: Poly,
+    pair: _PairIntersection,
     others: Sequence[PlaneCurve],
     quartic: PlaneCurve | None,
     a: PlaneCurve,
     b: PlaneCurve,
 ) -> list[_ClassRecord]:
+    """Split the pair's affine classes until each lies on or off every other component."""
+    shear, s10, s11 = pair.shear, pair.s10, pair.s11
     probes: list[tuple[int, BiPoly]] = []
     for comp in others:
         probes.append((comp.degree, comp.form.dehomogenize().shear_x(shear).swap_vars()))
@@ -1083,7 +986,7 @@ def _refine_classes(
 
     # split off K-rational roots so singular points sit in their own class
     pieces: list[tuple[Poly, int]] = []
-    for factor, mult in factors:
+    for factor, mult in pair.factors:
         roots, residual = k_rational_roots(factor)
         for root, _m in roots:
             pieces.append((Poly((-root, ONE)), mult))
@@ -1120,25 +1023,21 @@ def _refine_classes(
             value = _t_on_class(probe, s10, s11, factor)
             if value.is_zero():
                 incidence.append(deg)
-        kind = _class_quartic_kind(
-            factor, mult, s10, s11, shear, quartic, quartic_in_pair, quartic_probe
-        )
+        kind = _class_quartic_kind(factor, pair, quartic, quartic_in_pair, quartic_probe)
         records.append(_ClassRecord(factor.degree, mult, kind, tuple(sorted(incidence))))
     return records
 
 
 def _class_quartic_kind(
     factor: Poly,
-    mult: int,
-    s10: Poly,
-    s11: Poly,
-    shear: int,
+    pair: _PairIntersection,
     quartic: PlaneCurve | None,
     quartic_in_pair: bool,
     quartic_probe: BiPoly | None,
 ) -> str:
     if quartic is None:
         return "off"
+    s10, s11 = pair.s10, pair.s11
     on_quartic = quartic_in_pair
     if not on_quartic and quartic_probe is not None:
         on_quartic = _t_on_class(quartic_probe, s10, s11, factor).is_zero()
@@ -1150,7 +1049,7 @@ def _class_quartic_kind(
         if den.is_zero():
             raise IntegrityError("certified class lost its unique t-coordinate")
         t0 = -s10.eval(x0) / den
-        point = PlanePoint(t0, x0 + FieldElem.coerce(shear) * t0, ONE)
+        point = PlanePoint(t0, x0 + FieldElem.coerce(pair.shear) * t0, ONE)
         return quartic.singularity_kind_at(point)
     # classes of degree >= 2 consist of non-K points; singular points are K-rational
     return SMOOTH

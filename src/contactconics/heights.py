@@ -19,12 +19,13 @@ from .surface import (
     FiberInfo,
     Section,
     WeierstrassModel,
+    _X_DEGREE_LIMIT,
+    _Y_DEGREE_LIMIT,
+    _blow_up,
     classify_fibers,
     component_index,
 )
 
-_X_DEGREE_LIMIT = 2
-_Y_DEGREE_LIMIT = 3
 _WALK_LIMIT = 64
 
 
@@ -85,26 +86,10 @@ def _local_order(surface: BiPoly, xp: Poly, yp: Poly, xq: Poly, yq: Poly, depth:
             "sections meet at the singular point of an irreducible fiber"
         )
     # Singular surface point: pass to strict transforms.
-    centered = surface.shift_x(a)
-    xi_p = _strict(xp - a)
-    xi_q = _strict(xq - a)
-    eta_p = _strict(yp)
-    eta_q = _strict(yq)
-    try:
-        blown = centered.subs_x_times_t().divide_t_power(2)
-    except ValueError:
-        raise IntegrityError("strict-transform walk left the surface") from None
+    blown, [(xi_p, eta_p), (xi_q, eta_q)] = _blow_up(surface, a, (xp, yp), (xq, yq))
     if xi_p.eval(ZERO) != xi_q.eval(ZERO) or eta_p.eval(ZERO) != eta_q.eval(ZERO):
         return 0
     return _local_order(blown, xi_p, eta_p, xi_q, eta_q, depth + 1)
-
-
-def _strict(p: Poly) -> Poly:
-    if p.is_zero():
-        return p
-    if not p.coeffs[0].is_zero():
-        raise IntegrityError("strict transform of a curve missing the center")
-    return Poly(p.coeffs[1:])
 
 
 def _stripped_order_sum(target: Poly, factor: Poly) -> int:

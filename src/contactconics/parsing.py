@@ -233,6 +233,21 @@ def _require_constant_den(value: _Frac, what: str) -> _MultiPoly:
     return scaled
 
 
+def _to_poly(m: _MultiPoly) -> Poly:
+    """The univariate polynomial with the accumulator's coefficients."""
+    coeffs = [ZERO] * (max((e for (e,) in m.terms), default=-1) + 1)
+    for (e,), coeff in m.terms.items():
+        coeffs[e] = coeff
+    return Poly(coeffs)
+
+
+def _to_ratfunc(value: _Frac) -> RatFunc:
+    den = _to_poly(value.den)
+    if den.is_zero():
+        raise ParseError("zero denominator")
+    return RatFunc(_to_poly(value.num), den)
+
+
 def parse_field_elem(text: str) -> FieldElem:
     """Read one element of K, e.g. ``3/4 + 1/2*r2 - i*r2``."""
     parser = _Parser(text, ())
@@ -249,13 +264,7 @@ def parse_poly(text: str, var: str = "t") -> Poly:
     value = parser.parse_expression()
     if not parser.at_end():
         raise ParseError(f"trailing input at position {parser.current.pos}")
-    num = _require_constant_den(value, "a polynomial")
-    coeffs: list[FieldElem] = []
-    for (e,), coeff in num.terms.items():
-        while len(coeffs) <= e:
-            coeffs.append(ZERO)
-        coeffs[e] = coeff
-    return Poly(coeffs)
+    return _to_poly(_require_constant_den(value, "a polynomial"))
 
 
 def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
@@ -264,19 +273,7 @@ def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
     value = parser.parse_expression()
     if not parser.at_end():
         raise ParseError(f"trailing input at position {parser.current.pos}")
-
-    def to_poly(m: _MultiPoly) -> Poly:
-        coeffs: list[FieldElem] = []
-        for (e,), coeff in m.terms.items():
-            while len(coeffs) <= e:
-                coeffs.append(ZERO)
-            coeffs[e] = coeff
-        return Poly(coeffs)
-
-    den = to_poly(value.den)
-    if den.is_zero():
-        raise ParseError("zero denominator")
-    return RatFunc(to_poly(value.num), den)
+    return _to_ratfunc(value)
 
 
 def parse_bipoly(text: str) -> BiPoly:
@@ -349,19 +346,4 @@ def parse_section(text: str) -> tuple[RatFunc, RatFunc] | None:
     parser.expect(")")
     if not parser.at_end():
         raise ParseError(f"trailing input at position {parser.current.pos}")
-
-    def to_ratfunc(value: _Frac) -> RatFunc:
-        def to_poly(m: _MultiPoly) -> Poly:
-            coeffs: list[FieldElem] = []
-            for (e,), coeff in m.terms.items():
-                while len(coeffs) <= e:
-                    coeffs.append(ZERO)
-                coeffs[e] = coeff
-            return Poly(coeffs)
-
-        den = to_poly(value.den)
-        if den.is_zero():
-            raise ParseError("zero denominator in section coordinate")
-        return RatFunc(to_poly(value.num), den)
-
-    return to_ratfunc(first), to_ratfunc(second)
+    return _to_ratfunc(first), _to_ratfunc(second)

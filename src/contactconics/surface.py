@@ -342,13 +342,30 @@ def _repeated_root(cubic: Poly) -> FieldElem:
     return -common.coeffs[0]
 
 
-def _shift_down(p: Poly) -> Poly:
-    """Exact division by the variable."""
+def _strict(p: Poly) -> Poly:
+    """Strict transform of a germ through the blow-up centre: exact division by t."""
     if p.is_zero():
         return p
     if not p.coeffs[0].is_zero():
-        raise IntegrityError("local section coordinate does not vanish as expected")
+        raise IntegrityError("strict transform of a curve missing the center")
     return Poly(p.coeffs[1:])
+
+
+def _blow_up(
+    surface: BiPoly, a: FieldElem, *germs: tuple[Poly, Poly]
+) -> tuple[BiPoly, list[tuple[Poly, Poly]]]:
+    """Blow up y^2 = surface(t, x) once at (t, x, y) = (0, a, 0).
+
+    Substitutes x -> a + t*x1, y -> t*y1 and divides the right-hand side by
+    t^2; each section germ (x(t), y(t)) through the centre becomes its strict
+    transform ((x - a)/t, y/t).
+    """
+    strict = [(_strict(x - a), _strict(y)) for x, y in germs]
+    try:
+        blown = surface.shift_x(a).subs_x_times_t().divide_t_power(2)
+    except ValueError:
+        raise IntegrityError("blow-up centre is not a singular point of the surface") from None
+    return blown, strict
 
 
 def _polynomial_pair(point: Section) -> tuple[Poly, Poly]:
@@ -367,21 +384,16 @@ def _infinity_pair(point: Section) -> tuple[Poly, Poly]:
     return x.reverse(2), y.reverse(3)
 
 
-def _component_walk(surface: BiPoly, xi: Poly, yy: Poly, count: int, depth: int) -> int:
-    """Blow up until the section separates from the fiber's singular point."""
+def _component_walk(
+    surface: BiPoly, a: FieldElem, x: Poly, y: Poly, count: int, depth: int
+) -> int:
+    """Blow up at (0, a, 0) until the section separates from the fiber's singular point."""
     if depth > count:
         raise IntegrityError("component walk exceeded the fiber component count")
-    xi1 = _shift_down(xi)
-    yy1 = _shift_down(yy)
-    try:
-        blown = surface.subs_x_times_t().divide_t_power(2)
-    except ValueError:
-        raise IntegrityError(
-            "component walk reached a smooth surface point between components"
-        ) from None
+    blown, [(x1, y1)] = _blow_up(surface, a, (x, y))
     exceptional = blown.eval_t(ZERO)
-    a = xi1.eval(ZERO)
-    b = yy1.eval(ZERO)
+    a1 = x1.eval(ZERO)
+    b = y1.eval(ZERO)
     if exceptional.is_zero():
         raise IntegrityError("degenerate exceptional locus in component walk")
     if exceptional.degree == 2:
@@ -389,11 +401,9 @@ def _component_walk(surface: BiPoly, xi: Poly, yy: Poly, count: int, depth: int)
         c0 = exceptional.coeffs[0]
         if (c1 * c1 - c2 * c0 * 4).is_zero():
             crossing = -c1 / (c2 * 2)
-            if a == crossing and b.is_zero():
-                return _component_walk(
-                    blown.shift_x(crossing), xi1 - crossing, yy1, count, depth + 1
-                )
-            branch = b / (a - crossing)
+            if a1 == crossing and b.is_zero():
+                return _component_walk(blown, crossing, x1, y1, count, depth + 1)
+            branch = b / (a1 - crossing)
             return depth if branch.is_lex_positive() else count - depth
         return depth  # irreducible exceptional conic
     if exceptional.degree == 1:
@@ -416,7 +426,7 @@ def component_index(point: Section, fiber: FiberInfo) -> int:
     singular_x = _repeated_root(work.cubic_at(place))
     if xp.eval(place) != singular_x or not yp.eval(place).is_zero():
         return 0
-    local_x = xp.shift_argument(place) - singular_x
-    local_y = yp.shift_argument(place)
-    surface = work.cubic().shift_t(place).shift_x(singular_x)
-    return _component_walk(surface, local_x, local_y, fiber.m_v, 1)
+    surface = work.cubic().shift_t(place)
+    return _component_walk(
+        surface, singular_x, xp.shift_argument(place), yp.shift_argument(place), fiber.m_v, 1
+    )

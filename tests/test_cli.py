@@ -156,6 +156,14 @@ def test_precondition_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_quartic_containing_the_line_at_infinity_exits_two(capsys):
+    code, out, err = run(
+        capsys, "weak-contact", "--quartic", "Z*(X^3 - T^2*Z)", "--conic", "X*Z - T^2 - Z^2"
+    )
+    assert code == 2 and "precondition error" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_integrity_errors_exit_three(capsys, monkeypatch):
     def broken():
         raise IntegrityError("worked example: tampered")

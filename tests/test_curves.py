@@ -8,9 +8,12 @@ from contactconics import (
     CUSP,
     InfiniteMultiplicityError,
     NODE,
+    NotKRationalError,
     PlaneCurve,
     PlanePoint,
+    Poly,
     PreconditionError,
+    TriForm,
     arrangement_fingerprint,
     classify_tangent_case,
     contact_conic_type,
@@ -33,6 +36,23 @@ def point(text: str) -> PlanePoint:
 
 CONIC = curve("X*Z - T^2")
 ORIGIN = point("[0, 0, 1]")
+
+# The quartic below meets CONIC at the points (t, t^2) for t in LINED_UP_TS.
+# Every shear x -> x + k*t with |k| <= 9 is blocked: k = 0 puts [1 : k : 0] on
+# the quartic, and every other such k = t_i + t_j lines up two of the points.
+LINED_UP_TS = (-9, -8, -7, -2, 1, 3, 4, 5)
+
+
+def lined_up_quartic() -> PlaneCurve:
+    """The quartic Q with Q(t, t^2) = prod (t - t_j): t^m lifts to t^(m mod 2)*x^(m div 2)."""
+    product = Poly.constant(1)
+    for root in LINED_UP_TS:
+        product = product * Poly((-root, 1))
+    terms = {}
+    for m, coeff in enumerate(product.coeffs):
+        i, j = m % 2, m // 2
+        terms[(i, j, 4 - i - j)] = coeff
+    return PlaneCurve(TriForm(4, terms))
 
 
 # -- singular points ---------------------------------------------------------
@@ -61,6 +81,13 @@ def test_nodal_cubic_classification():
 
 def test_smooth_conic_has_no_singular_points():
     assert CONIC.singular_points() == []
+
+
+def test_singular_points_over_a_residual_factor_are_not_k_rational():
+    # x = +-(t^3 - 2) cross where t^3 = 2, which has no root in K
+    crossing = curve("X^2*Z^4 - (T^3 - 2*Z^3)^2")
+    with pytest.raises(NotKRationalError):
+        crossing.singular_points()
 
 
 # -- intersection multiplicity ----------------------------------------------
@@ -161,6 +188,21 @@ def test_non_contact_conic_fails_with_odd_class(example):
     assert odd
 
 
+def test_lined_up_pair_is_certified_beyond_shear_eight():
+    certificate = is_weak_contact(lined_up_quartic(), CONIC)
+    assert certificate.shear == 10
+    assert not certificate.is_weak
+    assert sum(c.degree * c.multiplicity for c in certificate.classes) == 8
+    assert certificate.infinity == ()
+    assert certificate.bezout_total == 8
+
+
+def test_lined_up_points_meet_transversely():
+    quartic = lined_up_quartic()
+    for t in LINED_UP_TS:
+        assert intersection_multiplicity(quartic, CONIC, PlanePoint(t, t * t, 1)) == 1
+
+
 def test_conic_types_of_the_example_conics(example):
     types = {
         name: contact_conic_type(example.quartic, example.curve(name))
@@ -204,6 +246,13 @@ def test_companion_swap_pairs_share_fingerprints(example):
     assert arrangement_fingerprint(example.arrangement("B22")) == arrangement_fingerprint(
         example.arrangement("B12")
     )
+
+
+def test_lined_up_pair_fingerprint_lists_eight_simple_points():
+    fingerprint = arrangement_fingerprint([lined_up_quartic(), CONIC])
+    lines = fingerprint.splitlines()
+    assert lines[0] == "pair (2,4):"
+    assert lines[1:] == ["  point mult=1 quartic=smooth incidence=[]"] * 8
 
 
 def test_fingerprint_separates_different_local_geometry(example):
