@@ -82,7 +82,7 @@ from .parsing import (
     parse_section,
     parse_triform,
 )
-from .poly import BiPoly, BinaryForm, Poly, RatFunc, TriForm
+from .poly import BiPoly, Poly, RatFunc, TriForm
 from .surface import (
     INFINITY,
     FiberCollection,
@@ -99,7 +99,7 @@ from .surface import (
 __all__ = [
     # field and polynomial arithmetic
     "FieldElem", "ONE", "ZERO",
-    "Poly", "RatFunc", "BiPoly", "TriForm", "BinaryForm",
+    "Poly", "RatFunc", "BiPoly", "TriForm",
     # parsing
     "parse_field_elem", "parse_poly", "parse_ratfunc", "parse_bipoly",
     "parse_triform", "parse_point", "parse_section",

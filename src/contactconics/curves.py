@@ -14,6 +14,12 @@ classes from one routine, `_pair_intersection`: it tries a fixed range of
 shears x -> x + k*t and keeps the first whose degree-1 subresultant
 certifies one point per resultant root.  When none does, the input is
 degenerate and is rejected with a PreconditionError.
+
+Forms restricted to a line are `TriForm`s: the line at infinity is the
+part of a form free of Z, and any other line is reached by substituting
+a parametrization.  The tangent-line case reads the contact order at the
+point from `intersection_multiplicity` and the root multiplicities of
+the restricted quartic from its square-free decomposition.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .errors import (
 from .field import FieldElem, ONE, ZERO, ElemLike
 from .poly import (
     BiPoly,
-    BinaryForm,
     Poly,
     TriForm,
     k_rational_roots,
@@ -276,11 +281,7 @@ def _fulton(f: BiPoly, g: BiPoly) -> int:
 
 def intersection_multiplicity(f: PlaneCurve, g: PlaneCurve, point: PlanePoint) -> int:
     """Fulton multiplicity of two curves at a point (0 if the point misses one)."""
-    chart = point.chart
-    _chart_check, u0, v0 = _local_coords(point)
-    lf = _chart_bipoly(f.form, chart).shift_t(u0).shift_x(v0)
-    lg = _chart_bipoly(g.form, chart).shift_t(u0).shift_x(v0)
-    return _fulton(lf, lg)
+    return _fulton(_local_at_origin(f.form, point), _local_at_origin(g.form, point))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +408,12 @@ def _residual_is_singular(f: BiPoly, f_t: BiPoly, f_x: BiPoly, residual: Poly) -
 
 
 def _infinity_singular_points(form: TriForm) -> list[PlanePoint]:
-    b = form.infinity_form()
-    if b.is_zero():
+    if form.infinity_form().is_zero():
         raise PreconditionError("curve contains the line at infinity in this frame")
-    bt = _binary_partial(b, 0)
-    bx = _binary_partial(b, 1)
-    cz = _z_coefficient_form(form)
-    candidates = [g for g in (bt, bx, cz) if not g.is_zero()]
+    # Setting Z = 0 commutes with d/dT and d/dX and turns dF/dZ into the
+    # coefficient of Z, so the gradient at Z = 0 is read from three partials.
+    gradient = [form.partial(k).infinity_form() for k in range(3)]
+    candidates = [g for g in gradient if not g.is_zero()]
     if not candidates:
         return []
     common_points, residual_degree = _binary_common_roots(candidates)
@@ -427,33 +427,21 @@ def _infinity_singular_points(form: TriForm) -> list[PlanePoint]:
     return out
 
 
-def _binary_partial(b: BinaryForm, index: int) -> BinaryForm:
-    out: dict[tuple[int, int], FieldElem] = {}
-    for key, coeff in b.terms.items():
-        e = key[index]
-        if e == 0:
-            continue
-        new_key = (key[0] - 1, key[1]) if index == 0 else (key[0], key[1] - 1)
-        out[new_key] = coeff * e
-    return BinaryForm(max(b.degree - 1, 0), out)
-
-
-def _z_coefficient_form(form: TriForm) -> BinaryForm:
-    """The binary form dF/dZ restricted to Z = 0."""
-    out: dict[tuple[int, int], FieldElem] = {}
-    for (a, b, c), coeff in form.terms.items():
-        if c == 1:
-            out[(a, b)] = coeff
-    return BinaryForm(form.degree - 1, out)
+def _t_polynomial(form: TriForm) -> Poly:
+    """A form in T and X alone at X = 1; its roots are the points [t : 1]."""
+    coeffs = [ZERO] * (form.degree + 1)
+    for (a, _b, _c), coeff in form.terms.items():
+        coeffs[a] = coeff
+    return Poly(coeffs)
 
 
 def _binary_common_roots(
-    forms: Sequence[BinaryForm],
+    forms: Sequence[TriForm],
 ) -> tuple[list[tuple[FieldElem, FieldElem]], int]:
-    """Common projective roots [t : x] of binary forms; K-rational ones plus residual degree."""
-    polys = [b.dehomogenize_t() for b in forms]
+    """Common roots [t : x] of forms in T and X alone; K-rational ones plus residual degree."""
     g: Poly | None = None
-    for p in polys:
+    for form in forms:
+        p = _t_polynomial(form)
         if p.is_zero():
             continue
         g = p.monic() if g is None else poly_gcd(g, p)
@@ -465,8 +453,8 @@ def _binary_common_roots(
         residual_degree = residual.degree
     elif g is None:
         raise PreconditionError("all binary forms vanish identically")
-    # the point [1 : 0] at X = 0: common iff every form has zero X-free... top T coefficient
-    if all(b.is_zero() or b.terms.get((b.degree, 0), ZERO).is_zero() for b in forms):
+    # [1 : 0] is a common root iff no form has a T^degree term
+    if all(form.coeff((form.degree, 0, 0)).is_zero() for form in forms):
         points.append((ONE, ZERO))
     return points, residual_degree
 
@@ -496,10 +484,6 @@ def _classify_singular_point(form: TriForm, point: PlanePoint) -> str:
     for (i, j), coeff in cubic.items():
         value = value + coeff * du**i * dv**j
     return CUSP if not value.is_zero() else OTHER
-
-
-def singular_points(curve: PlaneCurve) -> list[tuple[PlanePoint, str]]:
-    return curve.singular_points()
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +614,6 @@ def _shear_values() -> Iterable[int]:
         yield -k
 
 
-def _binary_eval(b: BinaryForm, t_val: FieldElem, x_val: FieldElem) -> FieldElem:
-    acc = ZERO
-    for (a, bb), coeff in b.terms.items():
-        acc = acc + coeff * t_val**a * x_val**bb
-    return acc
-
-
 def _t_on_class(p: BiPoly, s10: Poly, s11: Poly, modulus: Poly) -> Poly:
     """Evaluate the main variable at -s10/s11 modulo the class factor.
 
@@ -687,8 +664,7 @@ def _pair_intersection(a: PlaneCurve, b: PlaneCurve) -> _PairIntersection:
     f = a.form.dehomogenize()
     g = b.form.dehomogenize()
     for k in _shear_values():
-        direction = FieldElem.coerce(k)
-        if any(_binary_eval(form, ONE, direction).is_zero() for form in at_infinity):
+        if a.form.eval((ONE, k, ZERO)).is_zero() or b.form.eval((ONE, k, ZERO)).is_zero():
             continue
         ft = f.shear_x(k)
         gt = g.shear_x(k)
@@ -786,107 +762,29 @@ def classify_tangent_case(q: PlaneCurve, z: PlanePoint) -> str:
                 return CASE_SC
             if kind == NODE:
                 return CASE_SN
-    pullback = _line_pullback(q.form, line)
-    s0, u0 = _line_parameter_of(line, z)
-    m_z = pullback.ord_at_point(s0, u0)
-    if m_z < 2:
+    # The contact order along the line at a point is I(q, line; point).
+    if intersection_multiplicity(q, line, z) < 2:
         raise IntegrityError("tangent line has contact order below 2")
-    if m_z == 4:
-        return CASE_B
-    if m_z == 2:
-        remaining = _binary_divide_root(pullback, s0, u0, 2)
-        a = remaining.terms.get((2, 0), ZERO)
-        b = remaining.terms.get((1, 1), ZERO)
-        c = remaining.terms.get((0, 2), ZERO)
-        disc = b * b - a * c * 4
-        if disc.is_zero():
-            return CASE_B
-    return CASE_S
+    # The line is a bitangent or a 4-fold tangent exactly when q restricted
+    # to it is a square: every root, [1 : 0] included, has even multiplicity.
+    pullback = _t_polynomial(q.form.substitute(_line_images(line)))
+    multiplicities = [m for _f, m in squarefree_decomposition(pullback)]
+    multiplicities.append(q.degree - pullback.degree)
+    return CASE_B if all(m % 2 == 0 for m in multiplicities) else CASE_S
 
 
-def _line_basis(line: PlaneCurve) -> tuple[tuple[FieldElem, ...], tuple[FieldElem, ...]]:
+def _line_images(line: PlaneCurve) -> tuple[TriForm, TriForm, TriForm]:
+    """Forms sending [T : X] to T*p + X*q for two points p, q spanning the line."""
     a, b, c = _line_coefficients(line)
     if not c.is_zero():
         inv = c.inv()
-        return (ONE, ZERO, -a * inv), (ZERO, ONE, -b * inv)
-    if not b.is_zero():
+        p, q = (ONE, ZERO, -a * inv), (ZERO, ONE, -b * inv)
+    elif not b.is_zero():
         inv = b.inv()
-        return (ONE, -a * inv, ZERO), (ZERO, ZERO, ONE)
-    return (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)
-
-
-def _line_pullback(form: TriForm, line: PlaneCurve) -> BinaryForm:
-    """Restrict a form to a line: the binary form F(s*p + u*q) in the parameters."""
-    p, q = _line_basis(line)
-    coords = []
-    for k in range(3):
-        coords.append(BiPoly((Poly((ZERO, p[k])), Poly.constant(q[k]))))
-    acc = BiPoly.zero()
-    for (a, b, c), coeff in form.terms.items():
-        term = coords[0] ** a * coords[1] ** b * coords[2] ** c
-        acc = acc + term.scale(coeff)
-    out: dict[tuple[int, int], FieldElem] = {}
-    for j, col in enumerate(acc.coeffs):
-        for i, value in enumerate(col.coeffs):
-            if not value.is_zero():
-                out[(i, j)] = value
-    return BinaryForm(form.degree, out)
-
-
-def _line_parameter_of(line: PlaneCurve, z: PlanePoint) -> tuple[FieldElem, FieldElem]:
-    """Parameters (s, u) with z = s*p + u*q for the chosen line basis."""
-    p, q = _line_basis(line)
-    target = z.coords
-    for i in range(3):
-        for j in range(i + 1, 3):
-            det = p[i] * q[j] - p[j] * q[i]
-            if not det.is_zero():
-                inv = det.inv()
-                s = (target[i] * q[j] - target[j] * q[i]) * inv
-                u = (p[i] * target[j] - p[j] * target[i]) * inv
-                return s, u
-    raise IntegrityError("degenerate line basis")
-
-
-def _binary_divide_root(
-    b: BinaryForm, s0: FieldElem, u0: FieldElem, order: int
-) -> BinaryForm:
-    """Divide out (u0*S - s0*U)^order."""
-    # linear form vanishing at [s0 : u0]
-    linear = {(1, 0): u0, (0, 1): -s0}
-    result = dict(b.terms)
-    degree = b.degree
-    current = BinaryForm(degree, result)
-    for _ in range(order):
-        current = _binary_exact_div_linear(current, linear)
-    return current
-
-
-def _binary_exact_div_linear(
-    b: BinaryForm, linear: dict[tuple[int, int], FieldElem]
-) -> BinaryForm:
-    alpha = linear.get((1, 0), ZERO)
-    beta = linear.get((0, 1), ZERO)
-    # dividing C(S,U) by alpha*S + beta*U via univariate division in the right chart
-    if not alpha.is_zero():
-        p = b.dehomogenize_t()  # polynomial in S with U = 1
-        divisor = Poly((beta, alpha))
-        quotient, rem = p.divmod(divisor)
-        if not rem.is_zero():
-            raise IntegrityError("binary form not divisible by its tangent factor")
-        out: dict[tuple[int, int], FieldElem] = {}
-        for k, coeff in enumerate(quotient.coeffs):
-            out[(k, b.degree - 1 - k)] = coeff
-        return BinaryForm(b.degree - 1, out)
-    # linear = beta*U
-    out = {}
-    for (i, j), coeff in b.terms.items():
-        if j == 0:
-            if not coeff.is_zero():
-                raise IntegrityError("binary form not divisible by U")
-            continue
-        out[(i, j - 1)] = coeff / beta
-    return BinaryForm(b.degree - 1, out)
+        p, q = (ONE, -a * inv, ZERO), (ZERO, ZERO, ONE)
+    else:
+        p, q = (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)
+    return tuple(TriForm(1, {(1, 0, 0): p[k], (0, 1, 0): q[k]}) for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +847,7 @@ def _pair_class_records(
     records: list[_ClassRecord] = []
     for contact in pair.infinity:
         incidence = tuple(sorted(d.degree for d in others if d.contains(contact.point)))
-        kind = _quartic_kind_at_point(quartic, a, b, contact.point)
+        kind = _quartic_kind_at_point(quartic, contact.point)
         records.append(
             _ClassRecord(1, contact.multiplicity, kind, incidence)
         )
@@ -957,12 +855,8 @@ def _pair_class_records(
     return records
 
 
-def _quartic_kind_at_point(
-    quartic: PlaneCurve | None, a: PlaneCurve, b: PlaneCurve, point: PlanePoint
-) -> str:
-    if quartic is None:
-        return "off"
-    if not quartic.contains(point):
+def _quartic_kind_at_point(quartic: PlaneCurve | None, point: PlanePoint) -> str:
+    if quartic is None or not quartic.contains(point):
         return "off"
     return quartic.singularity_kind_at(point)
 
@@ -975,6 +869,8 @@ def _refine_classes(
     b: PlaneCurve,
 ) -> list[_ClassRecord]:
     """Split the pair's affine classes until each lies on or off every other component."""
+    if not pair.factors:
+        return []
     shear, s10, s11 = pair.shear, pair.s10, pair.s11
     probes: list[tuple[int, BiPoly]] = []
     for comp in others:

@@ -34,7 +34,6 @@ from .surface import (
     Section,
     WeierstrassModel,
     from_quartic,
-    mul,
     section_to_plane_curve,
 )
 
@@ -356,7 +355,7 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
             lambda name=name, stated=stated: (
                 lambda computed: computed.x == stated.x
                 and (computed.y == stated.y or computed.y == -stated.y)
-            )(mul(2, sections[name])),
+            )(2 * sections[name]),
         )
         doubles[name] = stated
 

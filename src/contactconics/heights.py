@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, UnsupportedSectionError
 from .field import ZERO
 from .poly import BiPoly, Poly, k_rational_roots, poly_gcd, squarefree_decomposition
 from .surface import (
     FiberCollection,
-    FiberInfo,
     Section,
     WeierstrassModel,
     _X_DEGREE_LIMIT,
@@ -39,11 +39,6 @@ def component_contribution(count: int, i: int, j: int) -> Fraction:
     if low == 0:
         return Fraction(0)
     return Fraction(low * (count - high), count)
-
-
-def contribution(fiber: FiberInfo, i: int, j: int) -> Fraction:
-    """Correction term for sections meeting components i and j of one fiber."""
-    return component_contribution(fiber.m_v, i, j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +175,7 @@ def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
         value = 2 * chi + 2 * section_intersection(left, Section.zero(ctx.model))
         for fiber in ctx.fibers:
             index = component_index(left, fiber)
-            value -= contribution(fiber, index, index)
+            value -= component_contribution(fiber.m_v, index, index)
         return value
     value = (
         chi
@@ -189,7 +184,9 @@ def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
         - section_intersection(left, right)
     )
     for fiber in ctx.fibers:
-        value -= contribution(fiber, component_index(left, fiber), component_index(right, fiber))
+        value -= component_contribution(
+            fiber.m_v, component_index(left, fiber), component_index(right, fiber)
+        )
     return value
 
 
@@ -202,14 +199,20 @@ def gram_matrix(basis: list[Section], ctx: HeightContext) -> list[list[Fraction]
             value = height(basis[row], basis[col], ctx)
             matrix[row][col] = value
             matrix[col][row] = value
-    for order in range(1, size + 1):
-        minor = [[matrix[r][c] for c in range(order)] for r in range(order)]
-        if _determinant(minor) <= 0:
-            raise IntegrityError(
-                "height Gram matrix is not positive definite; "
-                "the basis or the model data is inconsistent"
-            )
+    _require_positive_definite(
+        matrix,
+        "height Gram matrix is not positive definite; "
+        "the basis or the model data is inconsistent",
+    )
     return matrix
+
+
+def _require_positive_definite(matrix: Sequence[Sequence[Fraction]], message: str) -> None:
+    """Raise IntegrityError(message) unless every leading principal minor is positive."""
+    for order in range(1, len(matrix) + 1):
+        minor = [list(row[:order]) for row in matrix[:order]]
+        if _determinant(minor) <= 0:
+            raise IntegrityError(message)
 
 
 def _determinant(matrix: list[list[Fraction]]) -> Fraction:

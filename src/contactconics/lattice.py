@@ -32,8 +32,8 @@ from typing import Mapping, Sequence
 from .curves import arrangement_fingerprint
 from .errors import IntegrityError, PreconditionError
 from .fixtures import ARRANGEMENTS, WorkedExample, load_worked_example
-from .heights import _determinant, component_contribution
-from .surface import Section, mul, section_to_plane_curve
+from .heights import _require_positive_definite, component_contribution
+from .surface import Section, section_to_plane_curve
 
 # Fiber roles: the plane-curve feature the fiber sits over.
 NODE_FIBER = "node"
@@ -85,14 +85,9 @@ class CaseLattice:
             for c in range(rank):
                 if self.gram[r][c] != self.gram[c][r]:
                     raise IntegrityError(f"case {self.name}: Gram matrix not symmetric")
-        for order in range(1, rank + 1):
-            minor = [
-                [self.gram[r][c] for c in range(order)] for r in range(order)
-            ]
-            if _determinant(minor) <= 0:
-                raise IntegrityError(
-                    f"case {self.name}: Gram matrix is not positive definite"
-                )
+        _require_positive_definite(
+            self.gram, f"case {self.name}: Gram matrix is not positive definite"
+        )
         for fiber in self.fibers:
             if fiber.role not in (NODE_FIBER, CUSP_FIBER, LINE_FIBER):
                 raise IntegrityError(
@@ -500,7 +495,7 @@ def _vector_of(example: WorkedExample, name: str) -> tuple[int, int, int]:
     vector = _SECTION_VECTORS[name]
     combined = Section.zero(example.model)
     for coefficient, basis_name in zip(vector, ("P1", "P2", "P3")):
-        combined = combined + mul(coefficient, example.sections[basis_name])
+        combined = combined + coefficient * example.sections[basis_name]
     if combined != example.sections[name]:
         raise IntegrityError(
             f"stated coordinates {vector} of {name} disagree with the group law"
@@ -562,7 +557,7 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
             (right_components[1], s2, f"{right_components[1]} is the image of {s2_name}"),
             (
                 left_components[2],
-                mul(2, s1),
+                2 * s1,
                 f"{left_components[2]} is the image of [2]{s1_name}",
             ),
         )
@@ -571,12 +566,12 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
             (left_components[1], s1, f"{left_components[1]} is the image of {s1_name}"),
             (
                 left_components[2],
-                mul(2, s1),
+                2 * s1,
                 f"{left_components[2]} is the image of [2]{s1_name}",
             ),
             (
                 right_components[2],
-                mul(2, s2),
+                2 * s2,
                 f"{right_components[2]} is the image of [2]{s2_name}",
             ),
         )

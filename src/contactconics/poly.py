@@ -986,13 +986,9 @@ class TriForm:
                 terms[(a, b, c)] = coeff
         return cls(degree, terms)
 
-    def infinity_form(self) -> "BinaryForm":
-        """F(T, X, 0) as a binary form in (T, X)."""
-        out: dict[tuple[int, int], FieldElem] = {}
-        for (a, b, c), coeff in self.terms.items():
-            if c == 0:
-                out[(a, b)] = coeff
-        return BinaryForm(self.degree, out)
+    def infinity_form(self) -> "TriForm":
+        """F(T, X, 0): the terms free of Z."""
+        return TriForm(self.degree, {k: v for k, v in self.terms.items() if k[2] == 0})
 
     def canonical_scaled(self) -> "TriForm":
         """Divide by the coefficient of the lexicographically largest monomial."""
@@ -1043,51 +1039,6 @@ class TriForm:
 
     def __repr__(self) -> str:
         return f"TriForm({self.to_str()})"
-
-
-class BinaryForm:
-    """Homogeneous binary form in (T, X), used for the line Z = 0."""
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: dict[tuple[int, int], ElemLike]):
-        cleaned: dict[tuple[int, int], FieldElem] = {}
-        for (a, b), value in terms.items():
-            if a + b != degree or a < 0 or b < 0:
-                raise ValueError("binary form homogeneity violated")
-            coeff = _elem(value)
-            if not coeff.is_zero():
-                cleaned[(a, b)] = coeff
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinaryForm is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def dehomogenize_t(self) -> Poly:
-        """Set X = 1, polynomial in T; loses only the root [0,1] (tracked separately)."""
-        out = [ZERO] * (self.degree + 1)
-        for (a, _b), coeff in self.terms.items():
-            out[a] = coeff
-        return Poly(out)
-
-    def ord_at_point(self, t0: ElemLike, x0: ElemLike) -> int:
-        """Multiplicity of the projective root [t0, x0]."""
-        t0e, x0e = _elem(t0), _elem(x0)
-        if t0e.is_zero() and x0e.is_zero():
-            raise ValueError("not a projective point")
-        if not x0e.is_zero():
-            p = self.dehomogenize_t()
-            if p.is_zero():
-                raise ValueError("zero form")
-            return p.ord_at(t0e / x0e) if p.degree >= 0 else 0
-        out = [ZERO] * (self.degree + 1)
-        for (_a, b), coeff in self.terms.items():
-            out[b] = coeff
-        return Poly(out).ord_at(ZERO)
 
 
 def kth_subresultant_coeffs(chain: list[BiPoly], x_degree: int) -> BiPoly | None:

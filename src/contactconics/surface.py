@@ -204,10 +204,6 @@ class Section:
         return f"({self.x.to_str()}, {self.y.to_str()})"
 
 
-def mul(count: int, point: Section) -> Section:
-    return count * point
-
-
 def section_to_plane_curve(point: Section) -> PlaneCurve:
     """The line or conic x = x(t), homogenized."""
     if point.is_zero:

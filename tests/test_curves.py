@@ -4,7 +4,10 @@ transformation, weak contact certificates, and arrangement fingerprints."""
 import pytest
 
 from contactconics import (
+    CASE_B,
     CASE_S,
+    CASE_SC,
+    CASE_SN,
     CUSP,
     InfiniteMultiplicityError,
     NODE,
@@ -221,6 +224,46 @@ def test_type_table_needs_the_right_singularities():
 
 def test_distinguished_tangency_is_a_simple_case(example):
     assert classify_tangent_case(example.quartic, point("[0, 1, 0]")) == CASE_S
+
+
+def test_tangent_through_the_cusp_is_case_sc(example):
+    tangency = cremona_point(example.triangle, point("[i, -1, 1]"))
+    assert tangency == point("[2/5 - 1/5*i, -2/5 - 1/5*i, 1]")
+    assert classify_tangent_case(example.quartic_image, tangency) == CASE_SC
+
+
+def test_tangent_through_a_node_is_case_sn(example):
+    assert classify_tangent_case(example.quartic_image, point("[4/5, -4, 1]")) == CASE_SN
+
+
+# Smooth quartics tangent to Z = 0 at [1, 1, 0]: the first meets the line
+# there with contact 2 and again with contact 2 at [1, -1, 0] (a bitangent),
+# the second with contact 4 (a 4-fold tangent).
+BITANGENT = "Z*(T^3 + 2*X^3 + Z^3 + T*X*Z) + (X^2 - T^2 + X*Z)^2"
+FOURFOLD = "Z*(T^3 + 2*X^3 + Z^3 + T*X*Z) + (X^2 - 2*T*X + T^2 + X*Z)^2"
+
+
+@pytest.mark.parametrize("text, contact", [(BITANGENT, 2), (FOURFOLD, 4)])
+def test_bitangent_and_fourfold_tangents_are_case_b(text, contact):
+    quartic = curve(text)
+    tangency = point("[1, 1, 0]")
+    assert intersection_multiplicity(quartic, quartic.tangent_line(tangency), tangency) == contact
+    assert classify_tangent_case(quartic, tangency) == CASE_B
+
+
+def test_flex_tangent_is_a_simple_case():
+    # x = t^3 - t^4 - x^4 near the origin: contact 3 there, and 1 at [1, 0, 1]
+    quartic = curve("X*Z^3 - T^3*Z + T^4 + X^4")
+    assert intersection_multiplicity(quartic, curve("X"), ORIGIN) == 3
+    assert classify_tangent_case(quartic, ORIGIN) == CASE_S
+
+
+def test_tangent_line_that_is_a_component_is_a_typed_error():
+    # X = 0 is a component; the rest meets it only at the origin, a point of
+    # kind "other", so no singular point decides the case first
+    quartic = curve("X*(X*Z^2 - T^3 + X^3)")
+    with pytest.raises(InfiniteMultiplicityError):
+        classify_tangent_case(quartic, point("[2, 0, 1]"))
 
 
 def test_tangent_case_rejects_singular_and_off_curve_points(example):

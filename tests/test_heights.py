@@ -7,10 +7,14 @@ import pytest
 from contactconics import (
     PreconditionError,
     Section,
+    UnsupportedSectionError,
+    WeierstrassModel,
     component_contribution,
     gram_matrix,
     height,
+    parse_poly,
 )
+from contactconics.heights import section_intersection
 
 F = Fraction
 
@@ -78,3 +82,29 @@ def test_negation_preserves_the_height(example, context):
     P0 = example.section("P0")
     assert height(-P0, -P0, context) == height(P0, P0, context)
     assert height(-P0, P0, context) == -height(P0, P0, context)
+
+
+def sections_on(a4: str, a6: str, *coords: tuple[str, str]) -> list[Section]:
+    model = WeierstrassModel(parse_poly("0"), parse_poly(a4), parse_poly(a6))
+    return [Section.from_xy(model, parse_poly(x), parse_poly(y)) for x, y in coords]
+
+
+def test_sections_meeting_over_conjugate_places():
+    # P and Q meet only where t^2 = 3, transversally on smooth fibers: the
+    # two places are conjugate over K, so the count goes through the
+    # residual factor t^2 - 3 and not through K-rational roots.
+    left, right = sections_on(
+        "2*t + t^2 - 3 - (t^2 - 3)^2", "t^2", ("0", "t"), ("t^2 - 3", "t + t^2 - 3")
+    )
+    assert section_intersection(left, right) == 2
+
+
+def test_meeting_over_a_non_rational_singular_fiber_is_refused():
+    left, right = sections_on(
+        "3*(t^2 - 3) - (t^2 - 3)^2",
+        "(t^2 - 3)^2",
+        ("0", "t^2 - 3"),
+        ("t^2 - 3", "2*(t^2 - 3)"),
+    )
+    with pytest.raises(UnsupportedSectionError):
+        section_intersection(left, right)

@@ -11,6 +11,7 @@ from contactconics import (
     RatFunc,
     TriForm,
     parse_bipoly,
+    parse_field_elem,
     parse_poly,
     parse_triform,
 )
@@ -91,6 +92,14 @@ def test_k_rational_roots_finds_field_roots():
     assert as_dict[SQRT2] == 2
     assert as_dict[I] == 1
     assert residual.monic() == parse_poly("t^2 - 3")
+
+
+def test_k_rational_roots_finds_roots_of_a_quartic_norm_factor():
+    # 1 + r2 + i generates K, so its norm factor over Q is an irreducible quartic
+    p = parse_poly("(t - 1 - r2 - i)*(t - 3)*(t^2 - 3)")
+    roots, residual = k_rational_roots(p)
+    assert roots == [(parse_field_elem("1 + r2 + i"), 1), (FieldElem.from_rational(3), 1)]
+    assert residual == parse_poly("t^2 - 3")
 
 
 def test_ratfunc_normalization_and_arithmetic():
