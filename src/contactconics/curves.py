@@ -156,9 +156,14 @@ def _graded_parts(g: BiPoly) -> dict[int, dict[tuple[int, int], FieldElem]]:
 
 
 class PlaneCurve:
-    """Reduced projective plane curve, defined by a square-free TriForm."""
+    """Reduced projective plane curve, defined by a square-free TriForm.
 
-    __slots__ = ("form", "_singular_cache")
+    A curve caches its singular points, and in `_pair_cache` the
+    intersection classes with each other curve it has been paired with
+    (see `_pair_classes`).
+    """
+
+    __slots__ = ("form", "_singular_cache", "_pair_cache")
 
     def __init__(self, form: TriForm):
         if form.is_zero() or form.degree < 1:
@@ -167,6 +172,7 @@ class PlaneCurve:
             raise PreconditionError("curve form is not square-free (non-reduced curve)")
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_singular_cache", None)
+        object.__setattr__(self, "_pair_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneCurve is immutable")
@@ -251,37 +257,46 @@ def _line_coefficients(line: PlaneCurve) -> tuple[FieldElem, FieldElem, FieldEle
 # Fulton's intersection multiplicity
 
 
-def _fulton(f: BiPoly, g: BiPoly) -> int:
-    """Intersection multiplicity of f and g at the origin (Fulton's recursion)."""
-    if f.is_zero() or g.is_zero():
-        raise InfiniteMultiplicityError("a zero polynomial meets everything")
-    if not f.eval_point(0, 0).is_zero() or not g.eval_point(0, 0).is_zero():
-        return 0
-    a = f.eval_x(0)  # restriction to the line x = 0
-    b = g.eval_x(0)
-    if a.is_zero() and b.is_zero():
-        raise InfiniteMultiplicityError("both curves contain the line x = 0 through the point")
-    if a.is_zero():
-        # f = x * h; I(x, g) is the t-order of g on the line x = 0
-        h = f.divide_x_power(1)
-        return b.ord_at(ZERO) + _fulton(h, g)
-    if b.is_zero():
-        return _fulton(g, f)
-    if a.degree > b.degree:
-        return _fulton(g, f)
-    # reduce the restriction degree of g using f
-    factor = b.lc / a.lc
-    shift = b.degree - a.degree
-    reducer = BiPoly(tuple(c.shift_up(shift).scale(factor) for c in f.coeffs))
-    g_next = g - reducer
-    if g_next.is_zero():
-        raise InfiniteMultiplicityError("curves share a common component through the point")
-    return _fulton(f, g_next)
+def _fulton(f: BiPoly, g: BiPoly, limit: int) -> int:
+    """Intersection multiplicity of f and g at the origin (Fulton's algorithm).
+
+    Each step keeps the multiplicity and shortens a restriction to x = 0,
+    and each division by x adds at least 1.  Curves with no common component
+    meet at most `limit` times (their Bezout number), so a count beyond it
+    means a common component through the origin.
+    """
+    total = 0
+    while True:
+        if f.is_zero() or g.is_zero():
+            raise InfiniteMultiplicityError("a zero polynomial meets everything")
+        if not f.eval_point(0, 0).is_zero() or not g.eval_point(0, 0).is_zero():
+            return total
+        a = f.eval_x(0)  # restriction to the line x = 0
+        b = g.eval_x(0)
+        if a.is_zero() and b.is_zero():
+            raise InfiniteMultiplicityError("both curves contain the line x = 0 through the point")
+        if b.is_zero() or (not a.is_zero() and a.degree > b.degree):
+            f, g, a, b = g, f, b, a
+        if a.is_zero():
+            # f = x * h; I(x, g) is the t-order of g on the line x = 0
+            total += b.ord_at(ZERO)
+            if total > limit:
+                raise InfiniteMultiplicityError("curves share a common component through the point")
+            f = f.divide_x_power(1)
+            continue
+        # reduce the restriction degree of g using f
+        factor = b.lc / a.lc
+        shift = b.degree - a.degree
+        g = g - BiPoly(tuple(c.shift_up(shift).scale(factor) for c in f.coeffs))
+        if g.is_zero():
+            raise InfiniteMultiplicityError("curves share a common component through the point")
 
 
 def intersection_multiplicity(f: PlaneCurve, g: PlaneCurve, point: PlanePoint) -> int:
     """Fulton multiplicity of two curves at a point (0 if the point misses one)."""
-    return _fulton(_local_at_origin(f.form, point), _local_at_origin(g.form, point))
+    return _fulton(
+        _local_at_origin(f.form, point), _local_at_origin(g.form, point), f.degree * g.degree
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +633,20 @@ def _t_on_class(p: BiPoly, s10: Poly, s11: Poly, modulus: Poly) -> Poly:
     """Evaluate the main variable at -s10/s11 modulo the class factor.
 
     The input's coefficients are polynomials in the variable of s10, s11
-    and the modulus.  Returns the numerator s11^deg * value reduced mod the
-    factor.
+    and the modulus.  Returns the numerator sum_k c_k (-s10)^k s11^(d-k)
+    reduced mod the factor.  It is computed by homogeneous Horner from the
+    top coefficient, reducing after every step, so the full powers of s10
+    and s11 are never formed.
     """
     d = p.degree_x
-    acc = Poly.zero()
-    for k in range(d + 1):
-        term = p.coeff_x(k) * (-s10) ** k * s11 ** (d - k)
-        acc = acc + term
-    return acc % modulus
+    neg_s10 = (-s10) % modulus
+    s11 = s11 % modulus
+    acc = p.coeff_x(d) % modulus
+    power = Poly.constant(ONE)  # s11^(d - k) mod the factor
+    for k in range(d - 1, -1, -1):
+        power = (power * s11) % modulus
+        acc = (acc * neg_s10 + p.coeff_x(k) * power) % modulus
+    return acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -843,7 +863,7 @@ def _pair_class_records(
     others: Sequence[PlaneCurve],
     quartic: PlaneCurve | None,
 ) -> list[_ClassRecord]:
-    pair = _pair_intersection(a, b)
+    pair, pieces = _pair_classes(a, b)
     records: list[_ClassRecord] = []
     for contact in pair.infinity:
         incidence = tuple(sorted(d.degree for d in others if d.contains(contact.point)))
@@ -851,8 +871,33 @@ def _pair_class_records(
         records.append(
             _ClassRecord(1, contact.multiplicity, kind, incidence)
         )
-    records.extend(_refine_classes(pair, others, quartic, a, b))
+    records.extend(_refine_classes(pair, pieces, others, quartic, a, b))
     return records
+
+
+def _pair_classes(
+    a: PlaneCurve, b: PlaneCurve
+) -> tuple[_PairIntersection, tuple[tuple[Poly, int], ...]]:
+    """The pair's intersection, and its affine classes with K-rational roots split off.
+
+    Splitting the roots off puts each singular point in its own class.  The
+    result is memoized on `a`, keyed by b's form under exact equality: a
+    rescaled form is a different key, because s10 and s11 depend on the
+    scaling.  A pair that raises is not memoized and raises again.
+    """
+    cached = a._pair_cache.get(b.form)
+    if cached is None:
+        pair = _pair_intersection(a, b)
+        pieces: list[tuple[Poly, int]] = []
+        for factor, mult in pair.factors:
+            roots, residual = k_rational_roots(factor)
+            for root, _m in roots:
+                pieces.append((Poly((-root, ONE)), mult))
+            if residual.degree >= 1:
+                pieces.append((residual, mult))
+        cached = (pair, tuple(pieces))
+        a._pair_cache[b.form] = cached
+    return cached
 
 
 def _quartic_kind_at_point(quartic: PlaneCurve | None, point: PlanePoint) -> str:
@@ -863,13 +908,14 @@ def _quartic_kind_at_point(quartic: PlaneCurve | None, point: PlanePoint) -> str
 
 def _refine_classes(
     pair: _PairIntersection,
+    pieces: Sequence[tuple[Poly, int]],
     others: Sequence[PlaneCurve],
     quartic: PlaneCurve | None,
     a: PlaneCurve,
     b: PlaneCurve,
 ) -> list[_ClassRecord]:
     """Split the pair's affine classes until each lies on or off every other component."""
-    if not pair.factors:
+    if not pieces:
         return []
     shear, s10, s11 = pair.shear, pair.s10, pair.s11
     probes: list[tuple[int, BiPoly]] = []
@@ -879,15 +925,6 @@ def _refine_classes(
     quartic_in_pair = quartic is not None and (quartic == a or quartic == b)
     if quartic is not None and not quartic_in_pair:
         quartic_probe = quartic.form.dehomogenize().shear_x(shear).swap_vars()
-
-    # split off K-rational roots so singular points sit in their own class
-    pieces: list[tuple[Poly, int]] = []
-    for factor, mult in pair.factors:
-        roots, residual = k_rational_roots(factor)
-        for root, _m in roots:
-            pieces.append((Poly((-root, ONE)), mult))
-        if residual.degree >= 1:
-            pieces.append((residual, mult))
 
     # refine by gcd against each probe until each class is all-or-nothing
     changed = True

@@ -7,7 +7,9 @@ bracketed coordinate triples, sections are pairs ``(x(t), y(t))`` or the
 letter ``O`` for the zero section.
 
 Every reader here raises ParseError with a position on malformed input,
-so stored fixture data is validated byte-by-byte when reloaded.
+so stored fixture data is validated byte-by-byte when reloaded.  Input
+over one of the budgets below raises PreconditionError naming the limit,
+before any expensive arithmetic runs.
 """
 
 from __future__ import annotations
@@ -16,11 +18,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .field import FieldElem, ONE, SQRT2, ZERO, I
 from .poly import BiPoly, Poly, RatFunc, TriForm
 
 _OPERATORS = set("+-*/^(),[]")
+
+# Input budgets.  The paper's curves are quartics, conics and lines with
+# small coefficients: the bundled example uses exponents up to 4 and
+# integers of three digits.  A degree of 12 leaves room for the degree-8
+# images of the quadratic transformation and is the largest degree the
+# polynomial layer is sized for (see `poly`).
+MAX_EXPONENT = 12  # largest exponent literal after ^
+MAX_DEGREE = 12  # largest total degree of a numerator or denominator
+MAX_INTEGER_BITS = 256  # largest numerator or denominator of any coefficient
+MAX_NESTING = 32  # deepest parenthesis nesting
+_MAX_LITERAL_DIGITS = len(str(1 << MAX_INTEGER_BITS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,6 +55,11 @@ def _tokenize(text: str) -> list[_Token]:
             start = k
             while k < len(text) and text[k].isdigit():
                 k += 1
+            if k - start > _MAX_LITERAL_DIGITS:
+                raise PreconditionError(
+                    f"integer literal at position {start} exceeds the input budget "
+                    f"of {MAX_INTEGER_BITS} bits"
+                )
             tokens.append(_Token("int", text[start:k], start))
             continue
         if ch.isalpha():
@@ -67,6 +85,14 @@ class _MultiPoly:
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], FieldElem]):
         self.nvars = nvars
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        for key, value in self.terms.items():
+            if sum(key) > MAX_DEGREE:
+                raise PreconditionError(f"degree exceeds the input budget of {MAX_DEGREE}")
+            integers = (value.n0, value.n1, value.n2, value.n3, value.d)
+            if max(abs(n).bit_length() for n in integers) > MAX_INTEGER_BITS:
+                raise PreconditionError(
+                    f"coefficient exceeds the input budget of {MAX_INTEGER_BITS} bits"
+                )
 
     @classmethod
     def constant(cls, nvars: int, value: FieldElem) -> "_MultiPoly":
@@ -147,6 +173,7 @@ class _Parser:
         self.variables = tuple(variables)
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     @property
     def current(self) -> _Token:
@@ -184,17 +211,25 @@ class _Parser:
         return value
 
     def parse_unary(self) -> _Frac:
-        if self.current.kind == "-":
+        negate = False
+        while self.current.kind == "-":
             self.advance()
-            return -self.parse_unary()
-        return self.parse_power()
+            negate = not negate
+        value = self.parse_power()
+        return -value if negate else value
 
     def parse_power(self) -> _Frac:
         base = self.parse_primary()
         if self.current.kind == "^":
             self.advance()
             token = self.expect("int")
-            return base ** int(token.text)
+            exponent = int(token.text)
+            if exponent > MAX_EXPONENT:
+                raise PreconditionError(
+                    f"exponent {exponent} at position {token.pos} exceeds the input "
+                    f"budget of {MAX_EXPONENT}"
+                )
+            return base**exponent
         return base
 
     def parse_primary(self) -> _Frac:
@@ -218,9 +253,16 @@ class _Parser:
                 f" (variables here: {', '.join(self.variables) or 'none'})"
             )
         if token.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PreconditionError(
+                    f"parentheses at position {token.pos} exceed the input budget "
+                    f"of {MAX_NESTING} levels"
+                )
             self.advance()
+            self.depth += 1
             value = self.parse_expression()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {token.text!r} at position {token.pos}")
 

@@ -39,6 +39,15 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
+    def _trusted(cls, items: list[FieldElem]) -> "Poly":
+        """A Poly on FieldElems taken as they are; trailing zeros are stripped."""
+        while items and items[-1].is_zero():
+            items.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(items))
+        return p
+
+    @classmethod
     def zero(cls) -> "Poly":
         return cls(())
 
@@ -102,7 +111,7 @@ class Poly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] = out[k] + c
-        return Poly(out)
+        return Poly._trusted(out)
 
     __radd__ = __add__
 
@@ -110,7 +119,11 @@ class Poly:
         rhs = Poly._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        a, b = self.coeffs, rhs.coeffs
+        out = list(a) + [ZERO] * (len(b) - len(a))
+        for k, c in enumerate(b):
+            out[k] = out[k] - c
+        return Poly._trusted(out)
 
     def __rsub__(self, other) -> "Poly":
         rhs = Poly._coerce(other)
@@ -119,7 +132,7 @@ class Poly:
         return rhs + (-self)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._trusted([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "Poly":
         rhs = Poly._coerce(other)
@@ -133,13 +146,13 @@ class Poly:
                 continue
             for j, b in enumerate(rhs.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        return Poly._trusted(out)
 
     __rmul__ = __mul__
 
     def scale(self, value: ElemLike) -> "Poly":
         v = _elem(value)
-        return Poly(tuple(c * v for c in self.coeffs))
+        return Poly._trusted([c * v for c in self.coeffs])
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -158,7 +171,7 @@ class Poly:
         """Multiply by t**k."""
         if self.is_zero():
             return self
-        return Poly((ZERO,) * k + self.coeffs)
+        return Poly._trusted([ZERO] * k + list(self.coeffs))
 
     def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         if divisor.is_zero():
@@ -175,7 +188,7 @@ class Poly:
                 rem[k + j] = rem[k + j] - factor * c
             while rem and rem[-1].is_zero():
                 rem.pop()
-        return Poly(quotient), Poly(rem)
+        return Poly._trusted(quotient), Poly._trusted(rem)
 
     def __floordiv__(self, divisor: "Poly") -> "Poly":
         return self.divmod(divisor)[0]

@@ -1,6 +1,7 @@
 """The command line: reports, formats, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -161,6 +162,38 @@ def test_quartic_containing_the_line_at_infinity_exits_two(capsys):
         capsys, "weak-contact", "--quartic", "Z*(X^3 - T^2*Z)", "--conic", "X*Z - T^2 - Z^2"
     )
     assert code == 2 and "precondition error" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cremona", "X^99999999"),
+        ("weak-contact", "--conic", "X*Z - 10^100000*T^2"),
+        ("weak-contact", "--conic", "X*Z - 10^3000*T^2"),
+    ],
+)
+def test_inputs_over_budget_exit_two_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 2 and "exceeds the input budget" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_fingerprint_input_over_budget_exits_two(capsys, tmp_path):
+    path = tmp_path / "high.txt"
+    path.write_text("X*Z^200 - T^201\nX*Z^200 - T^201 - T^200*Z\n", encoding="utf-8")
+    code, out, err = run(capsys, "fingerprint", "--input", str(path))
+    assert code == 2 and "exceeds the input budget" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_arrangement_sharing_a_component_exits_two(capsys, tmp_path):
+    path = tmp_path / "shared.txt"
+    path.write_text("(X*Z - T^2)*(X - Z)\n(X - Z)*(T - Z)\n", encoding="utf-8")
+    code, out, err = run(capsys, "fingerprint", "--input", str(path))
+    assert code == 2 and "common component" in err
     assert "Traceback" not in err and out == ""
 
 

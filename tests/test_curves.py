@@ -2,13 +2,17 @@
 transformation, weak contact certificates, and arrangement fingerprints."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from contactconics import curves
 from contactconics import (
+    BiPoly,
     CASE_B,
     CASE_S,
     CASE_SC,
     CASE_SN,
     CUSP,
+    FieldElem,
     InfiniteMultiplicityError,
     NODE,
     NotKRationalError,
@@ -27,6 +31,8 @@ from contactconics import (
     parse_point,
     parse_triform,
 )
+from contactconics.curves import _t_on_class
+from contactconics.poly import resultant_t
 
 
 def curve(text: str) -> PlaneCurve:
@@ -304,3 +310,73 @@ def test_fingerprint_separates_different_local_geometry(example):
     assert arrangement_fingerprint(example.arrangement("D0")) != arrangement_fingerprint(
         example.arrangement("D1")
     )
+
+
+# -- the pair memo -------------------------------------------------------------
+
+
+def fresh_arrangement(example, name):
+    """Copies of an arrangement's curves, with empty caches."""
+    return [PlaneCurve(c.form) for c in example.arrangement(name)]
+
+
+def test_second_fingerprint_reads_every_pair_from_the_memo(example, monkeypatch):
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return resultant_t(p, q)
+
+    monkeypatch.setattr(curves, "resultant_t", counting)
+    comps = fresh_arrangement(example, "B11")
+    first = arrangement_fingerprint(comps)
+    computed = len(calls)
+    second = arrangement_fingerprint(comps)
+    assert computed >= 3
+    assert len(calls) == computed
+    assert second.encode() == first.encode()
+
+
+def test_rescaled_curve_gets_its_own_memo_entry(example):
+    quartic, line, conic = fresh_arrangement(example, "B11")
+    doubled = PlaneCurve(conic.form.scale(2))
+    first = arrangement_fingerprint([quartic, line, conic])
+    second = arrangement_fingerprint([quartic, line, doubled])
+    assert second == first
+    assert conic.form in quartic._pair_cache and doubled.form in quartic._pair_cache
+    assert quartic._pair_cache[conic.form] is not quartic._pair_cache[doubled.form]
+
+
+def test_pair_sharing_a_component_raises_on_every_call():
+    a = curve("(X*Z - T^2)*(X - Z)")
+    b = curve("(X - Z)*(T - Z)")
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            arrangement_fingerprint([a, b])
+    assert not a._pair_cache
+
+
+# -- evaluating a probe on a class -----------------------------------------------
+
+
+def t_on_class_by_expansion(p, s10, s11, modulus):
+    """The full sum of c_k (-s10)^k s11^(d-k), reduced once at the end."""
+    d = p.degree_x
+    acc = Poly.zero()
+    for k in range(d + 1):
+        acc = acc + p.coeff_x(k) * (-s10) ** k * s11 ** (d - k)
+    return acc % modulus
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+small_elems = st.builds(
+    FieldElem, small_rationals, small_rationals, small_rationals, small_rationals
+)
+polys = st.lists(small_elems, min_size=0, max_size=4).map(Poly)
+moduli = st.lists(small_elems, min_size=2, max_size=4).map(Poly).filter(lambda p: p.degree >= 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polys, max_size=5).map(BiPoly), polys, polys, moduli)
+def test_t_on_class_matches_the_direct_expansion(p, s10, s11, modulus):
+    assert _t_on_class(p, s10, s11, modulus) == t_on_class_by_expansion(p, s10, s11, modulus)

@@ -7,6 +7,7 @@ import pytest
 from contactconics import (
     FieldElem,
     ParseError,
+    PreconditionError,
     parse_bipoly,
     parse_field_elem,
     parse_point,
@@ -16,6 +17,7 @@ from contactconics import (
     parse_triform,
 )
 from contactconics.field import I, SQRT2
+from contactconics.parsing import MAX_DEGREE, MAX_EXPONENT, MAX_INTEGER_BITS, MAX_NESTING
 
 
 def test_field_elem_grammar():
@@ -84,3 +86,30 @@ def test_variables_are_scoped_per_parser():
         parse_poly("x + 1")  # univariate polynomials use t
     with pytest.raises(ParseError):
         parse_triform("t*X*Z")  # forms use uppercase T, X, Z
+
+
+def test_inputs_at_the_budgets_parse():
+    assert parse_poly(f"t^{MAX_EXPONENT}").degree == MAX_EXPONENT
+    assert parse_triform(f"(T + X + Z)^{MAX_DEGREE}").degree == MAX_DEGREE
+    assert parse_field_elem(str(2**MAX_INTEGER_BITS - 1)) == FieldElem.from_rational(
+        2**MAX_INTEGER_BITS - 1
+    )
+    assert parse_poly("(" * MAX_NESTING + "t" + ")" * MAX_NESTING) == parse_poly("t")
+    assert parse_poly("-" * 5000 + "t") == parse_poly("t")
+
+
+@pytest.mark.parametrize(
+    "text, limit",
+    [
+        (f"t^{MAX_EXPONENT + 1}", str(MAX_EXPONENT)),
+        ("1" + "0" * 5000, str(MAX_INTEGER_BITS)),
+        (str(2**MAX_INTEGER_BITS), str(MAX_INTEGER_BITS)),
+        ("*".join(["99999"] * 60), str(MAX_INTEGER_BITS)),
+        (f"(t^{MAX_DEGREE})*t", str(MAX_DEGREE)),
+        (f"((t + 1)^{MAX_DEGREE})^{MAX_DEGREE}", str(MAX_DEGREE)),
+        ("(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1), str(MAX_NESTING)),
+    ],
+)
+def test_inputs_over_a_budget_name_the_limit(text, limit):
+    with pytest.raises(PreconditionError, match=f"budget of {limit}"):
+        parse_poly(text)

@@ -29,6 +29,16 @@ small_elems = st.builds(FieldElem, small_rationals, small_rationals, small_ratio
 polys = st.lists(small_elems, min_size=0, max_size=4).map(Poly)
 
 
+@given(polys, polys)
+def test_arithmetic_results_have_no_trailing_zero(p, q):
+    results = [p + q, p - q, -p, p * q, p.scale(0), p.shift_up(2)]
+    if not q.is_zero():
+        results.extend(p.divmod(q))
+    for r in results:
+        assert r == Poly(r.coeffs)
+        assert not r.coeffs or not r.coeffs[-1].is_zero()
+
+
 def test_poly_basics():
     p = parse_poly("t^2 - 3*t + 2")
     assert p.degree == 2
