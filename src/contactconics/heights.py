@@ -207,30 +207,32 @@ def gram_matrix(basis: list[Section], ctx: HeightContext) -> list[list[Fraction]
     return matrix
 
 
-def _require_positive_definite(matrix: Sequence[Sequence[Fraction]], message: str) -> None:
-    """Raise IntegrityError(message) unless every leading principal minor is positive."""
-    for order in range(1, len(matrix) + 1):
-        minor = [list(row[:order]) for row in matrix[:order]]
-        if _determinant(minor) <= 0:
-            raise IntegrityError(message)
+def _require_positive_definite(
+    matrix: Sequence[Sequence[Fraction]], message: str
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Factor a symmetric matrix as L·D·Lᵀ over Q, requiring every pivot positive.
 
-
-def _determinant(matrix: list[list[Fraction]]) -> Fraction:
+    Returns the pivots d (the diagonal of D) and the unit lower-triangular
+    L, so that matrix[r][c] = sum_k L[r][k]·d[k]·L[c][k] and
+    xᵀ·matrix·x = sum_k d[k]·(x_k + sum_{r>k} L[r][k]·x_r)².  Raises
+    IntegrityError(message) at the first pivot <= 0, before dividing by it.
+    The leading principal minors are the products d[0]·…·d[k], so every
+    pivot is positive exactly when every leading minor is, i.e. when the
+    matrix is positive definite.
+    """
     size = len(matrix)
-    work = [row[:] for row in matrix]
-    sign = Fraction(1)
-    result = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        pivot = work[col][col]
-        result *= pivot
-        for r in range(col + 1, size):
-            scale = work[r][col] / pivot
-            if scale:
-                work[r] = [work[r][c] - scale * work[col][c] for c in range(size)]
-    return sign * result
+    pivots: list[Fraction] = []
+    lower = [[Fraction(int(r == c)) for c in range(size)] for r in range(size)]
+    for k in range(size):
+        pivot = matrix[k][k] - sum(
+            (lower[k][j] ** 2 * pivots[j] for j in range(k)), Fraction(0)
+        )
+        if pivot <= 0:
+            raise IntegrityError(message)
+        pivots.append(pivot)
+        for r in range(k + 1, size):
+            lower[r][k] = (
+                matrix[r][k]
+                - sum((lower[r][j] * lower[k][j] * pivots[j] for j in range(k)), Fraction(0))
+            ) / pivot
+    return pivots, lower

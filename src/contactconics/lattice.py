@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt
 from typing import Mapping, Sequence
 
@@ -85,7 +84,7 @@ class CaseLattice:
             for c in range(rank):
                 if self.gram[r][c] != self.gram[c][r]:
                     raise IntegrityError(f"case {self.name}: Gram matrix not symmetric")
-        _require_positive_definite(
+        pivots, _ = _require_positive_definite(
             self.gram, f"case {self.name}: Gram matrix is not positive definite"
         )
         for fiber in self.fibers:
@@ -121,6 +120,27 @@ class CaseLattice:
                     f"({self.gram[k][k]}) disagrees with its fiber data "
                     f"({expected})"
                 )
+        # Mordell–Weil lattice identities of a rational elliptic surface
+        # (Shioda 1990; Oguiso–Shioda 1991): Shioda–Tate gives the rank as 8
+        # minus the rank of the fibers' root lattices, and a torsion-free
+        # Mordell–Weil lattice has det(Gram) = 1 / prod m_v.
+        shioda_tate = 8 - sum(fiber.count - 1 for fiber in self.fibers)
+        if rank != shioda_tate:
+            raise IntegrityError(
+                f"case {self.name}: rank {rank} disagrees with Shioda–Tate "
+                f"(8 - sum(m_v - 1) = {shioda_tate})"
+            )
+        determinant = Fraction(1)
+        for pivot in pivots:
+            determinant *= pivot
+        counts = 1
+        for fiber in self.fibers:
+            counts *= fiber.count
+        if determinant != Fraction(1, counts):
+            raise IntegrityError(
+                f"case {self.name}: Gram determinant {determinant} is not "
+                f"1/{counts}, one over the product of the fiber component counts"
+            )
 
     @property
     def rank(self) -> int:
@@ -248,24 +268,6 @@ def target_height(case: CaseLattice, conic_type: int) -> Fraction | None:
     return height
 
 
-def _coordinate_bound(case: CaseLattice, height: Fraction) -> int:
-    """Floor of sqrt(height / lambda) for the Gershgorin eigenvalue bound."""
-    lower = None
-    for r in range(case.rank):
-        row_bound = case.gram[r][r] - sum(
-            abs(case.gram[r][c]) for c in range(case.rank) if c != r
-        )
-        if lower is None or row_bound < lower:
-            lower = row_bound
-    if lower is None or lower <= 0:
-        raise IntegrityError(
-            f"case {case.name}: Gershgorin bound is not positive; "
-            f"cannot bound the enumeration box"
-        )
-    ratio = height / lower
-    return isqrt(ratio.numerator * ratio.denominator) // ratio.denominator
-
-
 def enumerate_height_vectors(
     case: CaseLattice, height: Fraction
 ) -> list[tuple[int, ...]]:
@@ -276,15 +278,75 @@ def enumerate_height_vectors(
     """
     if height <= 0:
         raise PreconditionError("the target height must be positive")
-    bound = _coordinate_bound(case, height)
+    return _short_vectors(case.gram, height)
+
+
+def _short_vectors(
+    gram: Sequence[Sequence[Fraction]], height: Fraction
+) -> list[tuple[int, ...]]:
+    """Sorted canonical classes {v, -v} of integer v with vᵀ·gram·v == height > 0.
+
+    Exact Fincke–Pohst enumeration (Fincke–Pohst 1985) over the rational
+    LDLᵀ factors of the Gram matrix: Q(x) = sum_k d_k·(x_k + c_k)², where
+    c_k = sum_{r>k} L[r][k]·x_r depends only on the later coordinates.  The
+    walk fixes coordinates from the last one down; at level k it takes every
+    integer x_k with d_k·(x_k + c_k)² <= H - sum_{i>k} d_i·(x_i + c_i)².
+    Completeness: every term of Q is >= 0, so a vector of norm H has each
+    partial sum sum_{i>=k} d_i·(x_i + c_i)² <= H, and the nested intervals
+    contain it.  At the first coordinate the last term must equal what is
+    left, so x_0 is solved for through an exact rational square root
+    instead of scanned.
+    """
+    pivots, lower = _require_positive_definite(
+        gram, "Gram matrix is not positive definite"
+    )
+    rank = len(pivots)
+    vector = [0] * rank
     classes: set[tuple[int, ...]] = set()
-    for vector in product(range(-bound, bound + 1), repeat=case.rank):
-        if all(coordinate == 0 for coordinate in vector):
-            continue
-        if case.norm(vector) != height:
-            continue
-        classes.add(_canonical_class(vector))
+
+    def walk(k: int, remainder: Fraction) -> None:
+        center = sum(
+            (lower[r][k] * vector[r] for r in range(k + 1, rank)), Fraction(0)
+        )
+        square = remainder / pivots[k]  # the bound on (x_k + c_k)²
+        if k == 0:
+            for x in _integer_roots(square, center):
+                vector[0] = x
+                classes.add(_canonical_class(tuple(vector)))
+            return
+        for x in _integer_interval(square, center):
+            vector[k] = x
+            walk(k - 1, remainder - pivots[k] * (x + center) ** 2)
+
+    walk(rank - 1, height)
     return sorted(classes)
+
+
+def _integer_interval(square: Fraction, center: Fraction) -> range:
+    """The integers x with (x + center)² <= square, for square >= 0.
+
+    With square = a/b and center = u/v in lowest terms, the ends are
+    floor((-u·b + sqrt(v²·a·b)) / (v·b)) and minus the same with +u.  For
+    an integer m, N >= 0 and D > 0, floor((m + sqrt(N)) / D) equals
+    (m + isqrt(N)) // D, so both ends are exact and need no correction.
+    """
+    a, b = square.numerator, square.denominator
+    u, v = center.numerator, center.denominator
+    root = isqrt(v * v * a * b)
+    scale = v * b
+    return range(-((u * b + root) // scale), (root - u * b) // scale + 1)
+
+
+def _integer_roots(square: Fraction, center: Fraction) -> set[int]:
+    """The integers x with (x + center)² == square."""
+    a, b = square.numerator, square.denominator
+    s, t = isqrt(a), isqrt(b)
+    if s * s != a or t * t != b:
+        return set()
+    offset = Fraction(s, t)
+    return {
+        int(root) for root in (offset - center, -offset - center) if root.denominator == 1
+    }
 
 
 def _canonical_class(vector: tuple[int, ...]) -> tuple[int, ...]:

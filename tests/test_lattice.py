@@ -1,8 +1,11 @@
 """Case lattices: target heights, short-vector enumeration, pair reports."""
 
 from fractions import Fraction
+from itertools import product
+from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactconics import (
     CASE_I,
@@ -21,7 +24,16 @@ from contactconics import (
     vectors_for_type,
     zariski_pair_report,
 )
-from contactconics.lattice import extends_to_basis, integer_rank
+from contactconics.errors import IntegrityError
+from contactconics.heights import _require_positive_definite
+from contactconics.lattice import (
+    CaseLattice,
+    _integer_interval,
+    _integer_roots,
+    _short_vectors,
+    extends_to_basis,
+    integer_rank,
+)
 
 F = Fraction
 
@@ -65,6 +77,147 @@ def test_enumeration_is_symmetric_and_canonical():
         assert CASE_I.norm(vector) == F(3, 2)
     with pytest.raises(PreconditionError):
         enumerate_height_vectors(CASE_I, F(0))
+
+
+# -- exact enumeration against an independent brute force ---------------------
+
+
+def _determinant(matrix):
+    """Laplace expansion along the first row; the empty matrix has det 1."""
+    if not matrix:
+        return F(1)
+    return sum(
+        (-1) ** c * matrix[0][c] * _determinant([row[:c] + row[c + 1:] for row in matrix[1:]])
+        for c in range(len(matrix))
+    )
+
+
+def _brute_force_by_norm(gram, limit):
+    """Canonical classes of norm <= limit, grouped by norm, sorted in each group.
+
+    Scans the box |v_i| <= sqrt(H·(G^-1)_ii) with H = limit; (G^-1)_ii is the
+    cofactor of entry (i, i) over det G, and for positive definite G,
+    H·(G^-1)_ii is the largest x_i² on the ellipsoid xᵀGx <= H.
+    """
+    rank = len(gram)
+    rows = [list(row) for row in gram]
+    det = _determinant(rows)
+    bounds = []
+    for i in range(rank):
+        minor = [row[:i] + row[i + 1:] for k, row in enumerate(rows) if k != i]
+        ratio = F(limit) * _determinant(minor) / det
+        bounds.append(isqrt(ratio.numerator * ratio.denominator) // ratio.denominator)
+    scale = lcm(*(entry.denominator for row in gram for entry in row))
+    form = [[int(entry * scale) for entry in row] for row in gram]
+    found = {}
+    for vector in product(*(range(-b, b + 1) for b in bounds)):
+        norm = sum(form[r][c] * vector[r] * vector[c] for r in range(rank) for c in range(rank))
+        first = next((x for x in vector if x), 0)
+        if first > 0 and norm <= limit * scale:
+            found.setdefault(F(norm, scale), []).append(vector)
+    return {norm: sorted(classes) for norm, classes in found.items()}
+
+
+def _brute_force_classes(gram, height):
+    return _brute_force_by_norm(gram, height).get(F(height), [])
+
+
+@pytest.mark.parametrize("case, limit", [(CASE_I, 30), (CASE_II, 60), (CASE_III, 60), (CASE_IV, 60)])
+def test_enumeration_matches_the_exact_box_at_every_attained_norm(case, limit):
+    by_norm = _brute_force_by_norm(case.gram, limit)
+    assert len(by_norm) > limit
+    for norm, classes in by_norm.items():
+        assert enumerate_height_vectors(case, norm) == classes, norm
+
+
+def test_height_off_the_norm_lattice_has_no_vectors():
+    # Norms of case I lie in (1/6)Z and of case III in (1/10)Z.
+    assert enumerate_height_vectors(CASE_I, F(1, 7)) == []
+    assert enumerate_height_vectors(CASE_I, F(170, 7)) == []
+    assert enumerate_height_vectors(CASE_III, F(1, 3)) == []
+    assert enumerate_height_vectors(CASE_III, F(3001, 20)) == []
+
+
+def test_non_dominant_gram():
+    # Not diagonally dominant, so a Gershgorin bound gives no box at all.
+    gram = ((F(1), F(9, 10)), (F(9, 10), F(1)))
+    assert _short_vectors(gram, F(1, 5)) == [(1, -1)]
+    for height in (F(1), F(2), F(19, 5), F(38, 5), F(13, 2)):
+        assert _short_vectors(gram, height) == _brute_force_classes(gram, height), height
+
+
+def _ldl_gram(pivots, below):
+    """L·D·Lᵀ for a unit lower-triangular L with the given entries below the diagonal."""
+    rank = len(pivots)
+    lower = [[F(int(r == c)) for c in range(rank)] for r in range(rank)]
+    entries = iter(below)
+    for r in range(rank):
+        for c in range(r):
+            lower[r][c] = next(entries)
+    return tuple(
+        tuple(sum(lower[r][k] * pivots[k] * lower[c][k] for k in range(rank)) for c in range(rank))
+        for r in range(rank)
+    )
+
+
+_pivot = st.fractions(min_value=F(1, 2), max_value=F(2), max_denominator=6)
+_below = st.fractions(min_value=F(-1), max_value=F(1), max_denominator=4)
+
+
+@st.composite
+def _grams_and_heights(draw):
+    rank = draw(st.sampled_from((2, 3)))
+    gram = _ldl_gram(
+        [draw(_pivot) for _ in range(rank)],
+        [draw(_below) for _ in range(rank * (rank - 1) // 2)],
+    )
+    vector = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).filter(any))
+    height = sum(gram[r][c] * vector[r] * vector[c] for r in range(rank) for c in range(rank))
+    return gram, height
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grams_and_heights())
+def test_short_vectors_on_random_positive_definite_grams(gram_and_height):
+    gram, height = gram_and_height
+    classes = _short_vectors(gram, height)
+    assert classes  # the height is the norm of a drawn vector
+    assert classes == _brute_force_classes(gram, height)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=0, max_value=400, max_denominator=50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=50),
+)
+def test_interval_and_roots_are_exact(square, center):
+    candidates = range(-60, 61)
+    assert list(_integer_interval(square, center)) == [
+        x for x in candidates if (x + center) ** 2 <= square
+    ]
+    assert _integer_roots(square, center) == {
+        x for x in candidates if (x + center) ** 2 == square
+    }
+
+
+def test_case_lattices_pass_the_mordell_weil_audits():
+    for case, rank, det in (
+        (CASE_I, 3, F(1, 24)), (CASE_II, 2, F(1, 36)), (CASE_III, 2, F(1, 20)), (CASE_IV, 2, F(1, 24)),
+    ):
+        pivots, _ = _require_positive_definite(case.gram, "not positive definite")
+        assert case.rank == rank == 8 - sum(fiber.count - 1 for fiber in case.fibers)
+        product_of_pivots = F(1)
+        for pivot in pivots:
+            product_of_pivots *= pivot
+        assert product_of_pivots == det == _determinant([list(row) for row in case.gram])
+
+
+def test_tampered_gram_fails_the_determinant_audit():
+    # Symmetric, positive definite (det 23/400) and consistent on its
+    # diagonal, but not 1/20 = 1/(2·2·5).
+    gram = ((F(1, 5), F(1, 20)), (F(1, 20), F(3, 10)))
+    with pytest.raises(IntegrityError, match="determinant"):
+        CaseLattice(name="III", basis=CASE_III.basis, gram=gram, fibers=CASE_III.fibers)
 
 
 def test_lemma_vector_lists():
