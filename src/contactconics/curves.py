@@ -34,15 +34,16 @@ from .errors import (
     PreconditionError,
 )
 from .field import FieldElem, ONE, ZERO, ElemLike
+from .parsing import MAX_DEGREE
 from .poly import (
     BiPoly,
     Poly,
     TriForm,
+    chain_resultant,
     k_rational_roots,
     kth_subresultant_coeffs,
     poly_gcd,
     resultant_t,
-    resultant_x,
     squarefree_decomposition,
     subresultant_chain,
 )
@@ -90,9 +91,6 @@ class PlanePoint:
             if not self.coords[k].is_zero():
                 return k
         raise AssertionError
-
-    def is_at_infinity(self) -> bool:
-        return self.coords[2].is_zero()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PlanePoint) and self.coords == other.coords
@@ -242,8 +240,8 @@ def _form_is_squarefree(form: TriForm) -> bool:
     primitive = BiPoly(tuple(c.exact_div(content) for c in g.coeffs))
     if primitive.degree_x == 0:
         return True
-    disc = resultant_x(primitive, primitive.derivative_x())
-    return not disc.is_zero()
+    # the discriminant is nonzero iff the chain ends in an x-constant
+    return subresultant_chain(primitive, primitive.derivative_x())[-1].degree_x == 0
 
 
 def _line_coefficients(line: PlaneCurve) -> tuple[FieldElem, FieldElem, FieldElem]:
@@ -369,8 +367,9 @@ def _core_singular_points(qq: BiPoly) -> list[PlanePoint]:
         return []
     q_t = qq.derivative_t()
     q_x = qq.derivative_x()
-    r1 = resultant_x(qq, q_x)
-    r2 = resultant_x(qq, q_t)
+    chain_x = subresultant_chain(qq, q_x)
+    r1 = chain_resultant(chain_x)
+    r2 = chain_resultant(subresultant_chain(qq, q_t))
     if r1.is_zero() or r2.is_zero():
         raise IntegrityError("content-free part still shares a factor with a derivative")
     common = poly_gcd(r1, r2)
@@ -391,22 +390,24 @@ def _core_singular_points(qq: BiPoly) -> list[PlanePoint]:
         if x_residual.degree >= 1:
             raise NotKRationalError("singular point with non-K x-coordinate detected")
         points.extend(PlanePoint(t0, x0, ONE) for x0, _mx in x_roots)
-    if residual.degree >= 1 and _residual_is_singular(qq, q_t, q_x, residual):
+    if residual.degree >= 1 and _residual_is_singular(qq, q_t, chain_x, residual):
         raise NotKRationalError(
             f"possible singular point over the residual factor {residual}"
         )
     return points
 
 
-def _residual_is_singular(f: BiPoly, f_t: BiPoly, f_x: BiPoly, residual: Poly) -> bool:
+def _residual_is_singular(
+    f: BiPoly, f_t: BiPoly, chain_x: list[BiPoly], residual: Poly
+) -> bool:
     """Whether some root of the residual t-factor can support a singular point.
 
     For each square-free residual piece rho, the unique common x of f and
-    f_x over roots of rho is read off the degree-1 subresultant; the point
-    is singular iff f_t also vanishes there.  Degenerate chains are
-    reported as possibly-singular (conservative).
+    f_x over roots of rho is read off the degree-1 subresultant of their
+    chain `chain_x`; the point is singular iff f_t also vanishes there.
+    Degenerate chains are reported as possibly-singular (conservative).
     """
-    s1 = kth_subresultant_coeffs(subresultant_chain(f, f_x), 1)
+    s1 = kth_subresultant_coeffs(chain_x, 1)
     if s1 is None:
         return True
     s11 = s1.coeff_x(1)
@@ -540,7 +541,9 @@ def cremona_transform(
 
     The result is expressed in the frame where the triangle is the
     coordinate triangle {T=0, X=0, Z=0}; monomial (fundamental-line)
-    factors are divided out to their maximal exponent.
+    factors are divided out to their maximal exponent.  An image of degree
+    above the input budget `MAX_DEGREE` is refused before its square-free
+    test, which grows steeply with the degree.
     """
     n = [list(_line_coefficients(line)) for line in triangle]
     m = _matrix_inverse_3x3(n)
@@ -553,8 +556,12 @@ def cremona_transform(
     raw = curve.form.substitute(images)
     if raw.is_zero():
         raise PreconditionError("curve collapses under the quadratic transformation")
-    mins = raw.min_exponents()
-    return PlaneCurve(raw.divide_monomial(mins))
+    image = raw.divide_monomial(raw.min_exponents())
+    if image.degree > MAX_DEGREE:
+        raise PreconditionError(
+            f"the image has degree {image.degree}, which exceeds the input budget of {MAX_DEGREE}"
+        )
+    return PlaneCurve(image)
 
 
 def cremona_point(
@@ -688,7 +695,7 @@ def _pair_intersection(a: PlaneCurve, b: PlaneCurve) -> _PairIntersection:
             continue
         ft = f.shear_x(k)
         gt = g.shear_x(k)
-        resultant = resultant_t(ft, gt)
+        resultant, chain = resultant_t(ft, gt)
         if resultant.is_zero():
             raise PreconditionError("the curves share a component")
         if resultant.degree + inf_total != bezout:
@@ -699,7 +706,7 @@ def _pair_intersection(a: PlaneCurve, b: PlaneCurve) -> _PairIntersection:
         if resultant.degree == 0:
             return _PairIntersection(infinity, k, (), Poly.zero(), Poly.zero())
         factors = tuple(squarefree_decomposition(resultant))
-        s1 = kth_subresultant_coeffs(subresultant_chain(ft.swap_vars(), gt.swap_vars()), 1)
+        s1 = kth_subresultant_coeffs(chain, 1)
         if s1 is None:
             continue
         s11 = s1.coeff_x(1)

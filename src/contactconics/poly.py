@@ -4,8 +4,9 @@ Dense univariate polynomials (Poly), rational functions (RatFunc),
 polynomials in x with Poly coefficients (BiPoly), and homogeneous
 trivariate forms in T, X, Z (TriForm).  Everything is exact; algorithms
 are the classical ones: monic Euclid for gcd over the field, Yun for
-square-free decomposition, Sylvester/Bareiss for resultants and the
-Brown-Traub subresultant remainder sequence.
+square-free decomposition, and the Brown-Traub subresultant remainder
+sequence for elimination, from which `chain_resultant` reads every
+resultant (Cohen, GTM 138, Alg. 3.3.7).
 
 All degrees appearing in this application are small (at most 12), so the
 dense representation is the simple and adequate choice.
@@ -300,10 +301,8 @@ class Poly:
 
 def _coeff_str(c: FieldElem, standalone: bool = False) -> str:
     text = str(c)
-    if (" " in text) and not standalone:
+    if " " in text and not standalone:
         return f"({text})"
-    if " " in text:
-        return text
     return text
 
 
@@ -756,86 +755,31 @@ def bipoly_pseudo_rem(a: BiPoly, b: BiPoly) -> BiPoly:
     return rem
 
 
-def sylvester_matrix(p: BiPoly, q: BiPoly) -> list[list[Poly]]:
-    m, n = p.degree_x, q.degree_x
-    if m < 0 or n < 0:
-        raise PreconditionError("resultant of a zero polynomial")
-    size = m + n
-    rows: list[list[Poly]] = []
-    p_row = [p.coeff_x(m - k) for k in range(m + 1)]
-    q_row = [q.coeff_x(n - k) for k in range(n + 1)]
-    for shift in range(n):
-        row = [Poly.zero()] * size
-        for k, c in enumerate(p_row):
-            row[shift + k] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [Poly.zero()] * size
-        for k, c in enumerate(q_row):
-            row[shift + k] = c
-        rows.append(row)
-    return rows
+def resultant_t(p: BiPoly, q: BiPoly) -> tuple[Poly, list[BiPoly]]:
+    """Resultant eliminating t, a polynomial in x, with the chain it was read from.
 
-
-def _bareiss_determinant(matrix: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant over K[t]."""
-    size = len(matrix)
-    if size == 0:
-        return Poly.constant(ONE)
-    m = [row[:] for row in matrix]
-    sign = 1
-    previous = Poly.constant(ONE)
-    for k in range(size - 1):
-        if m[k][k].is_zero():
-            for swap in range(k + 1, size):
-                if not m[swap][k].is_zero():
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                numerator = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = numerator.exact_div(previous)
-            m[i][k] = Poly.zero()
-        previous = m[k][k]
-    det = m[size - 1][size - 1]
-    return det if sign > 0 else -det
-
-
-def resultant_x(p: BiPoly, q: BiPoly) -> Poly:
-    """Resultant eliminating x, as the Sylvester determinant over K[t]."""
-    if p.is_zero() or q.is_zero():
-        raise PreconditionError("resultant of a zero polynomial")
-    if p.degree_x == 0 and q.degree_x == 0:
-        return Poly.constant(ONE)
-    if p.degree_x == 0:
-        return p.coeff_x(0) ** q.degree_x
-    if q.degree_x == 0:
-        return q.coeff_x(0) ** p.degree_x
-    return _bareiss_determinant(sylvester_matrix(p, q))
-
-
-def resultant_t(p: BiPoly, q: BiPoly) -> Poly:
-    """Resultant eliminating t; the result is a polynomial in x."""
-    return resultant_x(p.swap_vars(), q.swap_vars())
+    The chain is `subresultant_chain` of the swapped inputs, so its entries
+    are polynomials in t with coefficients in x.
+    """
+    chain = subresultant_chain(p.swap_vars(), q.swap_vars())
+    return chain_resultant(chain), chain
 
 
 def subresultant_chain(p: BiPoly, q: BiPoly) -> list[BiPoly]:
     """Brown-Traub subresultant polynomial remainder sequence in x.
 
-    The sequence starts with the inputs (higher x-degree first) and the
-    last nonzero entry is a gcd in K(t)[x]; for coprime inputs with a
-    normal sequence the final constant equals the resultant.
+    The sequence starts with the two inputs in the order given; the
+    remainders follow, from the input of higher x-degree first.  The last
+    entry is a gcd in K(t)[x], and `chain_resultant` reads the resultant of
+    the inputs from the sequence.
     """
     if p.is_zero() or q.is_zero():
         raise PreconditionError("subresultant chain of a zero polynomial")
+    chain = [p, q]
     a, b = (p, q) if p.degree_x >= q.degree_x else (q, p)
-    chain = [a, b]
     g = Poly.constant(ONE)
     h = Poly.constant(ONE)
-    while True:
+    while b.degree_x >= 1:
         delta = a.degree_x - b.degree_x
         rem = bipoly_pseudo_rem(a, b)
         if rem.is_zero():
@@ -847,9 +791,41 @@ def subresultant_chain(p: BiPoly, q: BiPoly) -> list[BiPoly]:
         g = a.lc_x
         if delta >= 1:
             h = (g**delta).exact_div(h ** (delta - 1))
-        if b.degree_x == 0:
-            break
     return chain
+
+
+def chain_resultant(chain: list[BiPoly]) -> Poly:
+    """Resultant in x of the chain's two inputs, in their order, sign included.
+
+    Cohen, GTM 138, Alg. 3.3.7.  The resultant is 0 unless the chain ends
+    in an x-constant B.  Otherwise the sign and h of the algorithm are
+    replayed from the chain's degrees and leading coefficients, and with A
+    the entry before B the resultant is sign * B^deg(A) / h^(deg(A) - 1):
+    B itself after a normal last step, the step-3 correction after an
+    abnormal one, and B^deg(A) when an input is itself x-constant.
+    """
+    first, second, *rest = chain
+    sign = 1
+    if first.degree_x < second.degree_x:
+        first, second = second, first
+        if first.degree_x % 2 and second.degree_x % 2:
+            sign = -1
+    steps = [first, second, *rest]
+    last = steps[-1]
+    if last.degree_x > 0:
+        return Poly.zero()
+    h = Poly.constant(ONE)
+    for a, b in zip(steps, steps[1:-1]):
+        if a.degree_x % 2 and b.degree_x % 2:
+            sign = -sign
+        delta = a.degree_x - b.degree_x
+        if delta >= 1:
+            h = (b.lc_x**delta).exact_div(h ** (delta - 1))
+    d = steps[-2].degree_x
+    value = last.coeff_x(0) ** d
+    if d > 1:
+        value = value.exact_div(h ** (d - 1))
+    return value if sign > 0 else -value
 
 
 class TriForm:

@@ -171,6 +171,8 @@ def test_quartic_containing_the_line_at_infinity_exits_two(capsys):
         ("cremona", "X^99999999"),
         ("weak-contact", "--conic", "X*Z - 10^100000*T^2"),
         ("weak-contact", "--conic", "X*Z - 10^3000*T^2"),
+        # inside every parser budget, but its image has degree 23
+        ("cremona", "X^12+T^11*Z-Z^12+T*X^5*Z^6"),
     ],
 )
 def test_inputs_over_budget_exit_two_at_once(capsys, argv):

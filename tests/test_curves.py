@@ -31,6 +31,7 @@ from contactconics import (
     parse_point,
     parse_triform,
 )
+from contactconics import poly
 from contactconics.curves import _t_on_class
 from contactconics.poly import resultant_t
 
@@ -204,6 +205,30 @@ def test_lined_up_pair_is_certified_beyond_shear_eight():
     assert sum(c.degree * c.multiplicity for c in certificate.classes) == 8
     assert certificate.infinity == ()
     assert certificate.bezout_total == 8
+
+
+def test_weak_contact_builds_one_chain_per_shear_tried(monkeypatch):
+    quartic, conic = lined_up_quartic(), PlaneCurve(CONIC.form)
+    conic.singular_points()  # the conic's own chains, built before counting
+    subresultant_chain = poly.subresultant_chain
+    shears, chains = [], []
+
+    def counting_resultant(p, q):
+        shears.append(p)
+        return resultant_t(p, q)
+
+    def counting_chain(p, q):
+        chains.append(p)
+        return subresultant_chain(p, q)
+
+    monkeypatch.setattr(curves, "resultant_t", counting_resultant)
+    monkeypatch.setattr(poly, "subresultant_chain", counting_chain)
+    monkeypatch.setattr(curves, "subresultant_chain", counting_chain)
+    certificate = is_weak_contact(quartic, conic)
+    # shear 0 is inadmissible; 1, -1, ..., 9, -9 fail and 10 certifies
+    assert certificate.shear == 10
+    assert len(shears) == 19
+    assert len(chains) == len(shears)
 
 
 def test_lined_up_points_meet_transversely():

@@ -17,11 +17,13 @@ from contactconics import (
 )
 from contactconics.field import I, SQRT2
 from contactconics.poly import (
+    chain_resultant,
     k_rational_roots,
     poly_gcd,
     poly_is_square,
     resultant_t,
     squarefree_decomposition,
+    subresultant_chain,
 )
 
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -132,14 +134,109 @@ def test_bipoly_substitutions():
     assert f.swap_vars().swap_vars() == f
 
 
+def sylvester_resultant(p: BiPoly, q: BiPoly) -> Poly:
+    """Oracle: the Sylvester determinant eliminating x, by Laplace expansion.
+
+    The expansion runs down the rows, memoized on the set of columns still
+    free, so it needs no division and shares nothing with the chain.
+    """
+    m, n = p.degree_x, q.degree_x
+    size = m + n
+    rows = [[p.coeff_x(m - (col - shift)) for col in range(size)] for shift in range(n)]
+    rows += [[q.coeff_x(n - (col - shift)) for col in range(size)] for shift in range(m)]
+    minors = {}
+
+    def minor(row: int, free: int) -> Poly:
+        if row == size:
+            return Poly.constant(1)
+        if free not in minors:
+            total = Poly.zero()
+            sign = 1
+            for col in range(size):
+                if not free >> col & 1:
+                    continue
+                entry = rows[row][col]
+                if not entry.is_zero():
+                    term = entry * minor(row + 1, free & ~(1 << col))
+                    total = total + term if sign > 0 else total - term
+                sign = -sign
+            minors[free] = total
+        return minors[free]
+
+    return minor(0, (1 << size) - 1)
+
+
 def test_resultant_vanishes_iff_common_root():
-    f = parse_bipoly("x - t")
-    g = parse_bipoly("x^2 - t^2")
-    res = resultant_t(f, g)
-    assert res.is_zero() or res.degree >= 0
-    h = parse_bipoly("x - t + 1")
-    res2 = resultant_t(h, parse_bipoly("x - t"))
-    assert not res2.is_zero()
+    res, _chain = resultant_t(parse_bipoly("x - t"), parse_bipoly("x^2 - t^2"))
+    assert res == Poly.zero()
+    f, g = parse_bipoly("x - t + 1"), parse_bipoly("x - t")
+    res2, _chain = resultant_t(f, g)
+    assert res2 == sylvester_resultant(f.swap_vars(), g.swap_vars()) == Poly.constant(1)
+
+
+def test_chain_resultant_after_abnormal_steps():
+    # x^3 + t against x: the only step drops the degree by 2
+    f, g = parse_bipoly("x^3 + t"), parse_bipoly("x")
+    assert chain_resultant(subresultant_chain(f, g)) == parse_poly("-t")
+    assert chain_resultant(subresultant_chain(g, f)) == parse_poly("t")
+    # the last step drops the degree from 2 to 0, so the chain ends in t^2
+    # while the resultant is t^3: the step-3 correction is needed
+    f, g = parse_bipoly("x^3 + t*x + 1"), parse_bipoly("t*x^2 + t^2")
+    chain = subresultant_chain(f, g)
+    assert chain[-1] == parse_bipoly("t^2")
+    assert chain_resultant(chain) == parse_poly("t^3") == sylvester_resultant(f, g)
+
+
+def test_chain_resultant_with_an_x_constant_side():
+    c, f = parse_bipoly("t + 2"), parse_bipoly("x^3 + t*x")
+    assert chain_resultant(subresultant_chain(c, f)) == parse_poly("t + 2") ** 3
+    assert chain_resultant(subresultant_chain(f, c)) == parse_poly("t + 2") ** 3
+    c2 = parse_bipoly("t^2 - 1")
+    assert chain_resultant(subresultant_chain(c, c2)) == Poly.constant(1)
+
+
+small_ints = st.integers(-3, 3)
+t_polys = st.lists(small_ints, max_size=3).map(Poly)
+elem_t_polys = st.lists(small_elems, max_size=2).map(Poly)
+
+
+def x_polys(max_degree: int):
+    """BiPolys of x-degree 0..max_degree with a nonzero top coefficient."""
+    return st.builds(
+        lambda low, top: BiPoly(low + [top]),
+        st.lists(st.one_of(t_polys, elem_t_polys), max_size=max_degree),
+        st.one_of(t_polys, elem_t_polys).filter(lambda c: not c.is_zero()),
+    )
+
+
+@st.composite
+def resultant_pairs(draw):
+    """Random pairs, pairs with a shared factor, and abnormal sequences."""
+    kind = draw(st.sampled_from(("random", "shared", "abnormal")))
+    if kind == "shared":
+        common = draw(x_polys(2))
+        return draw(x_polys(1)) * common, draw(x_polys(1)) * common
+    p, q = draw(x_polys(3)), draw(x_polys(3))
+    if kind == "abnormal":
+        # p = q*quotient + rem with rem two or more x-degrees below q
+        rem = draw(x_polys(max(q.degree_x - 2, 0)))
+        p = q * draw(x_polys(1)) + rem
+    return p, q
+
+
+@given(resultant_pairs())
+@settings(max_examples=60, deadline=None)
+def test_chain_resultant_matches_the_sylvester_determinant(pair):
+    p, q = pair
+    for a, b in ((p, q), (q, p)):
+        if a.is_zero() or b.is_zero():
+            continue
+        chain = subresultant_chain(a, b)
+        assert chain[:2] == [a, b]
+        assert chain_resultant(chain) == sylvester_resultant(a, b)
+        res, t_chain = resultant_t(a.swap_vars(), b.swap_vars())
+        assert t_chain == chain
+        assert res == sylvester_resultant(a, b)
 
 
 def test_triform_homogenize_dehomogenize_round_trip():
