@@ -27,7 +27,7 @@ from .curves import (
 )
 from .errors import IntegrityError, ParseError, PreconditionError
 from .heights import HeightContext, height
-from .parsing import parse_bipoly, parse_section, parse_triform
+from .parsing import MAX_PAIR_BEZOUT, parse_bipoly, parse_section, parse_triform
 from .poly import BiPoly, TriForm
 from .surface import Section, classify_fibers
 
@@ -379,6 +379,12 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, str]:
         if len(curve_lines) < 2:
             raise PreconditionError("an arrangement needs at least two curves")
         curves = tuple(_resolve_curve(line)[1] for line in curve_lines)
+        high, next_high = sorted((c.degree for c in curves), reverse=True)[:2]
+        if high * next_high > MAX_PAIR_BEZOUT:
+            raise PreconditionError(
+                f"curves of degrees {high} and {next_high} meet in {high * next_high} "
+                f"points, which exceeds the input budget of {MAX_PAIR_BEZOUT} per pair"
+            )
         fingerprint = arrangement_fingerprint(curves)
         text = "\n".join([f"arrangement from {args.input}:", fingerprint])
         payload = {

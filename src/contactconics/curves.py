@@ -921,7 +921,7 @@ def _refine_classes(
     a: PlaneCurve,
     b: PlaneCurve,
 ) -> list[_ClassRecord]:
-    """Split the pair's affine classes until each lies on or off every other component."""
+    """Split the pair's affine classes so that each lies on or off every other component."""
     if not pieces:
         return []
     shear, s10, s11 = pair.shear, pair.s10, pair.s11
@@ -933,36 +933,23 @@ def _refine_classes(
     if quartic is not None and not quartic_in_pair:
         quartic_probe = quartic.form.dehomogenize().shear_x(shear).swap_vars()
 
-    # refine by gcd against each probe until each class is all-or-nothing
-    changed = True
-    while changed:
-        changed = False
-        next_pieces: list[tuple[Poly, int]] = []
-        for factor, mult in pieces:
-            split = None
-            for _deg, probe in probes:
-                value = _t_on_class(probe, s10, s11, factor)
-                if value.is_zero():
-                    continue
-                g = poly_gcd(factor, value)
-                if 1 <= g.degree < factor.degree:
-                    split = g
-                    break
-            if split is None:
-                next_pieces.append((factor, mult))
-            else:
-                next_pieces.append((split, mult))
-                next_pieces.append((factor.exact_div(split), mult))
-                changed = True
-        pieces = next_pieces
+    # One pass per probe: split every piece into the part on the probe's
+    # component and the cofactor, so afterwards each piece lies wholly on or
+    # wholly off every probe seen so far.
+    refined: list[tuple[Poly, int, tuple[int, ...]]] = [(f, m, ()) for f, m in pieces]
+    for deg, probe in probes:
+        next_pieces: list[tuple[Poly, int, tuple[int, ...]]] = []
+        for factor, mult, incidence in refined:
+            value = _t_on_class(probe, s10, s11, factor)
+            on = factor if value.is_zero() else poly_gcd(factor, value)
+            if on.degree >= 1:
+                next_pieces.append((on, mult, incidence + (deg,)))
+            if on.degree < factor.degree:
+                next_pieces.append((factor.exact_div(on), mult, incidence))
+        refined = next_pieces
 
     records: list[_ClassRecord] = []
-    for factor, mult in pieces:
-        incidence = []
-        for deg, probe in probes:
-            value = _t_on_class(probe, s10, s11, factor)
-            if value.is_zero():
-                incidence.append(deg)
+    for factor, mult, incidence in refined:
         kind = _class_quartic_kind(factor, pair, quartic, quartic_in_pair, quartic_probe)
         records.append(_ClassRecord(factor.degree, mult, kind, tuple(sorted(incidence))))
     return records

@@ -23,9 +23,9 @@ image.  The topological conclusion itself is cited, not re-proved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Mapping, Sequence
 
 from .curves import arrangement_fingerprint
@@ -68,13 +68,49 @@ class CaseFiber:
 
 
 @dataclass(frozen=True)
+class _IntegerLDL:
+    """The LDLᵀ factors of a positive-definite Gram matrix, scaled to integers.
+
+    With c_k = sum_{r>k} L[r][k]·x_r, level k of the walk reads the integer
+    y_k = scales[k]·(x_k + c_k) = scales[k]·x_k + sum_{(r, n) in shifts[k]} n·x_r,
+    where scales[k] is the lcm of the denominators of the L[r][k], r > k, and
+    the norm is sum_k weights[k]·y_k² with weights[k] = d_k / scales[k]².
+    """
+
+    scales: tuple[int, ...]
+    shifts: tuple[tuple[tuple[int, int], ...], ...]
+    weights: tuple[Fraction, ...]
+
+
+def _integer_ldl(
+    pivots: Sequence[Fraction], lower: Sequence[Sequence[Fraction]]
+) -> _IntegerLDL:
+    """The integer form of the factors that `_require_positive_definite` returns."""
+    rank = len(pivots)
+    scales: list[int] = []
+    shifts: list[tuple[tuple[int, int], ...]] = []
+    for k in range(rank):
+        below = [(r, lower[r][k]) for r in range(k + 1, rank) if lower[r][k]]
+        scale = lcm(*(entry.denominator for _r, entry in below))
+        scales.append(scale)
+        shifts.append(tuple((r, int(entry * scale)) for r, entry in below))
+    weights = tuple(pivot / (scale * scale) for pivot, scale in zip(pivots, scales))
+    return _IntegerLDL(tuple(scales), tuple(shifts), weights)
+
+
+@dataclass(frozen=True)
 class CaseLattice:
-    """Basis, Gram matrix and reducible fibers of one tangent-line case."""
+    """Basis, Gram matrix and reducible fibers of one tangent-line case.
+
+    `ldl` holds the integer form of the Gram matrix's LDLᵀ factors, computed
+    once by the positive-definiteness audit and reused by every enumeration.
+    """
 
     name: str
     basis: tuple[str, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     fibers: tuple[CaseFiber, ...]
+    ldl: _IntegerLDL = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rank = len(self.basis)
@@ -84,7 +120,7 @@ class CaseLattice:
             for c in range(rank):
                 if self.gram[r][c] != self.gram[c][r]:
                     raise IntegrityError(f"case {self.name}: Gram matrix not symmetric")
-        pivots, _ = _require_positive_definite(
+        pivots, lower = _require_positive_definite(
             self.gram, f"case {self.name}: Gram matrix is not positive definite"
         )
         for fiber in self.fibers:
@@ -141,6 +177,7 @@ class CaseLattice:
                 f"case {self.name}: Gram determinant {determinant} is not "
                 f"1/{counts}, one over the product of the fiber component counts"
             )
+        object.__setattr__(self, "ldl", _integer_ldl(pivots, lower))
 
     @property
     def rank(self) -> int:
@@ -278,84 +315,70 @@ def enumerate_height_vectors(
     """
     if height <= 0:
         raise PreconditionError("the target height must be positive")
-    return _short_vectors(case.gram, height)
+    return _short_vectors(case.ldl, height)
 
 
-def _short_vectors(
-    gram: Sequence[Sequence[Fraction]], height: Fraction
-) -> list[tuple[int, ...]]:
-    """Sorted canonical classes {v, -v} of integer v with vᵀ·gram·v == height > 0.
+def _short_vectors(ldl: _IntegerLDL, height: Fraction) -> list[tuple[int, ...]]:
+    """Sorted canonical classes {v, -v} of integer v with vᵀ·G·v == height > 0.
 
-    Exact Fincke–Pohst enumeration (Fincke–Pohst 1985) over the rational
-    LDLᵀ factors of the Gram matrix: Q(x) = sum_k d_k·(x_k + c_k)², where
-    c_k = sum_{r>k} L[r][k]·x_r depends only on the later coordinates.  The
-    walk fixes coordinates from the last one down; at level k it takes every
-    integer x_k with d_k·(x_k + c_k)² <= H - sum_{i>k} d_i·(x_i + c_i)².
+    Exact Fincke–Pohst enumeration (Fincke–Pohst 1985) over the LDLᵀ factors
+    of the Gram matrix G in integer form: Q(x) = sum_k d_k·(x_k + c_k)²
+    = sum_k w_k·y_k², where c_k = sum_{r>k} L[r][k]·x_r and the integer
+    y_k = den_k·(x_k + c_k) depend only on x_k and the later coordinates
+    (see `_IntegerLDL`).  With S the lcm of the denominators of the height
+    and of the w_k, the coefficients e_k = S·w_k and the target R = S·height
+    are integers.  The walk fixes coordinates from the last one down; at
+    level k it takes every integer x_k with e_k·y_k² <= R - sum_{i>k} e_i·y_i²,
+    and as y_k² is an integer that is |y_k| <= isqrt(remainder // e_k).
     Completeness: every term of Q is >= 0, so a vector of norm H has each
-    partial sum sum_{i>=k} d_i·(x_i + c_i)² <= H, and the nested intervals
-    contain it.  At the first coordinate the last term must equal what is
-    left, so x_0 is solved for through an exact rational square root
-    instead of scanned.
+    partial sum sum_{i>=k} e_i·y_i² <= R, and the nested intervals contain
+    it.  At the first coordinate the last term must equal what is left, so
+    y_0 is solved for by an exact integer square root instead of scanned.
+    Each vector is reached once, so keeping the ones whose first nonzero
+    coordinate is positive keeps one per class.
     """
-    pivots, lower = _require_positive_definite(
-        gram, "Gram matrix is not positive definite"
-    )
-    rank = len(pivots)
-    vector = [0] * rank
-    classes: set[tuple[int, ...]] = set()
+    weights = ldl.weights
+    scale = lcm(height.denominator, *(w.denominator for w in weights))
+    coefficients = [w.numerator * (scale // w.denominator) for w in weights]
+    vector = [0] * len(weights)
+    classes: list[tuple[int, ...]] = []
 
-    def walk(k: int, remainder: Fraction) -> None:
-        center = sum(
-            (lower[r][k] * vector[r] for r in range(k + 1, rank)), Fraction(0)
-        )
-        square = remainder / pivots[k]  # the bound on (x_k + c_k)²
+    def walk(k: int, remainder: int) -> None:
+        shift = sum(n * vector[r] for r, n in ldl.shifts[k])
+        den, coefficient = ldl.scales[k], coefficients[k]
         if k == 0:
-            for x in _integer_roots(square, center):
+            for x in _level_roots(remainder, coefficient, den, shift):
                 vector[0] = x
-                classes.add(_canonical_class(tuple(vector)))
+                if next(c for c in vector if c) > 0:
+                    classes.append(tuple(vector))
             return
-        for x in _integer_interval(square, center):
+        for x in _level_range(remainder, coefficient, den, shift):
             vector[k] = x
-            walk(k - 1, remainder - pivots[k] * (x + center) ** 2)
+            y = den * x + shift
+            walk(k - 1, remainder - coefficient * y * y)
 
-    walk(rank - 1, height)
+    walk(len(weights) - 1, height.numerator * (scale // height.denominator))
     return sorted(classes)
 
 
-def _integer_interval(square: Fraction, center: Fraction) -> range:
-    """The integers x with (x + center)² <= square, for square >= 0.
+def _level_range(remainder: int, coefficient: int, den: int, shift: int) -> range:
+    """The integers x with coefficient·(den·x + shift)² <= remainder.
 
-    With square = a/b and center = u/v in lowest terms, the ends are
-    floor((-u·b + sqrt(v²·a·b)) / (v·b)) and minus the same with +u.  For
-    an integer m, N >= 0 and D > 0, floor((m + sqrt(N)) / D) equals
-    (m + isqrt(N)) // D, so both ends are exact and need no correction.
+    All four are integers, remainder >= 0 and coefficient, den > 0.  As
+    y = den·x + shift is an integer, so is y², and the condition is
+    y² <= remainder // coefficient, that is |y| <= isqrt(remainder // coefficient).
     """
-    a, b = square.numerator, square.denominator
-    u, v = center.numerator, center.denominator
-    root = isqrt(v * v * a * b)
-    scale = v * b
-    return range(-((u * b + root) // scale), (root - u * b) // scale + 1)
+    bound = isqrt(remainder // coefficient)
+    return range(-((bound + shift) // den), (bound - shift) // den + 1)
 
 
-def _integer_roots(square: Fraction, center: Fraction) -> set[int]:
-    """The integers x with (x + center)² == square."""
-    a, b = square.numerator, square.denominator
-    s, t = isqrt(a), isqrt(b)
-    if s * s != a or t * t != b:
-        return set()
-    offset = Fraction(s, t)
-    return {
-        int(root) for root in (offset - center, -offset - center) if root.denominator == 1
-    }
-
-
-def _canonical_class(vector: tuple[int, ...]) -> tuple[int, ...]:
-    for coordinate in vector:
-        if coordinate > 0:
-            return vector
-        if coordinate < 0:
-            return tuple(-c for c in vector)
-    return vector
+def _level_roots(remainder: int, coefficient: int, den: int, shift: int) -> list[int]:
+    """The integers x with coefficient·(den·x + shift)² == remainder."""
+    square, rest = divmod(remainder, coefficient)
+    root = isqrt(square)
+    if rest or root * root != square:
+        return []
+    return [(y - shift) // den for y in {root, -root} if (y - shift) % den == 0]
 
 
 def _psi_value(fiber: CaseFiber, vector: Sequence[int]) -> int:

@@ -28,11 +28,15 @@ _OPERATORS = set("+-*/^(),[]")
 # small coefficients: the bundled example uses exponents up to 4 and
 # integers of three digits.  A degree of 12 leaves room for the degree-8
 # images of the quadratic transformation and is the largest degree the
-# polynomial layer is sized for (see `poly`).
+# polynomial layer is sized for (see `poly`).  Two curves of degree 12 meet
+# in 144 points, and the square-free step on a resultant of that degree
+# does not finish in minutes, so two curves of one arrangement may meet in
+# at most 64 points, as two degree-8 images do.
 MAX_EXPONENT = 12  # largest exponent literal after ^
 MAX_DEGREE = 12  # largest total degree of a numerator or denominator
 MAX_INTEGER_BITS = 256  # largest numerator or denominator of any coefficient
 MAX_NESTING = 32  # deepest parenthesis nesting
+MAX_PAIR_BEZOUT = 64  # largest product of the degrees of two curves in one arrangement
 _MAX_LITERAL_DIGITS = len(str(1 << MAX_INTEGER_BITS))
 
 

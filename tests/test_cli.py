@@ -1,9 +1,15 @@
 """The command line: reports, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import signal
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contactconics import IntegrityError, cli
 
@@ -183,10 +189,20 @@ def test_inputs_over_budget_exit_two_at_once(capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
-def test_fingerprint_input_over_budget_exits_two(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "curves",
+    [
+        "X*Z^200 - T^201\nX*Z^200 - T^201 - T^200*Z\n",
+        # each curve inside every parser budget, but the pair meets in 144 points
+        "X^12+T^11*Z-Z^12+T*X^5*Z^6\nX^12-T^12+T*X*Z^10+Z^12\n",
+    ],
+)
+def test_fingerprint_input_over_budget_exits_two(capsys, tmp_path, curves):
     path = tmp_path / "high.txt"
-    path.write_text("X*Z^200 - T^201\nX*Z^200 - T^201 - T^200*Z\n", encoding="utf-8")
+    path.write_text(curves, encoding="utf-8")
+    start = time.perf_counter()
     code, out, err = run(capsys, "fingerprint", "--input", str(path))
+    assert time.perf_counter() - start < 10
     assert code == 2 and "exceeds the input budget" in err
     assert "Traceback" not in err and out == ""
 
@@ -206,3 +222,87 @@ def test_integrity_errors_exit_three(capsys, monkeypatch):
     monkeypatch.setattr(cli.fixtures, "load_worked_example", broken)
     code, _, err = run(capsys, "verify-example")
     assert code == 3 and "integrity error" in err
+
+
+# -- fuzzing the command line ---------------------------------------------------
+
+
+class _Expired(Exception):
+    """A fuzz case outlived its deadline."""
+
+
+_FUZZ_DEADLINE_S = 10
+
+_coefficient = st.sampled_from(["1", "2", "-3", "1/2", "r2", "i", "(1+i)", "(2-r2)/3", "98765432109876543210"])
+
+
+@st.composite
+def _form(draw, degrees=(1, 2, 3)):
+    """A homogeneous form in T, X, Z; one time in ten with a term T^k, k <= 14, added."""
+    degree = draw(st.sampled_from(degrees))
+    terms = []
+    for _ in range(draw(st.integers(2, 5))):
+        a = draw(st.integers(0, degree))
+        b = draw(st.integers(0, degree - a))
+        terms.append(f"{draw(_coefficient)}*T^{a}*X^{b}*Z^{degree - a - b}")
+    if draw(st.integers(0, 9)) == 0:
+        terms.append(f"T^{draw(st.integers(0, 14))}")
+    return " + ".join(terms)
+
+
+_chart = st.builds(
+    lambda c, a, b: f"x = {c}*t^{a} + t^{b}",
+    _coefficient,
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+_noise = st.text(alphabet="TXZtx0123456789+-*/^()r2i= ", max_size=24)
+
+
+def _run_bounded(argv):
+    """cli.main on argv with its output captured, or _Expired after the deadline."""
+    def expire(signum, frame):
+        raise _Expired(argv)
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, _FUZZ_DEADLINE_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _argv(draw):
+    fmt = draw(st.sampled_from([[], ["--format", "structured"]]))
+    command = draw(st.sampled_from(["weak-contact", "cremona", "fingerprint"]))
+    if command == "weak-contact":
+        conic = draw(st.one_of(_form(degrees=(2,)), _chart, _noise))
+        return ["weak-contact", f"--conic={conic}", *fmt], None
+    if command == "cremona":
+        return ["cremona", draw(st.one_of(_form(), _noise)), *fmt], None
+    curves = draw(st.lists(_form(), min_size=2, max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        curves.append(draw(_noise))
+    return ["fingerprint", "--input", None, *fmt], "\n".join(curves) + "\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM for the deadline")
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_fuzzed_commands_end_in_a_documented_exit_code(case):
+    argv, input_text = case
+    with tempfile.TemporaryDirectory() as directory:
+        if input_text is not None:
+            path = os.path.join(directory, "curves.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(input_text)
+            argv = [path if arg is None else arg for arg in argv]
+        code, out, err = _run_bounded(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert (out != "") == (code == 0)

@@ -329,6 +329,22 @@ def test_lined_up_pair_fingerprint_lists_eight_simple_points():
     assert lines[1:] == ["  point mult=1 quartic=smooth incidence=[]"] * 8
 
 
+def test_fingerprint_splits_a_class_by_the_components_through_it():
+    # D meets CONIC where t^2 = 3 or 5: one class of four non-K-rational
+    # points, of which the line x = 3 passes through the two with t^2 = 3.
+    conic_d = curve("X^2 - 7*X*Z + 15*Z^2 - T^2")
+    fingerprint = arrangement_fingerprint([CONIC, conic_d, curve("X - 3*Z")])
+    through_both = "pair (1,2):\n" + "  point mult=1 quartic=off incidence=[2]\n" * 2
+    assert fingerprint == (
+        through_both
+        + through_both
+        + "pair (2,2):\n"
+        + "  point mult=1 quartic=off incidence=[1]\n" * 2
+        + "  point mult=1 quartic=off incidence=[]\n"
+        + "  point mult=1 quartic=off incidence=[]"
+    )
+
+
 def test_fingerprint_separates_different_local_geometry(example):
     # Cbar meets C0 tangentially at the cusp but meets C1 transversely there,
     # so these two arrangements genuinely differ in this invariant.

@@ -28,8 +28,9 @@ from contactconics.errors import IntegrityError
 from contactconics.heights import _require_positive_definite
 from contactconics.lattice import (
     CaseLattice,
-    _integer_interval,
-    _integer_roots,
+    _integer_ldl,
+    _level_range,
+    _level_roots,
     _short_vectors,
     extends_to_basis,
     integer_rank,
@@ -138,12 +139,26 @@ def test_height_off_the_norm_lattice_has_no_vectors():
     assert enumerate_height_vectors(CASE_III, F(3001, 20)) == []
 
 
+def _walk(gram, height):
+    """The enumeration of a bare Gram matrix, factored here as a case lattice factors its own."""
+    return _short_vectors(_integer_ldl(*_require_positive_definite(gram, "not positive definite")), height)
+
+
 def test_non_dominant_gram():
     # Not diagonally dominant, so a Gershgorin bound gives no box at all.
     gram = ((F(1), F(9, 10)), (F(9, 10), F(1)))
-    assert _short_vectors(gram, F(1, 5)) == [(1, -1)]
+    assert _walk(gram, F(1, 5)) == [(1, -1)]
     for height in (F(1), F(2), F(19, 5), F(38, 5), F(13, 2)):
-        assert _short_vectors(gram, height) == _brute_force_classes(gram, height), height
+        assert _walk(gram, height) == _brute_force_classes(gram, height), height
+
+
+def test_case_lattices_keep_the_integer_factors_of_their_audit():
+    for case in (CASE_I, CASE_II, CASE_III, CASE_IV):
+        assert case.ldl == _integer_ldl(*_require_positive_definite(case.gram, "not positive definite"))
+    # Case III: L[1][0] = 1/2, so level 0 reads y_0 = 2·x_0 + x_1 with weight (1/5)/4.
+    assert CASE_III.ldl.scales == (2, 1)
+    assert CASE_III.ldl.shifts == (((1, 1),), ())
+    assert CASE_III.ldl.weights == (F(1, 20), F(1, 4))
 
 
 def _ldl_gram(pivots, below):
@@ -180,24 +195,57 @@ def _grams_and_heights(draw):
 @given(_grams_and_heights())
 def test_short_vectors_on_random_positive_definite_grams(gram_and_height):
     gram, height = gram_and_height
-    classes = _short_vectors(gram, height)
+    classes = _walk(gram, height)
     assert classes  # the height is the norm of a drawn vector
     assert classes == _brute_force_classes(gram, height)
 
 
-@settings(max_examples=200, deadline=None)
+_wide = 10**4
+_wide_pivot = st.fractions(min_value=F(1, 2), max_value=F(2), max_denominator=_wide)
+_wide_below = st.fractions(min_value=F(-1), max_value=F(1), max_denominator=_wide)
+
+
+@st.composite
+def _grams_and_heights_with_large_denominators(draw):
+    rank = draw(st.sampled_from((2, 3)))
+    gram = _ldl_gram(
+        [draw(_wide_pivot) for _ in range(rank)],
+        [draw(_wide_below) for _ in range(rank * (rank - 1) // 2)],
+    )
+    vector = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).filter(any))
+    attained = sum(gram[r][c] * vector[r] * vector[c] for r in range(rank) for c in range(rank))
+    # Either a norm the lattice attains, or a height whose denominator is
+    # unrelated to the Gram's, so the scale S mixes both kinds of denominator.
+    drawn = st.fractions(min_value=F(1, _wide), max_value=F(8), max_denominator=_wide)
+    return gram, draw(st.one_of(st.just(attained), drawn)), attained
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grams_and_heights_with_large_denominators())
+def test_short_vectors_with_denominators_up_to_ten_thousand(case):
+    gram, height, attained = case
+    classes = _walk(gram, height)
+    assert classes == _brute_force_classes(gram, height)
+    if height == attained:
+        assert classes
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    st.fractions(min_value=0, max_value=400, max_denominator=50),
-    st.fractions(min_value=-20, max_value=20, max_denominator=50),
+    st.integers(0, 5000),
+    st.integers(1, 60),
+    st.integers(1, 12),
+    st.integers(-200, 200),
 )
-def test_interval_and_roots_are_exact(square, center):
-    candidates = range(-60, 61)
-    assert list(_integer_interval(square, center)) == [
-        x for x in candidates if (x + center) ** 2 <= square
+def test_level_range_and_roots_are_exact(remainder, coefficient, den, shift):
+    # |den·x + shift| <= sqrt(5000) < 71, so every solution has |x| <= 271.
+    candidates = range(-300, 301)
+    assert list(_level_range(remainder, coefficient, den, shift)) == [
+        x for x in candidates if coefficient * (den * x + shift) ** 2 <= remainder
     ]
-    assert _integer_roots(square, center) == {
-        x for x in candidates if (x + center) ** 2 == square
-    }
+    assert sorted(_level_roots(remainder, coefficient, den, shift)) == [
+        x for x in candidates if coefficient * (den * x + shift) ** 2 == remainder
+    ]
 
 
 def test_case_lattices_pass_the_mordell_weil_audits():
