@@ -189,15 +189,7 @@ def test_inputs_over_budget_exit_two_at_once(capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize(
-    "curves",
-    [
-        "X*Z^200 - T^201\nX*Z^200 - T^201 - T^200*Z\n",
-        # each curve inside every parser budget, but the pair meets in 144 points
-        "X^12+T^11*Z-Z^12+T*X^5*Z^6\nX^12-T^12+T*X*Z^10+Z^12\n",
-    ],
-)
-def test_fingerprint_input_over_budget_exits_two(capsys, tmp_path, curves):
+def _fingerprint_over_budget(capsys, tmp_path, curves):
     path = tmp_path / "high.txt"
     path.write_text(curves, encoding="utf-8")
     start = time.perf_counter()
@@ -205,6 +197,15 @@ def test_fingerprint_input_over_budget_exits_two(capsys, tmp_path, curves):
     assert time.perf_counter() - start < 10
     assert code == 2 and "exceeds the input budget" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_fingerprint_input_over_budget_exits_two(capsys, tmp_path):
+    _fingerprint_over_budget(capsys, tmp_path, "X*Z^200 - T^201\nX*Z^200 - T^201 - T^200*Z\n")
+
+
+def test_fingerprint_pair_meeting_in_too_many_points_exits_two(capsys, tmp_path):
+    # each curve inside every parser budget, but the pair meets in 144 points
+    _fingerprint_over_budget(capsys, tmp_path, "X^12+T^11*Z-Z^12+T*X^5*Z^6\nX^12-T^12+T*X*Z^10+Z^12\n")
 
 
 def test_arrangement_sharing_a_component_exits_two(capsys, tmp_path):

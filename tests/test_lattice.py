@@ -237,7 +237,7 @@ def test_short_vectors_with_denominators_up_to_ten_thousand(case):
     st.integers(1, 12),
     st.integers(-200, 200),
 )
-def test_level_range_and_roots_are_exact(remainder, coefficient, den, shift):
+def test_interval_and_roots_are_exact(remainder, coefficient, den, shift):
     # |den·x + shift| <= sqrt(5000) < 71, so every solution has |x| <= 271.
     candidates = range(-300, 301)
     assert list(_level_range(remainder, coefficient, den, shift)) == [
