@@ -7,13 +7,14 @@ in t, x (optionally written as an equation `lhs = rhs`).
 
 Identical invocations produce byte-identical reports.  Exit codes:
 0 success, 1 usage or input-grammar errors, 2 precondition violations,
-3 integrity failures.
+3 integrity failures, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -41,6 +42,9 @@ _TYPE_DESCRIPTIONS = {
 }
 
 _QUARTIC_ALIASES = {"Q", "phiQ"}
+
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process SIGPIPE ended
 
 
 class _UsageError(Exception):
@@ -531,6 +535,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the interpreter's
+        # final flush cannot raise again, and exit as a process ended by
+        # SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

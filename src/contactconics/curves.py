@@ -157,8 +157,8 @@ class PlaneCurve:
     """Reduced projective plane curve, defined by a square-free TriForm.
 
     A curve caches its singular points, and in `_pair_cache` the
-    intersection classes with each other curve it has been paired with
-    (see `_pair_classes`).
+    intersection classes with each other curve it has been paired with,
+    with their refined class records (see `_pair_classes`).
     """
 
     __slots__ = ("form", "_singular_cache", "_pair_cache")
@@ -869,8 +869,16 @@ def _pair_class_records(
     b: PlaneCurve,
     others: Sequence[PlaneCurve],
     quartic: PlaneCurve | None,
-) -> list[_ClassRecord]:
-    pair, pieces = _pair_classes(a, b)
+) -> tuple[_ClassRecord, ...]:
+    """The pair's class records, memoized in its `_pair_cache` entry.
+
+    The key is the exact forms of the other components and of the quartic,
+    since the refinement depends on nothing else.
+    """
+    pair, pieces, memo = _pair_classes(a, b)
+    key = (tuple(d.form for d in others), None if quartic is None else quartic.form)
+    if key in memo:
+        return memo[key]
     records: list[_ClassRecord] = []
     for contact in pair.infinity:
         incidence = tuple(sorted(d.degree for d in others if d.contains(contact.point)))
@@ -879,13 +887,15 @@ def _pair_class_records(
             _ClassRecord(1, contact.multiplicity, kind, incidence)
         )
     records.extend(_refine_classes(pair, pieces, others, quartic, a, b))
-    return records
+    memo[key] = tuple(records)
+    return memo[key]
 
 
 def _pair_classes(
     a: PlaneCurve, b: PlaneCurve
-) -> tuple[_PairIntersection, tuple[tuple[Poly, int], ...]]:
-    """The pair's intersection, and its affine classes with K-rational roots split off.
+) -> tuple[_PairIntersection, tuple[tuple[Poly, int], ...], dict]:
+    """The pair's intersection, its affine classes with K-rational roots split off,
+    and the memo of its class records (see `_pair_class_records`).
 
     Splitting the roots off puts each singular point in its own class.  The
     result is memoized on `a`, keyed by b's form under exact equality: a
@@ -902,7 +912,7 @@ def _pair_classes(
                 pieces.append((Poly((-root, ONE)), mult))
             if residual.degree >= 1:
                 pieces.append((residual, mult))
-        cached = (pair, tuple(pieces))
+        cached = (pair, tuple(pieces), {})
         a._pair_cache[b.form] = cached
     return cached
 

@@ -24,13 +24,14 @@ image.  The topological conclusion itself is cited, not re-proved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Mapping, Sequence
 
 from .curves import arrangement_fingerprint
 from .errors import IntegrityError, PreconditionError
-from .fixtures import ARRANGEMENTS, WorkedExample, load_worked_example
+from .fixtures import ARRANGEMENTS, load_worked_example
 from .heights import _require_positive_definite, component_contribution
 from .surface import Section, section_to_plane_curve
 
@@ -576,16 +577,23 @@ _PAIRS: Mapping[str, tuple[str, str, str, str, str]] = {
 PAIR_NAMES: tuple[str, ...] = tuple(sorted(_PAIRS))
 
 
-def _vector_of(example: WorkedExample, name: str) -> tuple[int, int, int]:
-    vector = _SECTION_VECTORS[name]
-    combined = Section.zero(example.model)
-    for coefficient, basis_name in zip(vector, ("P1", "P2", "P3")):
-        combined = combined + coefficient * example.sections[basis_name]
-    if combined != example.sections[name]:
-        raise IntegrityError(
-            f"stated coordinates {vector} of {name} disagree with the group law"
-        )
-    return vector
+@lru_cache(maxsize=1)
+def _section_vectors() -> Mapping[str, tuple[int, int, int]]:
+    """`_SECTION_VECTORS`, each checked against the group law at first use.
+
+    The check runs once per process; one that fails raises and caches nothing.
+    """
+    example = load_worked_example()
+    basis = [example.sections[name] for name in ("P1", "P2", "P3")]
+    for name, vector in _SECTION_VECTORS.items():
+        combined = Section.zero(example.model)
+        for coefficient, section in zip(vector, basis):
+            combined = combined + coefficient * section
+        if combined != example.sections[name]:
+            raise IntegrityError(
+                f"stated coordinates {vector} of {name} disagree with the group law"
+            )
+    return _SECTION_VECTORS
 
 
 def zariski_pair_report(pair_id: str) -> ZariskiReport:
@@ -594,7 +602,9 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
     The checks cover: both arrangements decompose as quartic + section
     image + doubled-section image; (s1, s2) extends to a basis of the
     section lattice (Smith normal form); s1 and [2]s1 are dependent; the
-    swapped pair is independent.  The fingerprint comparison records
+    swapped pair is independent.  The [2]s images are read from
+    `example.doubles`, which the load has already checked against the group
+    law and the conics C0-C2.  The fingerprint comparison records
     whether the combinatorial necessary conditions agree.  The
     topological conclusion is cited from the underlying criterion, not
     re-proved here.
@@ -607,8 +617,9 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
     example = load_worked_example()
     checks: list[PairCheck] = []
 
-    s1_vector = _vector_of(example, s1_name)
-    s2_vector = _vector_of(example, s2_name)
+    vectors = _section_vectors()
+    s1_vector = vectors[s1_name]
+    s2_vector = vectors[s2_name]
     s1 = example.sections[s1_name]
     s2 = example.sections[s2_name]
 
@@ -642,7 +653,7 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
             (right_components[1], s2, f"{right_components[1]} is the image of {s2_name}"),
             (
                 left_components[2],
-                2 * s1,
+                example.doubles[s1_name],
                 f"{left_components[2]} is the image of [2]{s1_name}",
             ),
         )
@@ -651,12 +662,12 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
             (left_components[1], s1, f"{left_components[1]} is the image of {s1_name}"),
             (
                 left_components[2],
-                2 * s1,
+                example.doubles[s1_name],
                 f"{left_components[2]} is the image of [2]{s1_name}",
             ),
             (
                 right_components[2],
-                2 * s2,
+                example.doubles[s2_name],
                 f"{right_components[2]} is the image of [2]{s2_name}",
             ),
         )

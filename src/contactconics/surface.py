@@ -129,6 +129,11 @@ class Section:
     the group-law operations skip the check because the chord-tangent formulas
     stay on the curve identically (re-verifying them squares the coordinate
     degrees at every step).
+
+    `n * P` (`__rmul__`) is double-and-add over the bits of |n|, on -P when
+    n < 0.  It doubles only while higher bits remain, so for n != 0 it makes
+    bit_length(n) - 1 doublings and popcount(n) - 1 additions with neither
+    operand zero: `2 * P` is one doubling and `1 * P` none.
     """
 
     model: WeierstrassModel
@@ -190,12 +195,12 @@ class Section:
             return (-count) * (-self)
         result = Section.zero(self.model)
         doubling = self
-        remaining = count
-        while remaining:
-            if remaining & 1:
+        while count:
+            if count & 1:
                 result = result + doubling
-            doubling = doubling + doubling
-            remaining >>= 1
+            count >>= 1
+            if count:
+                doubling = doubling + doubling
         return result
 
     def __str__(self) -> str:

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -223,6 +225,25 @@ def test_integrity_errors_exit_three(capsys, monkeypatch):
     monkeypatch.setattr(cli.fixtures, "load_worked_example", broken)
     code, _, err = run(capsys, "verify-example")
     assert code == 3 and "integrity error" in err
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from contactconics.cli import main; sys.exit(main())", "main-theorem"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert done.stderr == b""
 
 
 # -- fuzzing the command line ---------------------------------------------------

@@ -378,6 +378,31 @@ def test_second_fingerprint_reads_every_pair_from_the_memo(example, monkeypatch)
     assert second.encode() == first.encode()
 
 
+def test_second_fingerprint_reads_every_record_from_the_memo(example, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _t_on_class(*args)
+
+    quartic, line, conic = fresh_arrangement(example, "B11")
+    first = arrangement_fingerprint([quartic, line, conic])
+    monkeypatch.setattr(curves, "_t_on_class", counting)
+    second = arrangement_fingerprint([quartic, line, conic])
+    assert second.encode() == first.encode()
+    assert not calls
+
+
+def test_records_memo_is_keyed_by_the_other_components():
+    # The line x = 3 passes through two of the four points where the conics
+    # meet and x = 9 through none, so the pair's records depend on the line.
+    conic, conic_d = curve("X*Z - T^2"), curve("X^2 - 7*X*Z + 15*Z^2 - T^2")
+    through = arrangement_fingerprint([conic, conic_d, curve("X - 3*Z")])
+    missing = arrangement_fingerprint([conic, conic_d, curve("X - 9*Z")])
+    fresh = [curve("X*Z - T^2"), curve("X^2 - 7*X*Z + 15*Z^2 - T^2"), curve("X - 9*Z")]
+    assert missing == arrangement_fingerprint(fresh) != through
+
+
 def test_rescaled_curve_gets_its_own_memo_entry(example):
     quartic, line, conic = fresh_arrangement(example, "B11")
     doubled = PlaneCurve(conic.form.scale(2))

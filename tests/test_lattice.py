@@ -16,6 +16,7 @@ from contactconics import (
     CASES,
     PAIR_NAMES,
     PreconditionError,
+    Section,
     count_by_type,
     enumerate_height_vectors,
     main_theorem_rows,
@@ -24,6 +25,7 @@ from contactconics import (
     vectors_for_type,
     zariski_pair_report,
 )
+from contactconics import lattice
 from contactconics.errors import IntegrityError
 from contactconics.heights import _require_positive_definite
 from contactconics.lattice import (
@@ -345,6 +347,33 @@ def test_pair_kinds_and_fingerprints():
     assert not zariski_pair_report("D0-D1").fingerprints_equal
     assert not zariski_pair_report("D0-D2").fingerprints_equal
     assert zariski_pair_report("B11-B21").fingerprints_equal
+
+
+def test_reports_after_the_first_run_no_group_law(monkeypatch):
+    zariski_pair_report("B11-B21")
+    additions = []
+    add = Section.__add__
+
+    def counting(self, other):
+        additions.append((self, other))
+        return add(self, other)
+
+    monkeypatch.setattr(Section, "__add__", counting)
+    for pair_id in PAIR_NAMES:
+        zariski_pair_report(pair_id)
+    assert not additions
+
+
+def test_tampered_section_vector_fails_the_first_report(monkeypatch):
+    # P0 = -P1 + P2; the report on B11-B21 uses only P1 and P2, but the
+    # audit checks every stated vector at first use.
+    monkeypatch.setattr(lattice, "_SECTION_VECTORS", {**lattice._SECTION_VECTORS, "P0": (1, 1, 0)})
+    lattice._section_vectors.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match=r"\(1, 1, 0\) of P0 disagree with the group law"):
+            zariski_pair_report("B11-B21")
+    finally:
+        lattice._section_vectors.cache_clear()
 
 
 def test_unknown_pair_is_rejected():

@@ -74,12 +74,38 @@ def test_associativity_on_generators(example):
         assert (a + b) + c == a + (b + c)
 
 
+def repeated_sums(section, limit):
+    """{n: P + ... + P (n times), or of -P when n < 0} for |n| <= limit."""
+    sums = {0: Section.zero(section.model)}
+    for n in range(1, limit + 1):
+        sums[n] = sums[n - 1] + section
+        sums[-n] = sums[1 - n] + (-section)
+    return sums
+
+
 def test_scalar_ladder_matches_repeated_addition(example):
-    section = example.section("P1")
-    acc = Section.zero(section.model)
-    for count in range(5):
-        assert count * section == acc
-        acc = acc + section
+    for name in ("P0", "P1", "P2", "P3"):
+        section = example.section(name)
+        for count, expected in repeated_sums(section, 5).items():
+            assert count * section == expected
+
+
+def test_scalar_ladder_doubles_only_while_bits_remain(example, monkeypatch):
+    add = Section.__add__
+    proper = []  # additions with neither operand zero
+
+    def counting(self, other):
+        if not (self.is_zero or other.is_zero):
+            proper.append((self, other))
+        return add(self, other)
+
+    monkeypatch.setattr(Section, "__add__", counting)
+    for name in ("P0", "P1", "P2", "P3"):
+        for count in (*range(-5, 0), *range(1, 6)):
+            proper.clear()
+            count * example.section(name)
+            bits = abs(count)
+            assert len(proper) == (bits.bit_length() - 1) + (bin(bits).count("1") - 1)
 
 
 def test_two_torsion_free_on_generators(example, model):
