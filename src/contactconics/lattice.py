@@ -59,6 +59,13 @@ class CaseFiber:
 
     psi holds the fiber-component indices of the basis sections; it is a
     homomorphism into Z/count componentwise.
+
+    The fiber is assumed to be of type A: its components off the zero
+    section span the root lattice A_{count-1} (Kodaira I_count, III or IV).
+    count then serves both as rank + 1 of that root lattice (Shioda–Tate)
+    and as its determinant det(A_{count-1}) = count, which is what makes
+    the audit's det(Gram) = 1 / prod count right.  A D or E fiber breaks
+    the second use: det(D_n) = 4, det(E6) = 3, det(E7) = 2.
     """
 
     label: str
@@ -160,7 +167,11 @@ class CaseLattice:
         # Mordell–Weil lattice identities of a rational elliptic surface
         # (Shioda 1990; Oguiso–Shioda 1991): Shioda–Tate gives the rank as 8
         # minus the rank of the fibers' root lattices, and a torsion-free
-        # Mordell–Weil lattice has det(Gram) = 1 / prod m_v.
+        # Mordell–Weil lattice has det(Gram) = 1 / prod m_v.  The rank
+        # identity reads fiber.count as rank + 1, which holds for any fiber;
+        # the determinant reads it as det(A_{m_v - 1}) = m_v, which holds only
+        # for type A fibers (see CaseFiber).  A D or E fiber would need its
+        # own discriminant in place of count.
         shioda_tate = 8 - sum(fiber.count - 1 for fiber in self.fibers)
         if rank != shioda_tate:
             raise IntegrityError(

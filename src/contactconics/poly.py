@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import IntegrityError, PreconditionError
 from .field import FieldElem, ONE, ZERO, ElemLike
 
 
@@ -1045,6 +1045,11 @@ def k_rational_roots(p: Poly) -> tuple[list[tuple[FieldElem, int]], Poly]:
     Galois-conjugate polynomials) factored over Q; quadratic factors are
     tested against the quadratic subfields Q(r2), Q(i), Q(i*r2) and
     quartic factors against K itself.  The residual is monic.
+
+    sympy receives the norm as a dense polynomial over QQ, built from the
+    integer numerators and denominators of its coefficients, and factors it
+    through ``Poly.factor_list``; linear and quadratic factors are read back
+    as Fractions, so this path builds no sympy expression.
     """
     if p.is_zero():
         raise PreconditionError("roots of the zero polynomial")
@@ -1065,30 +1070,28 @@ def k_rational_roots(p: Poly) -> tuple[list[tuple[FieldElem, int]], Poly]:
 
 
 def _k_root_candidates(p: Poly) -> list[FieldElem]:
-    import sympy
+    from sympy import QQ, Poly as DensePoly, Symbol
 
     norm = Poly.constant(ONE)
     for conj in (lambda c: c, FieldElem.conj_sqrt2, FieldElem.conj_i,
                  lambda c: c.conj_sqrt2().conj_i()):
         norm = norm * p.map_coeffs(conj)
     if not norm.is_rational():
-        raise AssertionError("norm polynomial must be rational")
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.c0) * t**k for k, c in enumerate(norm.coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, t))
+        raise IntegrityError("norm polynomial must be rational")
+    t = Symbol("t")
+    dense = DensePoly.from_list([QQ(c.n0, c.d) for c in reversed(norm.coeffs)], t, domain=QQ)
     candidates: list[FieldElem] = []
     seen: set = set()
-    for factor, _mult in factors:
-        factor = sympy.Poly(factor, t)
+    for factor, _mult in dense.factor_list()[1]:
         degree = factor.degree()
-        if degree == 1:
-            a1, a0 = factor.all_coeffs()
-            value = sympy.Rational(-a0, a1)
-            candidates.append(FieldElem.from_rational(Fraction(int(value.p), int(value.q))))
-        elif degree == 2:
-            candidates.extend(_quadratic_roots_in_k(factor))
-        elif degree == 4:
+        if degree == 4:
             candidates.extend(_quartic_roots_in_k(factor, t))
+        elif degree <= 2:
+            coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in factor.rep.to_list()]
+            if degree == 1:
+                candidates.append(FieldElem.from_rational(-coeffs[1] / coeffs[0]))
+            else:
+                candidates.extend(_quadratic_roots_in_k(*coeffs))
     out = []
     for c in candidates:
         key = c.coords
@@ -1098,19 +1101,12 @@ def _k_root_candidates(p: Poly) -> list[FieldElem]:
     return out
 
 
-def _quadratic_roots_in_k(factor) -> list[FieldElem]:
-    import sympy
-
-    a2, a1, a0 = (sympy.Rational(c) for c in factor.all_coeffs())
-    disc = a1 * a1 - 4 * a2 * a0
-    disc_frac = Fraction(int(disc.p), int(disc.q))
-    root = FieldElem.from_rational(disc_frac).sqrt()
+def _quadratic_roots_in_k(a2: Fraction, a1: Fraction, a0: Fraction) -> list[FieldElem]:
+    root = FieldElem.from_rational(a1 * a1 - 4 * a2 * a0).sqrt()
     if root is None:
         return []
-    a2f = Fraction(int(a2.p), int(a2.q))
-    a1f = Fraction(int(a1.p), int(a1.q))
-    half = FieldElem.from_rational(Fraction(1, 2) / a2f)
-    minus_a1 = FieldElem.from_rational(-a1f)
+    half = FieldElem.from_rational(Fraction(1, 2) / a2)
+    minus_a1 = FieldElem.from_rational(-a1)
     return [(minus_a1 + root) * half, (minus_a1 - root) * half]
 
 

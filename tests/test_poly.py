@@ -1,11 +1,14 @@
 """Polynomials, rational functions, and forms over Q(sqrt(2), i)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactconics import (
     BiPoly,
     FieldElem,
+    IntegrityError,
     ONE,
     Poly,
     RatFunc,
@@ -112,6 +115,50 @@ def test_k_rational_roots_finds_roots_of_a_quartic_norm_factor():
     roots, residual = k_rational_roots(p)
     assert roots == [(parse_field_elem("1 + r2 + i"), 1), (FieldElem.from_rational(3), 1)]
     assert residual == parse_poly("t^2 - 3")
+
+
+# Generators of Q(r2), Q(i), Q(i*r2) and K, so that the norm of each planted
+# linear factor splits over Q into linear, quadratic and quartic factors.
+root_directions = st.sampled_from([
+    FieldElem.from_rational(1), SQRT2, I, I * SQRT2, SQRT2 + I, ONE + SQRT2 + I * SQRT2,
+])
+planted_roots = st.builds(
+    lambda a, b, g: FieldElem.from_rational(a) + FieldElem.from_rational(b) * g,
+    small_rationals, small_rationals.filter(bool), root_directions,
+)
+# Monic cofactors with no root in K: sqrt(3), sqrt(-3) and 2^(1/3) lie outside Q(zeta_8).
+rootless = st.sampled_from(["1", "t^2 - 3", "t^2 + t + 1", "t^3 - 2"]).map(parse_poly)
+
+
+@given(
+    st.lists(st.tuples(planted_roots, st.integers(1, 3)), max_size=3,
+             unique_by=lambda item: item[0]),
+    small_elems.filter(lambda c: not c.is_zero()),
+    rootless,
+)
+@settings(max_examples=20, deadline=None)
+def test_k_rational_roots_recovers_planted_roots(planted, lead, cofactor):
+    p = Poly.constant(lead) * cofactor
+    for root, mult in planted:
+        p = p * Poly.from_roots([root] * mult)
+    roots, residual = k_rational_roots(p)
+    assert roots == sorted(planted, key=lambda item: item[0].sort_key())
+    assert residual == cofactor
+
+
+def test_k_rational_roots_is_exact_at_hundred_bit_coefficients():
+    numerator, denominator = 2**100 + 277, 2**100 - 3
+    p = parse_poly(f"{denominator}*t^2 - {numerator}*t")
+    roots, residual = k_rational_roots(p)
+    assert roots == [(FieldElem.from_rational(0), 1),
+                     (FieldElem.from_rational(Fraction(numerator, denominator)), 1)]
+    assert residual == Poly.constant(ONE)
+
+
+def test_k_rational_roots_refuses_an_irrational_norm(monkeypatch):
+    monkeypatch.setattr(FieldElem, "conj_i", lambda c: c)
+    with pytest.raises(IntegrityError, match="norm polynomial must be rational"):
+        k_rational_roots(parse_poly("t - i"))
 
 
 def test_ratfunc_normalization_and_arithmetic():
