@@ -156,9 +156,9 @@ def _graded_parts(g: BiPoly) -> dict[int, dict[tuple[int, int], FieldElem]]:
 class PlaneCurve:
     """Reduced projective plane curve, defined by a square-free TriForm.
 
-    A curve caches its singular points, and in `_pair_cache` the
-    intersection classes with each other curve it has been paired with,
-    with their refined class records (see `_pair_classes`).
+    A curve caches its singular points, and in `_pair_cache` its
+    intersection with each other curve it has been paired with, with the
+    class records refined from it (see `_pair_classes`).
     """
 
     __slots__ = ("form", "_singular_cache", "_pair_cache")
@@ -875,7 +875,7 @@ def _pair_class_records(
     The key is the exact forms of the other components and of the quartic,
     since the refinement depends on nothing else.
     """
-    pair, pieces, memo = _pair_classes(a, b)
+    pair, memo = _pair_classes(a, b)
     key = (tuple(d.form for d in others), None if quartic is None else quartic.form)
     if key in memo:
         return memo[key]
@@ -886,33 +886,22 @@ def _pair_class_records(
         records.append(
             _ClassRecord(1, contact.multiplicity, kind, incidence)
         )
-    records.extend(_refine_classes(pair, pieces, others, quartic, a, b))
+    records.extend(_refine_classes(pair, others, quartic, a, b))
     memo[key] = tuple(records)
     return memo[key]
 
 
-def _pair_classes(
-    a: PlaneCurve, b: PlaneCurve
-) -> tuple[_PairIntersection, tuple[tuple[Poly, int], ...], dict]:
-    """The pair's intersection, its affine classes with K-rational roots split off,
-    and the memo of its class records (see `_pair_class_records`).
+def _pair_classes(a: PlaneCurve, b: PlaneCurve) -> tuple[_PairIntersection, dict]:
+    """The pair's intersection and the memo of its class records (see
+    `_pair_class_records`).
 
-    Splitting the roots off puts each singular point in its own class.  The
-    result is memoized on `a`, keyed by b's form under exact equality: a
+    The result is memoized on `a`, keyed by b's form under exact equality: a
     rescaled form is a different key, because s10 and s11 depend on the
     scaling.  A pair that raises is not memoized and raises again.
     """
     cached = a._pair_cache.get(b.form)
     if cached is None:
-        pair = _pair_intersection(a, b)
-        pieces: list[tuple[Poly, int]] = []
-        for factor, mult in pair.factors:
-            roots, residual = k_rational_roots(factor)
-            for root, _m in roots:
-                pieces.append((Poly((-root, ONE)), mult))
-            if residual.degree >= 1:
-                pieces.append((residual, mult))
-        cached = (pair, tuple(pieces), {})
+        cached = (_pair_intersection(a, b), {})
         a._pair_cache[b.form] = cached
     return cached
 
@@ -925,68 +914,64 @@ def _quartic_kind_at_point(quartic: PlaneCurve | None, point: PlanePoint) -> str
 
 def _refine_classes(
     pair: _PairIntersection,
-    pieces: Sequence[tuple[Poly, int]],
     others: Sequence[PlaneCurve],
     quartic: PlaneCurve | None,
     a: PlaneCurve,
     b: PlaneCurve,
 ) -> list[_ClassRecord]:
-    """Split the pair's affine classes so that each lies on or off every other component."""
+    """Split the pair's affine classes so that each lies on or off every other
+    component, and each affine singular point of the quartic is a class of its own.
+    """
+    shear, s10, s11 = pair.shear, pair.s10, pair.s11
+    # Each piece carries the quartic's kind at its points, if they lie on it.
+    # singular_points raises unless every singular point is K-rational, so
+    # once they are split off, the other points on the quartic are smooth.
+    pieces = [(factor, mult, SMOOTH) for factor, mult in pair.factors]
+    singular = quartic.singular_points() if quartic is not None else []
+    for point, kind in singular:
+        t0, x0, z0 = point.coords
+        if z0.is_zero():
+            continue
+        root = x0 - FieldElem.coerce(shear) * t0
+        for k, (factor, mult, _kind) in enumerate(pieces):
+            if not factor.eval(root).is_zero():
+                continue
+            # over this root the pair meets at one point, t = -s10/s11
+            den = s11.eval(root)
+            if den.is_zero():
+                raise IntegrityError("certified class lost its unique t-coordinate")
+            if -s10.eval(root) / den == t0:
+                linear = Poly((-root, ONE))
+                pieces[k] = (linear, mult, kind)
+                if factor.degree >= 2:
+                    pieces.append((factor.exact_div(linear), mult, SMOOTH))
+            break
     if not pieces:
         return []
-    shear, s10, s11 = pair.shear, pair.s10, pair.s11
     probes: list[tuple[int, BiPoly]] = []
     for comp in others:
         probes.append((comp.degree, comp.form.dehomogenize().shear_x(shear).swap_vars()))
-    quartic_probe: BiPoly | None = None
-    quartic_in_pair = quartic is not None and (quartic == a or quartic == b)
-    if quartic is not None and not quartic_in_pair:
-        quartic_probe = quartic.form.dehomogenize().shear_x(shear).swap_vars()
 
     # One pass per probe: split every piece into the part on the probe's
     # component and the cofactor, so afterwards each piece lies wholly on or
     # wholly off every probe seen so far.
-    refined: list[tuple[Poly, int, tuple[int, ...]]] = [(f, m, ()) for f, m in pieces]
+    refined = [(f, m, kind, ()) for f, m, kind in pieces]
     for deg, probe in probes:
-        next_pieces: list[tuple[Poly, int, tuple[int, ...]]] = []
-        for factor, mult, incidence in refined:
+        next_pieces: list[tuple[Poly, int, str, tuple[int, ...]]] = []
+        for factor, mult, kind, incidence in refined:
             value = _t_on_class(probe, s10, s11, factor)
             on = factor if value.is_zero() else poly_gcd(factor, value)
             if on.degree >= 1:
-                next_pieces.append((on, mult, incidence + (deg,)))
+                next_pieces.append((on, mult, kind, incidence + (deg,)))
             if on.degree < factor.degree:
-                next_pieces.append((factor.exact_div(on), mult, incidence))
+                next_pieces.append((factor.exact_div(on), mult, kind, incidence))
         refined = next_pieces
 
+    # a quartic off the pair is the only degree-4 component among the probes
+    quartic_in_pair = quartic is not None and (quartic == a or quartic == b)
     records: list[_ClassRecord] = []
-    for factor, mult, incidence in refined:
-        kind = _class_quartic_kind(factor, pair, quartic, quartic_in_pair, quartic_probe)
+    for factor, mult, kind, incidence in refined:
+        if quartic is None or not (quartic_in_pair or 4 in incidence):
+            kind = "off"
         records.append(_ClassRecord(factor.degree, mult, kind, tuple(sorted(incidence))))
     return records
-
-
-def _class_quartic_kind(
-    factor: Poly,
-    pair: _PairIntersection,
-    quartic: PlaneCurve | None,
-    quartic_in_pair: bool,
-    quartic_probe: BiPoly | None,
-) -> str:
-    if quartic is None:
-        return "off"
-    s10, s11 = pair.s10, pair.s11
-    on_quartic = quartic_in_pair
-    if not on_quartic and quartic_probe is not None:
-        on_quartic = _t_on_class(quartic_probe, s10, s11, factor).is_zero()
-    if not on_quartic:
-        return "off"
-    if factor.degree == 1:
-        x0 = -factor.coeff(0)
-        den = s11.eval(x0)
-        if den.is_zero():
-            raise IntegrityError("certified class lost its unique t-coordinate")
-        t0 = -s10.eval(x0) / den
-        point = PlanePoint(t0, x0 + FieldElem.coerce(pair.shear) * t0, ONE)
-        return quartic.singularity_kind_at(point)
-    # classes of degree >= 2 consist of non-K points; singular points are K-rational
-    return SMOOTH

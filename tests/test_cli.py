@@ -156,13 +156,19 @@ def test_parse_errors_exit_one(capsys):
     assert code == 1
 
 
-def test_precondition_errors_exit_two(capsys):
+def test_precondition_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "zariski", "--pair", "B11-B99")
     assert code == 2 and "precondition error" in err
     code, _, err = run(capsys, "fingerprint", "B99")
     assert code == 2
     code, _, err = run(capsys, "cremona", "X*Z - T^2", "--triangle", "T; X; T + X")
     assert code == 2
+    # two conics crossing at the nodes (+-sqrt(3), 0), which the line X = 0 meets
+    path = tmp_path / "nodes.txt"
+    path.write_text("X^2*Z^2 - (T^2 - 3*Z^2)^2\nX\n", encoding="utf-8")
+    code, out, err = run(capsys, "fingerprint", "--input", str(path))
+    assert code == 2 and "possible singular point over the residual factor" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_quartic_containing_the_line_at_infinity_exits_two(capsys):
@@ -216,6 +222,14 @@ def test_arrangement_sharing_a_component_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "fingerprint", "--input", str(path))
     assert code == 2 and "common component" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_line_through_k_rational_nodes_meets_them_as_nodes(capsys, tmp_path):
+    path = tmp_path / "nodes.txt"
+    path.write_text("X^2*Z^2 - (T^2 - 2*Z^2)^2\nX\n", encoding="utf-8")
+    code, out, _ = run(capsys, "fingerprint", "--input", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == ["pair (1,4):"] + ["  point mult=2 quartic=node incidence=[]"] * 2
 
 
 def test_integrity_errors_exit_three(capsys, monkeypatch):

@@ -1,11 +1,14 @@
 """Plane-curve geometry: singularities, intersection numbers, the quadratic
 transformation, weak contact certificates, and arrangement fingerprints."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactconics import curves
 from contactconics import (
+    ARRANGEMENT_NAMES,
     BiPoly,
     CASE_B,
     CASE_S,
@@ -420,6 +423,66 @@ def test_pair_sharing_a_component_raises_on_every_call():
         with pytest.raises(PreconditionError):
             arrangement_fingerprint([a, b])
     assert not a._pair_cache
+
+
+# -- splitting classes at the quartic's singular points -------------------------
+
+
+def pair_classes_splitting_every_root(a, b):
+    """Every K-rational root split off every class: the finest split, as reference."""
+    pair = curves._pair_intersection(a, b)
+    pieces = []
+    for factor, mult in pair.factors:
+        roots, residual = poly.k_rational_roots(factor)
+        pieces.extend((Poly((-root, 1)), mult) for root, _m in roots)
+        if residual.degree >= 1:
+            pieces.append((residual, mult))
+    return dataclasses.replace(pair, factors=tuple(pieces)), {}
+
+
+# Quartics with K-rational nodes and a line through two of them, which meets
+# the quartic there and nowhere else; the third curve passes through no node.
+NODAL_ARRANGEMENTS = [
+    ("X^2*Z^2 - (T^2 - 2*Z^2)^2", "X", "X - Z"),
+    ("(X*Z - T^2)*(X*Z - 2*T^2 + Z^2)", "X - Z", "X - 2*Z"),
+]
+
+
+def assert_split_matches_reference(make_components, monkeypatch):
+    fingerprint = arrangement_fingerprint(make_components())
+    with monkeypatch.context() as patched:
+        patched.setattr(curves, "_pair_classes", pair_classes_splitting_every_root)
+        reference = arrangement_fingerprint(make_components())
+    assert fingerprint.encode() == reference.encode()
+    return fingerprint
+
+
+def test_pair_off_the_quartic_reads_its_kind_where_they_meet():
+    # the two lines meet at the node (sqrt(2), 0), where the quartic is the probe
+    fingerprint = arrangement_fingerprint(
+        [curve("X^2*Z^2 - (T^2 - 2*Z^2)^2"), curve("X"), curve("T - X - r2*Z")]
+    )
+    assert fingerprint.startswith("pair (1,1):\n  point mult=1 quartic=node incidence=[4]\n")
+
+
+def test_point_sharing_its_sheared_root_with_a_node_stays_smooth():
+    # The line x = -1 misses the nodes (+-1, 1) and (+-i*sqrt(2), -2).  Under
+    # the certifying shear x -> x + t its point (-1, -1) has the sheared root
+    # x - t = 0 of the node (1, 1), at another t.
+    quartic = curve("(X*Z - T^2)*(T^2 + X^2 - 2*Z^2)")
+    fingerprint = arrangement_fingerprint([quartic, curve("X + Z")])
+    assert fingerprint == "pair (1,4):\n" + "\n".join(["  point mult=1 quartic=smooth incidence=[]"] * 4)
+
+
+@pytest.mark.parametrize("name", ARRANGEMENT_NAMES)
+def test_bundled_fingerprint_matches_the_full_root_split(example, name, monkeypatch):
+    assert_split_matches_reference(lambda: fresh_arrangement(example, name), monkeypatch)
+
+
+@pytest.mark.parametrize("texts", NODAL_ARRANGEMENTS)
+def test_nodal_fingerprint_matches_the_full_root_split(texts, monkeypatch):
+    fingerprint = assert_split_matches_reference(lambda: [curve(t) for t in texts], monkeypatch)
+    assert "pair (1,4):\n" + "  point mult=2 quartic=node incidence=[]\n" * 2 in fingerprint + "\n"
 
 
 # -- evaluating a probe on a class -----------------------------------------------
