@@ -84,10 +84,8 @@ def _resolve_section(text: str) -> tuple[str, Section]:
     stripped = text.strip()
     if stripped == "O" or stripped in fixtures.SECTION_NAMES:
         return stripped, example.section(stripped)
-    pair = parse_section(stripped)
-    if pair is None:
-        return "O", Section.zero(example.model)
-    return stripped, Section(example.model, pair[0], pair[1])
+    x, y = parse_section(stripped)  # not None: "O" is handled above
+    return stripped, Section(example.model, x, y)
 
 
 def _read_input(path: str) -> str:

@@ -210,12 +210,6 @@ class PlaneCurve:
             object.__setattr__(self, "_singular_cache", tuple(records))
         return list(self._singular_cache)
 
-    def singularity_kind_at(self, point: PlanePoint) -> str:
-        for p, kind in self.singular_points():
-            if p == point:
-                return kind
-        return SMOOTH if self.contains(point) else OTHER
-
     def __str__(self) -> str:
         return str(self.form)
 
@@ -909,7 +903,7 @@ def _pair_classes(a: PlaneCurve, b: PlaneCurve) -> tuple[_PairIntersection, dict
 def _quartic_kind_at_point(quartic: PlaneCurve | None, point: PlanePoint) -> str:
     if quartic is None or not quartic.contains(point):
         return "off"
-    return quartic.singularity_kind_at(point)
+    return next((kind for p, kind in quartic.singular_points() if p == point), SMOOTH)
 
 
 def _refine_classes(

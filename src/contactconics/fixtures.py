@@ -199,17 +199,6 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
 
     verified: list[str] = []
 
-    def check(label: str, predicate: Callable[[], bool]) -> None:
-        try:
-            outcome = predicate()
-        except IntegrityError:
-            raise
-        except ContactConicsError as exc:
-            raise IntegrityError(f"worked example: {label} ({exc})") from exc
-        if not outcome:
-            raise IntegrityError(f"worked example: {label}")
-        verified.append(label)
-
     def guarded(label: str, thunk: Callable[[], _T]) -> _T:
         try:
             value = thunk()
@@ -219,6 +208,10 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
             raise IntegrityError(f"worked example: {label} ({exc})") from exc
         verified.append(label)
         return value
+
+    def check(label: str, predicate: Callable[[], bool]) -> None:
+        if not guarded(label, predicate):
+            raise IntegrityError(f"worked example: {label}")
 
     conic = PlaneCurve(parse_triform(raw["conic"]))
     triangle = (

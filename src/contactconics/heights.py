@@ -1,9 +1,10 @@
 """Height pairing on sections: chi = 1, intersection numbers, fiber corrections.
 
 The pairing is <P, Q> = chi + P.O + Q.O - P.Q - sum_v contr_v(P, Q), with the
-diagonal case <P, P> = 2 chi + 2 P.O - sum_v contr_v(P).  Section-section
-intersections are taken on the smooth model: at a singular Weierstrass point
-the walk follows strict transforms until the sections separate.
+diagonal case <P, P> = 2 chi + 2 P.O - sum_v contr_v(P).  The local terms,
+component indices and P.Q at K-rational places and at infinity, come from the
+blow-up walks in `surface`; this module adds the orders over places that are
+not K-rational.
 """
 
 from __future__ import annotations
@@ -13,20 +14,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError, UnsupportedSectionError
-from .field import ZERO
-from .poly import BiPoly, Poly, k_rational_roots, poly_gcd, squarefree_decomposition
+from .poly import Poly, k_rational_roots, poly_gcd, squarefree_decomposition
 from .surface import (
+    INFINITY,
     FiberCollection,
     Section,
     WeierstrassModel,
-    _X_DEGREE_LIMIT,
-    _Y_DEGREE_LIMIT,
-    _blow_up,
+    _local_order,
     classify_fibers,
     component_index,
 )
 
-_WALK_LIMIT = 64
+# chi, the Euler characteristic of the structure sheaf, is 1: deg a_i <= i
+# (checked by WeierstrassModel) makes every model a rational elliptic surface.
+_CHI = Fraction(1)
 
 
 def component_contribution(count: int, i: int, j: int) -> Fraction:
@@ -47,44 +48,10 @@ class HeightContext:
 
     model: WeierstrassModel
     fibers: FiberCollection
-    chi: int = 1
 
     @classmethod
     def for_model(cls, model: WeierstrassModel) -> "HeightContext":
         return cls(model, classify_fibers(model))
-
-
-def _stratum_pair(point: Section) -> tuple[Poly, Poly]:
-    if not (point.x.is_polynomial() and point.y.is_polynomial()):
-        raise UnsupportedSectionError("intersection numbers need polynomial sections")
-    x, y = point.x.as_poly(), point.y.as_poly()
-    if x.degree > _X_DEGREE_LIMIT or y.degree > _Y_DEGREE_LIMIT:
-        raise UnsupportedSectionError(
-            "section leaves the stratum (deg x <= 2, deg y <= 3) with P.O = 0"
-        )
-    return x, y
-
-
-def _local_order(surface: BiPoly, xp: Poly, yp: Poly, xq: Poly, yq: Poly, depth: int) -> int:
-    """Intersection order of two section germs meeting at the origin of the base."""
-    if depth > _WALK_LIMIT:
-        raise IntegrityError("section intersection walk failed to terminate")
-    a = xp.eval(ZERO)
-    b = yp.eval(ZERO)
-    if not b.is_zero():
-        return (xp - xq).ord_at_zero()
-    gradient_x = surface.derivative_x().eval_point(ZERO, a)
-    if not gradient_x.is_zero():
-        return (yp - yq).ord_at_zero()
-    if not surface.derivative_t().eval_point(ZERO, a).is_zero():
-        raise UnsupportedSectionError(
-            "sections meet at the singular point of an irreducible fiber"
-        )
-    # Singular surface point: pass to strict transforms.
-    blown, [(xi_p, eta_p), (xi_q, eta_q)] = _blow_up(surface, a, (xp, yp), (xq, yq))
-    if xi_p.eval(ZERO) != xi_q.eval(ZERO) or eta_p.eval(ZERO) != eta_q.eval(ZERO):
-        return 0
-    return _local_order(blown, xi_p, eta_p, xi_q, eta_q, depth + 1)
 
 
 def _stripped_order_sum(target: Poly, factor: Poly) -> int:
@@ -106,39 +73,20 @@ def section_intersection(left: Section, right: Section) -> int:
     if left == right:
         raise PreconditionError("self-intersection is handled through chi, not P.Q")
     if left.is_zero or right.is_zero:
-        _stratum_pair(right if left.is_zero else left)
-        return 0  # the stratum misses the zero section everywhere
+        return _local_order(left, right, INFINITY)
     if left.model != right.model:
         raise PreconditionError("sections live on different models")
-    xp, yp = _stratum_pair(left)
-    xq, yq = _stratum_pair(right)
-    model = left.model
-    cubic = model.cubic()
-
-    x_diff = xp - xq
-    y_diff = yp - yq
+    total = _local_order(left, right, INFINITY)  # refuses sections off the stratum
+    xp, yp = left.x.as_poly(), left.y.as_poly()
+    x_diff = xp - right.x.as_poly()
+    y_diff = yp - right.y.as_poly()
     locus = y_diff.monic() if x_diff.is_zero() else poly_gcd(x_diff, y_diff)
-    total = 0
     if locus.degree >= 1:
         roots, residual = k_rational_roots(locus)
         for location, _ in roots:
-            total += _local_order(
-                cubic.shift_t(location),
-                xp.shift_argument(location),
-                yp.shift_argument(location),
-                xq.shift_argument(location),
-                yq.shift_argument(location),
-                0,
-            )
+            total += _local_order(left, right, location)
         if residual.degree >= 1:
-            total += _residual_orders(model, residual, yp, x_diff, y_diff)
-
-    # The chart at infinity.
-    mirror = model.at_infinity()
-    mx_p, my_p = xp.reverse(2), yp.reverse(3)
-    mx_q, my_q = xq.reverse(2), yq.reverse(3)
-    if mx_p.eval(ZERO) == mx_q.eval(ZERO) and my_p.eval(ZERO) == my_q.eval(ZERO):
-        total += _local_order(mirror.cubic(), mx_p, my_p, mx_q, my_q, 0)
+            total += _residual_orders(left.model, residual, yp, x_diff, y_diff)
     return total
 
 
@@ -170,15 +118,14 @@ def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
     """The pairing <P, Q> as an exact rational."""
     if left.is_zero or right.is_zero:
         return Fraction(0)
-    chi = Fraction(ctx.chi)
     if left == right:
-        value = 2 * chi + 2 * section_intersection(left, Section.zero(ctx.model))
+        value = 2 * _CHI + 2 * section_intersection(left, Section.zero(ctx.model))
         for fiber in ctx.fibers:
             index = component_index(left, fiber)
             value -= component_contribution(fiber.m_v, index, index)
         return value
     value = (
-        chi
+        _CHI
         + section_intersection(left, Section.zero(ctx.model))
         + section_intersection(right, Section.zero(ctx.model))
         - section_intersection(left, right)

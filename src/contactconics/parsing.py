@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ParseError, PreconditionError
 from .field import FieldElem, ONE, SQRT2, ZERO, I
@@ -195,8 +195,9 @@ class _Parser:
             )
         return self.advance()
 
-    def at_end(self) -> bool:
-        return self.current.kind == "end"
+    def expect_end(self) -> None:
+        if self.current.kind != "end":
+            raise ParseError(f"trailing input at position {self.current.pos}")
 
     def parse_expression(self) -> _Frac:
         value = self.parse_term()
@@ -298,8 +299,7 @@ def parse_field_elem(text: str) -> FieldElem:
     """Read one element of K, e.g. ``3/4 + 1/2*r2 - i*r2``."""
     parser = _Parser(text, ())
     value = parser.parse_expression()
-    if not parser.at_end():
-        raise ParseError(f"trailing input at position {parser.current.pos}")
+    parser.expect_end()
     num = _require_constant_den(value, "a field element")
     return num.constant_value()
 
@@ -308,8 +308,7 @@ def parse_poly(text: str, var: str = "t") -> Poly:
     """Read a univariate polynomial in the named variable."""
     parser = _Parser(text, (var,))
     value = parser.parse_expression()
-    if not parser.at_end():
-        raise ParseError(f"trailing input at position {parser.current.pos}")
+    parser.expect_end()
     return _to_poly(_require_constant_den(value, "a polynomial"))
 
 
@@ -317,8 +316,7 @@ def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
     """Read a rational function in the named variable."""
     parser = _Parser(text, (var,))
     value = parser.parse_expression()
-    if not parser.at_end():
-        raise ParseError(f"trailing input at position {parser.current.pos}")
+    parser.expect_end()
     return _to_ratfunc(value)
 
 
@@ -326,8 +324,7 @@ def parse_bipoly(text: str) -> BiPoly:
     """Read a polynomial in t and x."""
     parser = _Parser(text, ("t", "x"))
     value = parser.parse_expression()
-    if not parser.at_end():
-        raise ParseError(f"trailing input at position {parser.current.pos}")
+    parser.expect_end()
     num = _require_constant_den(value, "a polynomial in t and x")
     cols: dict[int, dict[int, FieldElem]] = {}
     for (et, ex), coeff in num.terms.items():
@@ -348,8 +345,7 @@ def parse_triform(text: str) -> TriForm:
     """Read a homogeneous form in T, X, Z; inhomogeneous input is rejected."""
     parser = _Parser(text, ("T", "X", "Z"))
     value = parser.parse_expression()
-    if not parser.at_end():
-        raise ParseError(f"trailing input at position {parser.current.pos}")
+    parser.expect_end()
     num = _require_constant_den(value, "a form")
     if num.is_zero():
         raise ParseError("the zero form has no degree")
@@ -372,8 +368,7 @@ def parse_point(text: str) -> tuple[FieldElem, FieldElem, FieldElem]:
         if k < 2:
             parser.expect(",")
     parser.expect("]")
-    if not parser.at_end():
-        raise ParseError(f"trailing input at position {parser.current.pos}")
+    parser.expect_end()
     if all(c.is_zero() for c in coords):
         raise ParseError("[0, 0, 0] is not a projective point")
     return coords[0], coords[1], coords[2]
@@ -390,6 +385,5 @@ def parse_section(text: str) -> tuple[RatFunc, RatFunc] | None:
     parser.expect(",")
     second = parser.parse_expression()
     parser.expect(")")
-    if not parser.at_end():
-        raise ParseError(f"trailing input at position {parser.current.pos}")
+    parser.expect_end()
     return _to_ratfunc(first), _to_ratfunc(second)

@@ -7,7 +7,7 @@ located and classified exactly from valuations of the discriminant.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 from .curves import PlaneCurve
 from .errors import (
@@ -29,6 +29,7 @@ from .poly import (
 
 _X_DEGREE_LIMIT = 2
 _Y_DEGREE_LIMIT = 3
+_WALK_LIMIT = 64
 
 
 class _Infinity:
@@ -53,6 +54,7 @@ class WeierstrassModel:
     a2: Poly
     a4: Poly
     a6: Poly
+    _mirror: "WeierstrassModel | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bounds = ((self.a2, 2), (self.a4, 4), (self.a6, 6))
@@ -67,10 +69,6 @@ class WeierstrassModel:
     def cubic(self) -> BiPoly:
         """Right-hand side as a polynomial in (t, x)."""
         return BiPoly((self.a6, self.a4, self.a2, Poly.constant(ONE)))
-
-    def cubic_at(self, location: FieldElem) -> Poly:
-        """Fiber cubic in x over a finite place."""
-        return Poly((self.a6.eval(location), self.a4.eval(location), self.a2.eval(location), ONE))
 
     def discriminant(self) -> Poly:
         """Discriminant of the fiber cubic, as a polynomial in t."""
@@ -87,8 +85,11 @@ class WeierstrassModel:
         return self.a2 * self.a2 * 16 - self.a4 * 48
 
     def at_infinity(self) -> "WeierstrassModel":
-        """Same surface in the chart s = 1/t, (x, y) -> (x/s^2, y/s^3)."""
-        return WeierstrassModel(self.a2.reverse(2), self.a4.reverse(4), self.a6.reverse(6))
+        """Same surface in the chart s = 1/t, (x, y) -> (x/s^2, y/s^3), built once."""
+        if self._mirror is None:
+            mirror = WeierstrassModel(self.a2.reverse(2), self.a4.reverse(4), self.a6.reverse(6))
+            object.__setattr__(self, "_mirror", mirror)
+        return self._mirror
 
     def contains(self, x: RatFunc, y: RatFunc) -> bool:
         rhs = (
@@ -369,20 +370,24 @@ def _blow_up(
     return blown, strict
 
 
-def _polynomial_pair(point: Section) -> tuple[Poly, Poly]:
+def _germ(point: Section, place: FieldElem | _Infinity) -> tuple[BiPoly, Poly, Poly]:
+    """The surface y^2 = cubic(t, x) and the section's (x, y), centred at a place.
+
+    A K-place p moves to t = 0 by t -> t + p.  The chart at t = infinity is
+    s = 1/t, (x, y) -> (s^2 x, s^3 y); a section reaches it only from the
+    stratum deg x <= 2, deg y <= 3, which misses the zero section everywhere.
+    """
     if not (point.x.is_polynomial() and point.y.is_polynomial()):
-        raise UnsupportedSectionError("component walks need polynomial section coordinates")
-    return point.x.as_poly(), point.y.as_poly()
-
-
-def _infinity_pair(point: Section) -> tuple[Poly, Poly]:
-    x, y = _polynomial_pair(point)
-    if x.degree > _X_DEGREE_LIMIT or y.degree > _Y_DEGREE_LIMIT:
-        raise UnsupportedSectionError(
-            "section leaves the polynomial stratum (deg x <= 2, deg y <= 3) "
-            "needed in the chart at infinity"
-        )
-    return x.reverse(2), y.reverse(3)
+        raise UnsupportedSectionError("local fiber geometry needs polynomial section coordinates")
+    x, y = point.x.as_poly(), point.y.as_poly()
+    if isinstance(place, _Infinity):
+        if x.degree > _X_DEGREE_LIMIT or y.degree > _Y_DEGREE_LIMIT:
+            raise UnsupportedSectionError(
+                "section leaves the stratum (deg x <= 2, deg y <= 3) with P.O = 0 "
+                "and a chart at infinity"
+            )
+        return point.model.at_infinity().cubic(), x.reverse(2), y.reverse(3)
+    return point.model.cubic().shift_t(place), x.shift_argument(place), y.shift_argument(place)
 
 
 def _component_walk(
@@ -401,8 +406,10 @@ def _component_walk(
         c2, c1 = exceptional.coeffs[2], exceptional.coeffs[1]
         c0 = exceptional.coeffs[0]
         if (c1 * c1 - c2 * c0 * 4).is_zero():
+            # Two lines y^2 = c2 (x - crossing)^2 meeting at (crossing, 0), so
+            # a1 == crossing forces b = 0.
             crossing = -c1 / (c2 * 2)
-            if a1 == crossing and b.is_zero():
+            if a1 == crossing:
                 return _component_walk(blown, crossing, x1, y1, count, depth + 1)
             branch = b / (a1 - crossing)
             return depth if branch.is_lex_positive() else count - depth
@@ -416,18 +423,37 @@ def component_index(point: Section, fiber: FiberInfo) -> int:
     """Which fiber component the section meets, as a residue mod m_v."""
     if point.is_zero or fiber.m_v == 1:
         return 0
-    if isinstance(fiber.location, _Infinity):
-        work = point.model.at_infinity()
-        xp, yp = _infinity_pair(point)
-        place = ZERO
-    else:
-        work = point.model
-        xp, yp = _polynomial_pair(point)
-        place = fiber.location
-    singular_x = _repeated_root(work.cubic_at(place))
-    if xp.eval(place) != singular_x or not yp.eval(place).is_zero():
+    surface, x, y = _germ(point, fiber.location)
+    singular_x = _repeated_root(surface.eval_t(ZERO))
+    if x.eval(ZERO) != singular_x or not y.eval(ZERO).is_zero():
         return 0
-    surface = work.cubic().shift_t(place)
-    return _component_walk(
-        surface, singular_x, xp.shift_argument(place), yp.shift_argument(place), fiber.m_v, 1
-    )
+    return _component_walk(surface, singular_x, x, y, fiber.m_v, 1)
+
+
+def _meeting_walk(surface: BiPoly, xp: Poly, yp: Poly, xq: Poly, yq: Poly, depth: int) -> int:
+    """Intersection order at t = 0 of two section germs on y^2 = surface(t, x)."""
+    if depth > _WALK_LIMIT:
+        raise IntegrityError("section intersection walk failed to terminate")
+    a = xp.eval(ZERO)
+    b = yp.eval(ZERO)
+    if a != xq.eval(ZERO) or b != yq.eval(ZERO):
+        return 0
+    if not b.is_zero():
+        return (xp - xq).ord_at_zero()
+    if not surface.derivative_x().eval_point(ZERO, a).is_zero():
+        return (yp - yq).ord_at_zero()
+    # The fiber is singular at (a, 0).  A section germ there forces the surface
+    # to be singular too (at t = 0, 2 y y' = F_t + F_x x' reads 0 = F_t), so
+    # pass to strict transforms; _blow_up checks that the centre is singular.
+    blown, [(xi_p, eta_p), (xi_q, eta_q)] = _blow_up(surface, a, (xp, yp), (xq, yq))
+    return _meeting_walk(blown, xi_p, eta_p, xi_q, eta_q, depth + 1)
+
+
+def _local_order(left: Section, right: Section, place: FieldElem | _Infinity) -> int:
+    """Local P.Q at one place, on the smooth model; 0 against the zero section."""
+    if left.is_zero or right.is_zero:
+        _germ(right if left.is_zero else left, INFINITY)
+        return 0  # the stratum misses the zero section everywhere
+    surface, xp, yp = _germ(left, place)
+    _, xq, yq = _germ(right, place)
+    return _meeting_walk(surface, xp, yp, xq, yq, 0)

@@ -66,12 +66,19 @@ def test_group_op_add_matches_difference_relation(capsys):
     code, out, _ = run(capsys, "group-op", "negate", "P3")
     assert code == 0
     assert "x = 1/2*t - 1/2" in out
+    # A section is also given by its coordinates, here -P1.
+    code, out, _ = run(capsys, "group-op", "add", "P1", "(0, -1/4*r2*t*(t - 1))")
+    assert code == 0
+    assert out.splitlines()[-1] == "result = O"
 
 
 def test_height_command(capsys):
     code, out, _ = run(capsys, "height", "P1", "P2")
     assert code == 0
     assert out.strip() == "<P1, P2> = 1/6"
+    code, out, _ = run(capsys, "height", "(0, 1/4*r2*t*(t - 1))", "P2")
+    assert code == 0
+    assert out.strip() == "<(0, 1/4*r2*t*(t - 1)), P2> = 1/6"
 
 
 def test_verify_example_lists_identities(capsys):
@@ -230,6 +237,16 @@ def test_line_through_k_rational_nodes_meets_them_as_nodes(capsys, tmp_path):
     code, out, _ = run(capsys, "fingerprint", "--input", str(path))
     assert code == 0
     assert out.splitlines()[1:] == ["pair (1,4):"] + ["  point mult=2 quartic=node incidence=[]"] * 2
+    # A node on the line at infinity, at [0:1:0].
+    path.write_text("X^2*T^2 - X^2*Z^2 + T^4 + Z^4\nT\n", encoding="utf-8")
+    code, out, _ = run(capsys, "fingerprint", "--input", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "pair (1,4):",
+        "  point mult=1 quartic=smooth incidence=[]",
+        "  point mult=1 quartic=smooth incidence=[]",
+        "  point mult=2 quartic=node incidence=[]",
+    ]
 
 
 def test_integrity_errors_exit_three(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from contactconics import (
+    HeightContext,
     PreconditionError,
     Section,
     UnsupportedSectionError,
@@ -89,6 +90,15 @@ def sections_on(a4: str, a6: str, *coords: tuple[str, str]) -> list[Section]:
     return [Section.from_xy(model, parse_poly(x), parse_poly(y)) for x, y in coords]
 
 
+def test_intersection_needs_two_sections_on_one_model(example):
+    P1 = example.section("P1")
+    with pytest.raises(PreconditionError):
+        section_intersection(P1, P1)
+    (elsewhere,) = sections_on("2*t + t^2 - 3 - (t^2 - 3)^2", "t^2", ("0", "t"))
+    with pytest.raises(PreconditionError):
+        section_intersection(P1, elsewhere)
+
+
 def test_sections_meeting_over_conjugate_places():
     # P and Q meet only where t^2 = 3, transversally on smooth fibers: the
     # two places are conjugate over K, so the count goes through the
@@ -97,6 +107,16 @@ def test_sections_meeting_over_conjugate_places():
         "2*t + t^2 - 3 - (t^2 - 3)^2", "t^2", ("0", "t"), ("t^2 - 3", "t + t^2 - 3")
     )
     assert section_intersection(left, right) == 2
+
+
+def test_section_meets_its_negative_where_y_vanishes_over_conjugate_places():
+    # y = t^2 - 3 vanishes only where t^2 = 3, on smooth fibers: there P and
+    # -P meet at a 2-torsion point of the fiber, once over each place.
+    (P,) = sections_on("0", "(t^2 - 3)^2 - t^3", ("t", "t^2 - 3"))
+    assert section_intersection(P, -P) == 2
+    context = HeightContext.for_model(P.model)
+    assert height(P, P, context) == F(4, 3)
+    assert height(P, -P, context) == -F(4, 3)
 
 
 def test_meeting_over_a_non_rational_singular_fiber_is_refused():
@@ -108,3 +128,43 @@ def test_meeting_over_a_non_rational_singular_fiber_is_refused():
     )
     with pytest.raises(UnsupportedSectionError):
         section_intersection(left, right)
+
+
+def test_sections_meeting_transversally_off_the_two_torsion():
+    # P and Q meet at t = 1 and t = -1, both times at a point with y != 0.
+    left, right = sections_on(
+        "2*t + t^2 - 1 - (t^2 - 1)^2", "t^2", ("0", "t"), ("t^2 - 1", "t + t^2 - 1")
+    )
+    assert section_intersection(left, right) == 2
+
+
+def test_heights_through_i4_and_iv_fibers():
+    model = WeierstrassModel(parse_poly("1"), parse_poly("0"), parse_poly("t^4"))
+    context = HeightContext.for_model(model)
+    P = Section.from_xy(model, parse_poly("i*t^2"), parse_poly("(1/2*r2 - 1/2*i*r2)*t^3"))
+    Q = Section.from_xy(model, parse_poly("r2*t"), parse_poly("r2*t + t^2"))
+    assert height(P, P, context) == 1
+    assert height(Q, Q, context) == F(7, 12)
+    assert height(P, Q, context) == F(1, 2)
+    # P and -P meet at the I4 point and still meet after two blow-ups, on the
+    # far component; Q and -Q meet where y = 0, on the smooth fiber at t = -r2.
+    assert section_intersection(P, -P) == 1
+    assert height(P, -P, context) == -1
+    assert section_intersection(Q, -Q) == 1
+    assert height(Q, -Q, context) == -F(7, 12)
+
+
+def test_two_torsion_through_iii_fibers_has_height_zero():
+    model = WeierstrassModel(parse_poly("0"), parse_poly("t*(t - 1)*(t + 1)*(t - 2)"), parse_poly("0"))
+    torsion = Section.from_xy(model, parse_poly("0"), parse_poly("0"))
+    assert height(torsion, torsion, HeightContext.for_model(model)) == 0
+
+
+def test_intersections_need_the_polynomial_stratum(example):
+    P1 = example.section("P1")
+    off_stratum = 2 * (P1 + example.section("P2"))  # polynomial, x of degree 4
+    for other in (P1, Section.zero(example.model)):
+        with pytest.raises(UnsupportedSectionError, match="stratum"):
+            section_intersection(off_stratum, other)
+        with pytest.raises(UnsupportedSectionError, match="polynomial"):
+            section_intersection(3 * P1, other)

@@ -65,20 +65,28 @@ def test_point_and_section_grammar():
     assert parse_section("O") is None
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "t +",
-        "x^",
-        "[1, 2]",
-        "(t, )",
-        "q + 1",
-        "1//2",
-    ],
-)
-def test_malformed_inputs_raise_parse_error(bad):
-    with pytest.raises(ParseError):
-        parse_point(bad) if bad.startswith("[") else parse_bipoly(bad)
+MALFORMED = [
+    (parse_bipoly, "t +", None),
+    (parse_bipoly, "x^", None),
+    (parse_point, "[1, 2]", None),
+    (parse_bipoly, "(t, )", None),
+    (parse_bipoly, "q + 1", None),
+    (parse_bipoly, "1//2", None),
+    # a complete input followed by more tokens, once per reader
+    (parse_field_elem, "1 2", "trailing input"),
+    (parse_poly, "t t", "trailing input"),
+    (parse_ratfunc, "1/t t", "trailing input"),
+    (parse_bipoly, "x t", "trailing input"),
+    (parse_triform, "T X", "trailing input"),
+    (parse_point, "[1, 2, 3] 4", "trailing input"),
+    (parse_section, "(t, t) t", "trailing input"),
+]
+
+
+@pytest.mark.parametrize("reader, bad, message", MALFORMED, ids=[bad for _, bad, _ in MALFORMED])
+def test_malformed_inputs_raise_parse_error(reader, bad, message):
+    with pytest.raises(ParseError, match=message):
+        reader(bad)
 
 
 def test_variables_are_scoped_per_parser():

@@ -8,6 +8,8 @@ from contactconics import (
     INFINITY,
     PreconditionError,
     Section,
+    UnsupportedSectionError,
+    WeierstrassModel,
     classify_fibers,
     component_index,
     from_quartic,
@@ -164,6 +166,46 @@ def test_component_index_additive_at_i2_fibers(example):
         b = example.section(right)
         expected = (component_index(a, fiber) + component_index(b, fiber)) % fiber.m_v
         assert component_index(a + b, fiber) == expected
+
+
+def section_on(model, x, y):
+    return Section.from_xy(model, parse_poly(x), parse_poly(y))
+
+
+def test_component_walk_through_i4_and_iv_fibers():
+    # At the I4 fiber the first blow-up leaves two lines crossing at a
+    # singular point: Q and -Q land on either line, P on the crossing, where a
+    # second blow-up puts it on the far component.
+    model = WeierstrassModel(parse_poly("1"), parse_poly("0"), parse_poly("t^4"))
+    fibers = classify_fibers(model)
+    assert [str(fiber) for fiber in fibers] == ["I4 at t = 0", "IV at t = inf"]
+    P = section_on(model, "i*t^2", "(1/2*r2 - 1/2*i*r2)*t^3")
+    Q = section_on(model, "r2*t", "r2*t + t^2")
+    assert [component_index(P, fiber) for fiber in fibers] == [2, 0]
+    assert [component_index(Q, fiber) for fiber in fibers] == [1, 1]
+    assert [component_index(-Q, fiber) for fiber in fibers] == [3, 2]
+
+
+def test_component_walk_through_iii_fibers():
+    # At a III fiber one blow-up leaves a smooth parabola.
+    model = WeierstrassModel(parse_poly("0"), parse_poly("t*(t - 1)*(t + 1)*(t - 2)"), parse_poly("0"))
+    fibers = classify_fibers(model)
+    assert [fiber.kodaira for fiber in fibers] == ["III"] * 4
+    torsion = section_on(model, "0", "0")
+    assert [component_index(torsion, fiber) for fiber in fibers] == [1, 1, 1, 1]
+
+
+def test_component_index_needs_the_stratum_only_at_infinity(example):
+    # x has degree 4: the section is polynomial but meets O at t = infinity.
+    section = 2 * (example.section("P1") + example.section("P2"))
+    assert section.x.as_poly().degree == 4
+    fibers = classify_fibers(example.model)
+    finite = [fiber for fiber in fibers if fiber.location is not INFINITY]
+    assert [component_index(section, fiber) for fiber in finite] == [0, 0, 0]
+    with pytest.raises(UnsupportedSectionError, match="stratum"):
+        component_index(section, fibers[-1])
+    with pytest.raises(UnsupportedSectionError, match="polynomial"):
+        component_index(3 * example.section("P1"), finite[0])
 
 
 # -- sections as plane curves ---------------------------------------------------
