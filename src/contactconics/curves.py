@@ -108,26 +108,6 @@ class PlanePoint:
         return f"PlanePoint({self})"
 
 
-# Degree-1 coordinate forms, used to build chart permutations.
-_T_FORM = TriForm(1, {(1, 0, 0): ONE})
-_X_FORM = TriForm(1, {(0, 1, 0): ONE})
-_Z_FORM = TriForm(1, {(0, 0, 1): ONE})
-
-# chart index -> substitution images giving G(t, x, 1) = F(point on that chart)
-_CHART_IMAGES = {
-    2: (_T_FORM, _X_FORM, _Z_FORM),  # (u, v) = (T, X)
-    1: (_T_FORM, _Z_FORM, _X_FORM),  # (u, v) = (T, Z)
-    0: (_Z_FORM, _T_FORM, _X_FORM),  # (u, v) = (X, Z)
-}
-
-
-def _chart_bipoly(form: TriForm, chart: int) -> BiPoly:
-    """Dehomogenize in the chart where the given coordinate equals 1."""
-    if chart == 2:
-        return form.dehomogenize()
-    return form.substitute(_CHART_IMAGES[chart]).dehomogenize()
-
-
 def _local_coords(point: PlanePoint) -> tuple[int, FieldElem, FieldElem]:
     chart = point.chart
     t0, x0, z0 = point.coords
@@ -141,7 +121,7 @@ def _local_coords(point: PlanePoint) -> tuple[int, FieldElem, FieldElem]:
 def _local_at_origin(form: TriForm, point: PlanePoint) -> BiPoly:
     """The curve in an affine chart containing the point, translated to the origin."""
     chart, u0, v0 = _local_coords(point)
-    return _chart_bipoly(form, chart).shift_t(u0).shift_x(v0)
+    return form.dehomogenize(chart).shift_t(u0).shift_x(v0)
 
 
 def _graded_parts(g: BiPoly) -> dict[int, dict[tuple[int, int], FieldElem]]:
@@ -156,12 +136,14 @@ def _graded_parts(g: BiPoly) -> dict[int, dict[tuple[int, int], FieldElem]]:
 class PlaneCurve:
     """Reduced projective plane curve, defined by a square-free TriForm.
 
-    A curve caches its singular points, and in `_pair_cache` its
+    A curve caches its singular points; in `_pair_cache` its
     intersection with each other curve it has been paired with, with the
-    class records refined from it (see `_pair_classes`).
+    class records refined from it (see `_pair_classes`); and in
+    `_probe_cache`, keyed by the shear, its sheared chart as a class probe
+    (see `_sheared_probe`).
     """
 
-    __slots__ = ("form", "_singular_cache", "_pair_cache")
+    __slots__ = ("form", "_singular_cache", "_pair_cache", "_probe_cache")
 
     def __init__(self, form: TriForm):
         if form.is_zero() or form.degree < 1:
@@ -171,6 +153,7 @@ class PlaneCurve:
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_singular_cache", None)
         object.__setattr__(self, "_pair_cache", {})
+        object.__setattr__(self, "_probe_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneCurve is immutable")
@@ -942,9 +925,7 @@ def _refine_classes(
             break
     if not pieces:
         return []
-    probes: list[tuple[int, BiPoly]] = []
-    for comp in others:
-        probes.append((comp.degree, comp.form.dehomogenize().shear_x(shear).swap_vars()))
+    probes = [(comp.degree, _sheared_probe(comp, shear)) for comp in others]
 
     # One pass per probe: split every piece into the part on the probe's
     # component and the cofactor, so afterwards each piece lies wholly on or
@@ -969,3 +950,13 @@ def _refine_classes(
             kind = "off"
         records.append(_ClassRecord(factor.degree, mult, kind, tuple(sorted(incidence))))
     return records
+
+
+def _sheared_probe(curve: PlaneCurve, shear: int) -> BiPoly:
+    """The curve's chart under x -> x + shear*t, with t as the main variable,
+    memoized on the curve by the shear."""
+    probe = curve._probe_cache.get(shear)
+    if probe is None:
+        probe = curve.form.dehomogenize().shear_x(shear).swap_vars()
+        curve._probe_cache[shear] = probe
+    return probe

@@ -5,6 +5,12 @@ r2**2 = 2, i**2 = -1 and (i*r2)**2 = -2, as four integer numerators
 n0..n3 over one positive common denominator d.  One gcd of all five
 integers normalizes the form on construction, so every value is canonical
 and equality is structural.
+
+Most values in this application are rational (n1 = n2 = n3 = 0).  When
+both operands are, sums, differences, products and inverses take a fast
+path: one numerator over one denominator, reduced by a two-argument gcd,
+and a zero result is the shared ZERO.  The result is the same canonical
+element the general formula gives.
 """
 
 from __future__ import annotations
@@ -46,8 +52,10 @@ class FieldElem:
 
     @classmethod
     def from_rational(cls, value: RatLike) -> "FieldElem":
+        if value.__class__ is int:
+            return _rational(value, 1)
         value = _rat(value)
-        return _make(value.numerator, 0, 0, 0, value.denominator)
+        return _rational(value.numerator, value.denominator)
 
     @classmethod
     def coerce(cls, value: ElemLike) -> "FieldElem":
@@ -111,6 +119,10 @@ class FieldElem:
         if other.__class__ is not FieldElem:
             other = FieldElem.coerce(other)
         ad, bd = self.d, other.d
+        if not (self.n1 or self.n2 or self.n3 or other.n1 or other.n2 or other.n3):
+            if ad == bd:
+                return _reduced(self.n0 + other.n0, ad)
+            return _reduced(self.n0 * bd + other.n0 * ad, ad * bd)
         if ad == bd:
             return _make(
                 self.n0 + other.n0, self.n1 + other.n1,
@@ -127,6 +139,10 @@ class FieldElem:
         if other.__class__ is not FieldElem:
             other = FieldElem.coerce(other)
         ad, bd = self.d, other.d
+        if not (self.n1 or self.n2 or self.n3 or other.n1 or other.n2 or other.n3):
+            if ad == bd:
+                return _reduced(self.n0 - other.n0, ad)
+            return _reduced(self.n0 * bd - other.n0 * ad, ad * bd)
         if ad == bd:
             return _make(
                 self.n0 - other.n0, self.n1 - other.n1,
@@ -148,6 +164,8 @@ class FieldElem:
             other = FieldElem.coerce(other)
         a0, a1, a2, a3 = self.n0, self.n1, self.n2, self.n3
         b0, b1, b2, b3 = other.n0, other.n1, other.n2, other.n3
+        if not (a1 or a2 or a3 or b1 or b2 or b3):
+            return _reduced(a0 * b0, self.d * other.d)
         return _make(
             a0 * b0 + 2 * (a1 * b1 - a3 * b3) - a2 * b2,
             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
@@ -189,6 +207,9 @@ class FieldElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         a0, a1, a2, a3, d = self.n0, self.n1, self.n2, self.n3, self.d
+        if not (a1 or a2 or a3):
+            # a0/d is in lowest terms, so d/a0 is too once its sign is moved up
+            return _rational(d, a0) if a0 > 0 else _rational(-d, -a0)
         p, q = self._norm_to_sqrt2()
         return _make(
             d * (a0 * p - 2 * a1 * q),
@@ -291,13 +312,14 @@ _new = object.__new__
 
 def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> FieldElem:
     """The element (n0 + n1*r2 + n2*i + n3*i*r2) / d for d > 0, in lowest terms."""
-    g = gcd(n0, n1, n2, n3, d)
-    if g != 1:
-        n0 //= g
-        n1 //= g
-        n2 //= g
-        n3 //= g
-        d //= g
+    if d != 1:
+        g = gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            n2 //= g
+            n3 //= g
+            d //= g
     elem = _new(FieldElem)
     elem.n0 = n0
     elem.n1 = n1
@@ -305,6 +327,29 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> FieldElem:
     elem.n3 = n3
     elem.d = d
     return elem
+
+
+def _rational(n: int, d: int) -> FieldElem:
+    """The rational n/d for d > 0 and gcd(n, d) == 1."""
+    if not n:
+        return ZERO
+    elem = _new(FieldElem)
+    elem.n0 = n
+    elem.n1 = elem.n2 = elem.n3 = 0
+    elem.d = d
+    return elem
+
+
+def _reduced(n: int, d: int) -> FieldElem:
+    """The rational n/d for d > 0, in lowest terms; the shared ZERO for n == 0."""
+    if not n:
+        return ZERO
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return _rational(n, d)
 
 
 ZERO = FieldElem()

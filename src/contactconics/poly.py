@@ -10,11 +10,20 @@ resultant (Cohen, GTM 138, Alg. 3.3.7).
 
 All degrees appearing in this application are small (at most 12), so the
 dense representation is the simple and adequate choice.
+
+Substitutions are coefficient maps, not compositions.  A chart of a form
+moves each term by its exponents alone (`TriForm.dehomogenize`).  The
+shears x -> x + k*t and shifts x -> x + c of a BiPoly are one translate
+kernel, and the Taylor shift t -> t + c of a Poly uses the same binomial
+rows (`_translate_rows`; von zur Gathen and Gerhard, ISSAC 1997, at these
+degrees the plain binomial form).  `TriForm.eval` reads one table of
+powers per coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .errors import IntegrityError, PreconditionError
@@ -142,10 +151,11 @@ class Poly:
         if self.is_zero() or rhs.is_zero():
             return Poly.zero()
         out = [ZERO] * (len(self.coeffs) + len(rhs.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(rhs.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a:
                 continue
-            for j, b in enumerate(rhs.coeffs):
+            for j, b in right:
                 out[i + j] = out[i + j] + a * b
         return Poly._trusted(out)
 
@@ -181,13 +191,15 @@ class Poly:
         rem = list(self.coeffs)
         inv_lc = divisor.lc.inv()
         d = divisor.degree
-        while len(rem) - 1 >= d and rem:
+        # the top term cancels exactly, so only the nonzero lower terms are subtracted
+        lower = [(j, c) for j, c in enumerate(divisor.coeffs[:-1]) if c]
+        while len(rem) > d:
             k = len(rem) - 1 - d
-            factor = rem[-1] * inv_lc
+            factor = rem.pop() * inv_lc
             quotient[k] = factor
-            for j, c in enumerate(divisor.coeffs):
+            for j, c in lower:
                 rem[k + j] = rem[k + j] - factor * c
-            while rem and rem[-1].is_zero():
+            while rem and not rem[-1]:
                 rem.pop()
         return Poly._trusted(quotient), Poly._trusted(rem)
 
@@ -218,15 +230,18 @@ class Poly:
             acc = acc * p + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
-
     def shift_argument(self, offset: ElemLike) -> "Poly":
-        """p(t + offset)."""
-        return self.compose(Poly((offset, ONE)))
+        """p(t + offset), by the binomial Taylor shift of each term."""
+        c = _elem(offset)
+        if not c or len(self.coeffs) <= 1:
+            return self
+        rows = _translate_rows(c, ZERO, self.degree)
+        out = [ZERO] * len(self.coeffs)
+        for k, a in enumerate(self.coeffs):
+            if a:
+                for p, _r, w in rows[k]:
+                    out[p] = out[p] + a * w
+        return Poly._trusted(out)
 
     def reverse(self, degree: int) -> "Poly":
         """s**degree * p(1/s), for the chart at infinity."""
@@ -304,6 +319,32 @@ def _coeff_str(c: FieldElem, standalone: bool = False) -> str:
     if " " in text and not standalone:
         return f"({text})"
     return text
+
+
+def _translate_rows(
+    c0: FieldElem, c1: FieldElem, n: int
+) -> list[list[tuple[int, int, FieldElem]]]:
+    """The terms of (x + c0 + c1*t)**j for j = 0..n, read from binomial rows.
+
+    rows[j] lists (p, r, w) with (x + c0 + c1*t)**j = sum w * x**p * t**r,
+    where w = C(j, p) * C(j - p, r) * c0**(j - p - r) * c1**r; zero terms
+    are left out.
+    """
+    c0_powers, c1_powers = [ONE], [ONE]
+    for _ in range(n):
+        c0_powers.append(c0_powers[-1] * c0)
+        c1_powers.append(c1_powers[-1] * c1)
+    rows = []
+    for j in range(n + 1):
+        row = []
+        for p in range(j + 1):
+            m = j - p
+            for r in range(m + 1):
+                w = c0_powers[m - r] * c1_powers[r]
+                if w:
+                    row.append((p, r, w * (comb(j, p) * comb(m, r))))
+        rows.append(row)
+    return rows
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -637,11 +678,7 @@ class BiPoly:
 
     def shear_x(self, k: ElemLike) -> "BiPoly":
         """Substitute x -> x + k*t."""
-        shift = BiPoly((Poly((ZERO, _elem(k))), Poly.constant(ONE)))
-        acc = BiPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * shift + BiPoly.from_poly_in_t(c)
-        return acc
+        return self._translate_x(ZERO, _elem(k))
 
     def shift_t(self, offset: ElemLike) -> "BiPoly":
         """Substitute t -> t + offset."""
@@ -649,11 +686,23 @@ class BiPoly:
 
     def shift_x(self, offset: ElemLike) -> "BiPoly":
         """Substitute x -> x + offset."""
-        shift = BiPoly((Poly.constant(_elem(offset)), Poly.constant(ONE)))
-        acc = BiPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * shift + BiPoly.from_poly_in_t(c)
-        return acc
+        return self._translate_x(_elem(offset), ZERO)
+
+    def _translate_x(self, c0: FieldElem, c1: FieldElem) -> "BiPoly":
+        """Substitute x -> x + c0 + c1*t, expanding each term c*t**i*x**j by
+        the binomial terms of (x + c0 + c1*t)**j."""
+        if len(self.coeffs) <= 1 or not (c0 or c1):
+            return self
+        rows = _translate_rows(c0, c1, self.degree_x)
+        width = self.degree_t + len(self.coeffs)
+        out = [[ZERO] * width for _ in self.coeffs]
+        for j, col in enumerate(self.coeffs):
+            for i, a in enumerate(col.coeffs):
+                if a:
+                    for p, r, w in rows[j]:
+                        row = out[p]
+                        row[i + r] = row[i + r] + a * w
+        return BiPoly(Poly._trusted(row) for row in out)
 
     def swap_vars(self) -> "BiPoly":
         """Exchange the roles of t and x."""
@@ -897,10 +946,20 @@ class TriForm:
         return result
 
     def eval(self, point: Sequence[ElemLike]) -> FieldElem:
-        pt, px, pz = (_elem(v) for v in point)
+        """The value at (T, X, Z), from one table of powers per coordinate."""
+        tables = []
+        for value in point:
+            value = _elem(value)
+            powers = [ONE]
+            for _ in range(self.degree):
+                powers.append(powers[-1] * value)
+            tables.append(powers)
+        pt, px, pz = tables
         acc = ZERO
         for (a, b, c), coeff in self.terms.items():
-            acc = acc + coeff * pt**a * px**b * pz**c
+            monomial = pt[a] * px[b] * pz[c]
+            if monomial:
+                acc = acc + coeff * monomial
         return acc
 
     def partial(self, index: int) -> "TriForm":
@@ -941,13 +1000,17 @@ class TriForm:
         }
         return TriForm(self.degree - a0 - b0 - c0, out)
 
-    def dehomogenize(self) -> BiPoly:
-        """Chart Z = 1: the bivariate polynomial in (t, x) = (T/Z, X/Z)."""
+    def dehomogenize(self, chart: int = 2) -> BiPoly:
+        """The chart where coordinate `chart` is 1, in the other two coordinates
+        in order: (t, x) = (T/Z, X/Z) for Z = 1, (T/X, Z/X) for X = 1 and
+        (X/T, Z/T) for T = 1.  Each term moves by its exponents alone.
+        """
         if self.is_zero():
             return BiPoly.zero()
+        u, v = (k for k in range(3) if k != chart)
         cols: dict[int, dict[int, FieldElem]] = {}
-        for (a, b, _c), coeff in self.terms.items():
-            cols.setdefault(b, {})[a] = coeff
+        for key, coeff in self.terms.items():
+            cols.setdefault(key[v], {})[key[u]] = coeff
         max_x = max(cols)
         out = []
         for k in range(max_x + 1):
@@ -987,11 +1050,15 @@ class TriForm:
         return self.scale(self.terms[key].inv())
 
     def is_proportional(self, other: "TriForm") -> bool:
-        if self.degree != other.degree:
+        """Same degree, same support, and a_k * b_p == b_k * a_p for every
+        monomial k against one pivot monomial p."""
+        if self.degree != other.degree or self.terms.keys() != other.terms.keys():
             return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        return self.canonical_scaled() == other.canonical_scaled()
+        if not self.terms:
+            return True
+        pivot = next(iter(self.terms))
+        a_p, b_p = self.terms[pivot], other.terms[pivot]
+        return all(a * b_p == other.terms[k] * a_p for k, a in self.terms.items())
 
     def to_str(self) -> str:
         if self.is_zero():

@@ -2,12 +2,14 @@
 transformation, weak contact certificates, and arrangement fingerprints."""
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactconics import curves
 from contactconics import (
+    ARRANGEMENTS,
     ARRANGEMENT_NAMES,
     BiPoly,
     CASE_B,
@@ -509,3 +511,32 @@ moduli = st.lists(small_elems, min_size=2, max_size=4).map(Poly).filter(lambda p
 @given(st.lists(polys, max_size=5).map(BiPoly), polys, polys, moduli)
 def test_t_on_class_matches_the_direct_expansion(p, s10, s11, modulus):
     assert _t_on_class(p, s10, s11, modulus) == t_on_class_by_expansion(p, s10, s11, modulus)
+
+
+def test_each_sheared_probe_is_built_once_per_component_and_shear(example, monkeypatch):
+    # One arrangements pass refines 27 classes' worth of probes: 9 arrangements,
+    # 3 pairs each, one other component per pair.  They come from 17 distinct
+    # (component, shear) pairs, so only 17 are built.
+    keys = sorted({key for name in ARRANGEMENT_NAMES for key in ARRANGEMENTS[name]})
+    fresh = {key: PlaneCurve(example.curve(key).form) for key in keys}
+    expected = [arrangement_fingerprint(example.arrangement(name)) for name in ARRANGEMENT_NAMES]
+    builds, lookups = [], []
+    shear_x, sheared_probe = BiPoly.shear_x, curves._sheared_probe
+
+    def counting_shear(f, k):
+        if sys._getframe(1).f_code is sheared_probe.__code__:
+            builds.append(k)
+        return shear_x(f, k)
+
+    def counting_probe(curve, shear):
+        lookups.append((curve, shear))
+        return sheared_probe(curve, shear)
+
+    monkeypatch.setattr(BiPoly, "shear_x", counting_shear)
+    monkeypatch.setattr(curves, "_sheared_probe", counting_probe)
+    for name, fingerprint in zip(ARRANGEMENT_NAMES, expected):
+        components = [fresh[key] for key in ARRANGEMENTS[name]]
+        assert arrangement_fingerprint(components).encode() == fingerprint.encode()
+    assert len(lookups) == 27
+    assert len(set(lookups)) == len(builds) == 17
+    assert sum(len(c._probe_cache) for c in fresh.values()) == 17

@@ -115,6 +115,80 @@ def test_mixed_operands_are_canonical(x, k):
     assert hash(FieldElem.from_rational(Fraction(k, 6))) == hash(FieldElem(Fraction(k, 6)))
 
 
+def from_coordinates(n0, n1, n2, n3, d):
+    """(n0 + n1*r2 + n2*i + n3*i*r2) / d, built by the constructor from Fractions."""
+    return FieldElem(*(Fraction(n, d) for n in (n0, n1, n2, n3)))
+
+
+def general_sum(a, b, sign):
+    """The four-coordinate sum (sign 1) or difference (sign -1) over a.d * b.d."""
+    return from_coordinates(
+        *(x * b.d + sign * y * a.d for x, y in zip(
+            (a.n0, a.n1, a.n2, a.n3), (b.n0, b.n1, b.n2, b.n3))),
+        a.d * b.d,
+    )
+
+
+def general_product(a, b):
+    a0, a1, a2, a3 = a.n0, a.n1, a.n2, a.n3
+    b0, b1, b2, b3 = b.n0, b.n1, b.n2, b.n3
+    return from_coordinates(
+        a0 * b0 + 2 * (a1 * b1 - a3 * b3) - a2 * b2,
+        a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+        a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+        a.d * b.d,
+    )
+
+
+def general_inverse(a):
+    a0, a1, a2, a3, d = a.n0, a.n1, a.n2, a.n3, a.d
+    p = a0 * a0 + 2 * a1 * a1 + a2 * a2 + 2 * a3 * a3
+    q = 2 * (a0 * a1 + a2 * a3)
+    return from_coordinates(
+        d * (a0 * p - 2 * a1 * q), d * (a1 * p - a0 * q),
+        d * (2 * a3 * q - a2 * p), d * (a2 * q - a3 * p), p * p - 2 * q * q,
+    )
+
+
+def assert_canonical_and_equal(value, expected):
+    assert value.__class__ is FieldElem
+    assert value.d > 0
+    assert gcd(value.n0, value.n1, value.n2, value.n3, value.d) == 1
+    assert value == expected
+    assert hash(value) == hash(expected)
+
+
+rational_elems = st.builds(FieldElem, rationals)
+small_ints = st.integers(-50, 50)
+# both fast-path branches: rational pairs, int operands on either side, and
+# rational against irrational on either side
+OPERAND_PAIRS = {
+    "rational": (rational_elems, rational_elems),
+    "int-left": (small_ints, st.one_of(rational_elems, elements)),
+    "int-right": (st.one_of(rational_elems, elements), small_ints),
+    "rational-irrational": (rational_elems, elements),
+    "irrational-rational": (elements, rational_elems),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OPERAND_PAIRS))
+@given(data=st.data())
+def test_rational_fast_path_matches_the_general_formula(kind, data):
+    left, right = OPERAND_PAIRS[kind]
+    x, y = data.draw(left), data.draw(right)
+    a, b = FieldElem.coerce(x), FieldElem.coerce(y)
+    assert_canonical_and_equal(a, FieldElem(x) if isinstance(x, int) else x)
+    assert_canonical_and_equal(x + y, general_sum(a, b, 1))
+    assert_canonical_and_equal(x - y, general_sum(a, b, -1))
+    assert_canonical_and_equal(x * y, general_product(a, b))
+    for value in (a, b):
+        if value:
+            assert_canonical_and_equal(value.inv(), general_inverse(value))
+    if a.is_rational() and b.is_rational():
+        assert (a - a) is ZERO and (a * ZERO) is ZERO
+
+
 def test_constants():
     assert ZERO.is_zero()
     assert ONE.as_rational() == 1

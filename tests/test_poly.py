@@ -13,6 +13,7 @@ from contactconics import (
     Poly,
     RatFunc,
     TriForm,
+    ZERO,
     parse_bipoly,
     parse_field_elem,
     parse_poly,
@@ -320,3 +321,156 @@ def test_infinity_form_reads_top_coefficients():
     form = TriForm.homogenize(parse_bipoly("x^2 - t^3"), 3)
     binary = form.infinity_form()
     assert binary.degree == 3
+
+
+# -- substitutions as coefficient maps, against composition oracles ---------------
+
+
+def horner_translate_x(f: BiPoly, c0, c1) -> BiPoly:
+    """Oracle: x -> x + c0 + c1*t by Horner's rule over BiPoly products."""
+    shift = BiPoly((Poly((c0, c1)), Poly.constant(ONE)))
+    acc = BiPoly.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * shift + BiPoly.from_poly_in_t(c)
+    return acc
+
+
+def compose(p: Poly, inner: Poly) -> Poly:
+    """Oracle: p(inner) by Horner's rule over Poly products."""
+    acc = Poly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * inner + Poly.constant(c)
+    return acc
+
+
+def assert_canonical(f: BiPoly):
+    assert not f.coeffs or not f.coeffs[-1].is_zero()
+    for col in f.coeffs:
+        assert col == Poly(col.coeffs)
+
+
+# Elements of K over denominators 1..4, half of them rational.
+digits = st.integers(-6, 6)
+k_elems = st.one_of(
+    st.builds(lambda n, d: FieldElem(Fraction(n, d)), digits, st.integers(1, 4)),
+    st.builds(
+        lambda ns, d: FieldElem(*(Fraction(n, d) for n in ns)),
+        st.tuples(digits, digits, digits, digits), st.integers(1, 4),
+    ),
+)
+k_polys = st.lists(k_elems, max_size=3).map(Poly)
+bipolys = st.lists(k_polys, max_size=5).map(BiPoly)
+shift_values = st.one_of(st.integers(-3, 3), k_elems)
+
+
+@given(bipolys, shift_values, shift_values)
+@settings(deadline=None)
+def test_shears_and_shifts_match_horner_composition(f, k, c):
+    sheared, shifted = f.shear_x(k), f.shift_x(c)
+    assert sheared == horner_translate_x(f, ZERO, FieldElem.coerce(k))
+    assert shifted == horner_translate_x(f, FieldElem.coerce(c), ZERO)
+    both = f._translate_x(FieldElem.coerce(c), FieldElem.coerce(k))
+    assert both == horner_translate_x(f, FieldElem.coerce(c), FieldElem.coerce(k))
+    for result in (sheared, shifted, both):
+        assert_canonical(result)
+
+
+@given(st.lists(k_elems, max_size=6).map(Poly), shift_values, bipolys)
+@settings(deadline=None)
+def test_taylor_shift_matches_composition(p, c, f):
+    line = Poly((c, ONE))
+    shifted = p.shift_argument(c)
+    assert shifted == compose(p, line)
+    assert shifted == Poly(shifted.coeffs)
+    assert f.shift_t(c) == BiPoly(tuple(compose(col, line) for col in f.coeffs))
+
+
+@st.composite
+def triforms(draw, degree=None):
+    """Forms of degree 0..4 with up to five terms, the zero form included."""
+    d = draw(st.integers(0, 4)) if degree is None else degree
+    keys = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=5))
+    return TriForm(d, {key: draw(k_elems) for key in chosen})
+
+
+# (T, X, Z) -> images whose chart Z = 1 is the chart where the coordinate is 1
+CHART_IMAGES = {
+    2: ("T", "X", "Z"),
+    1: ("T", "Z", "X"),
+    0: ("Z", "T", "X"),
+}
+
+
+@given(triforms())
+@settings(deadline=None)
+def test_chart_permutation_matches_substitution(form):
+    for chart, names in CHART_IMAGES.items():
+        images = tuple(parse_triform(name) for name in names)
+        expected = form.substitute(images).dehomogenize()
+        assert form.dehomogenize(chart) == expected
+        assert_canonical(form.dehomogenize(chart))
+
+
+@given(triforms(), st.tuples(shift_values, shift_values, shift_values))
+@settings(deadline=None)
+def test_power_table_eval_matches_per_term_powers(form, point):
+    pt, px, pz = (FieldElem.coerce(v) for v in point)
+    expected = ZERO
+    for (a, b, c), coeff in form.terms.items():
+        expected = expected + coeff * pt**a * px**b * pz**c
+    assert form.eval(point) == expected
+
+
+def proportional_by_canonical_scaling(f: TriForm, g: TriForm) -> bool:
+    """Oracle: equal after dividing each by its lexicographically top coefficient."""
+    if f.degree != g.degree:
+        return False
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    return f.canonical_scaled() == g.canonical_scaled()
+
+
+@st.composite
+def form_pairs(draw):
+    """Rescaled copies, copies with a term moved or dropped, unrelated forms,
+    zero forms and degree mismatches."""
+    f = draw(triforms())
+    kind = draw(st.sampled_from(("scaled", "perturbed", "unrelated", "zero", "degree")))
+    if kind == "scaled":
+        g = f.scale(draw(k_elems.filter(bool)))
+    elif kind == "perturbed" and f.terms:
+        # one coefficient of a rescaled copy moved, so mostly the same support
+        key = draw(st.sampled_from(sorted(f.terms)))
+        g = f.scale(draw(k_elems.filter(bool))) + TriForm(f.degree, {key: draw(k_elems)})
+    elif kind == "zero":
+        g = TriForm(f.degree, {})
+    elif kind == "degree":
+        g = draw(triforms(degree=(f.degree + 1) % 5))
+    else:
+        g = draw(triforms(degree=f.degree))
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@given(form_pairs())
+@settings(deadline=None)
+def test_cross_multiplication_matches_canonical_scaling(pair):
+    f, g = pair
+    assert f.is_proportional(g) == proportional_by_canonical_scaling(f, g)
+    if f.is_proportional(g):
+        assert hash(f.canonical_scaled()) == hash(g.canonical_scaled())
+
+
+def test_is_proportional_edge_cases():
+    f = parse_triform("T^2 - X*Z")
+    zero2, zero3 = TriForm(2, {}), TriForm(3, {})
+    assert f.is_proportional(f.scale(SQRT2 + I))
+    assert not f.is_proportional(parse_triform("T^2 - X*Z + Z^2"))  # wider support
+    assert not f.is_proportional(parse_triform("T^2 - 2*X*Z"))  # same support
+    # proportional on every monomial but the last one checked
+    g = parse_triform("T^2 - X*Z + Z^2")
+    assert not g.is_proportional(parse_triform("2*T^2 - X*Z + Z^2"))
+    assert not parse_triform("2*T^2 - X*Z + Z^2").is_proportional(g)
+    assert not f.is_proportional(zero2) and not zero2.is_proportional(f)
+    assert zero2.is_proportional(zero2) and not zero2.is_proportional(zero3)
+    assert not f.is_proportional(parse_triform("T^2*Z - X*Z^2"))
