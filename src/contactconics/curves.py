@@ -43,6 +43,7 @@ from .poly import (
     k_rational_roots,
     kth_subresultant_coeffs,
     poly_gcd,
+    poly_gcd_many,
     resultant_t,
     squarefree_decomposition,
     subresultant_chain,
@@ -279,95 +280,63 @@ def intersection_multiplicity(f: PlaneCurve, g: PlaneCurve, point: PlanePoint) -
 
 
 def _singular_points(form: TriForm) -> list[tuple[PlanePoint, str]]:
-    records: list[tuple[PlanePoint, str]] = []
-    for point in _affine_singular_points(form):
-        records.append((point, _classify_singular_point(form, point)))
-    for point in _infinity_singular_points(form):
-        records.append((point, _classify_singular_point(form, point)))
+    # The points at infinity come first: their check refuses a curve that
+    # contains Z = 0, and the affine elimination needs directions off it.
+    points = _infinity_singular_points(form) + _affine_singular_points(form)
+    records = [(point, _classify_singular_point(form, point)) for point in points]
     records.sort(key=lambda item: item[0].sort_key())
     return records
 
 
+def _polar_directions(form: TriForm) -> list[tuple[int, int]]:
+    """The first two points [u_t : u_x : 0] off the curve among [0 : 1 : 0],
+    [1 : 0 : 0], [1 : 1 : 0], [1 : -1 : 0], [1 : 2 : 0], ...
+
+    F(T, X, 0) is a nonzero binary form of degree d, so at most d of the
+    first d + 2 candidates lie on the curve.
+    """
+    at_infinity = form.infinity_form()
+    candidates = [(0, 1), (1, 0)]
+    for k in range(1, (form.degree + 1) // 2 + 1):
+        candidates += [(1, k), (1, -k)]
+    return [u for u in candidates if at_infinity.eval((u[0], u[1], 0))][:2]
+
+
 def _affine_singular_points(form: TriForm) -> list[PlanePoint]:
+    """Affine singular points by one Jacobian elimination; those at infinity
+    are the zeros of the gradient there (`_infinity_singular_points`).
+
+    With u, v two points at infinity off the curve, the affine singular
+    points are the common zeros of f and its polars D_u f = u_t*f_t +
+    u_x*f_x and D_v f.  A curve shares no component with its polar from a
+    point off it, line components included, so both resultants in x are
+    nonzero.  The t-coordinates are the K-roots of their gcd, and over each
+    the x-coordinates are the K-roots of the gcd of the three slices; a
+    non-K factor of the gcd goes to `_residual_is_singular`.  So lines
+    through one K-point at infinity, such as T^2 - 3*Z^2 or X^2 - 3*Z^2,
+    are answered (a node at infinity), not refused.
+    """
     f = form.dehomogenize()
-    points: set[PlanePoint] = set()
-    # split off vertical-line (pure-t) and horizontal-line (pure-x) factors:
-    # every point where two of the three pieces meet is singular
-    c_t = f.content_t() if not f.is_zero() else Poly.constant(ONE)
-    pp = BiPoly(tuple(col.exact_div(c_t) for col in f.coeffs))
-    pp_sw = pp.swap_vars()
-    c_x = pp_sw.content_t()
-    qq = BiPoly(tuple(col.exact_div(c_x) for col in pp_sw.coeffs)).swap_vars()
-
-    t_lines = _component_line_roots(c_t, "vertical")
-    x_lines = _component_line_roots(c_x, "horizontal")
-    for t0 in t_lines:
-        for x0 in x_lines:
-            points.add(PlanePoint(t0, x0, ONE))
-    for t0 in t_lines:
-        slice_q = qq.eval_t(t0)
-        if slice_q.degree >= 1:
-            roots, residual = k_rational_roots(slice_q)
-            if residual.degree >= 1:
-                raise NotKRationalError(
-                    "singular point with non-K x-coordinate on a line component"
-                )
-            points.update(PlanePoint(t0, x0, ONE) for x0, _m in roots)
-    for x0 in x_lines:
-        slice_q = qq.eval_x(x0)
-        if slice_q.degree >= 1:
-            roots, residual = k_rational_roots(slice_q)
-            if residual.degree >= 1:
-                raise NotKRationalError(
-                    "singular point with non-K t-coordinate on a line component"
-                )
-            points.update(PlanePoint(t0, x0, ONE) for t0, _m in roots)
-
-    points.update(_core_singular_points(qq))
-    return sorted(points, key=PlanePoint.sort_key)
-
-
-def _component_line_roots(content: Poly, orientation: str) -> list[FieldElem]:
-    if content.degree < 1:
-        return []
-    roots, residual = k_rational_roots(content)
-    if residual.degree >= 1:
-        raise NotKRationalError(
-            f"curve has a {orientation} line component over a non-K value"
-        )
-    return [r for r, _m in roots]
-
-
-def _core_singular_points(qq: BiPoly) -> list[PlanePoint]:
-    """Singular points of the content-free part via Jacobian elimination."""
-    if qq.degree_x < 1 or qq.degree_t < 1:
-        return []
-    q_t = qq.derivative_t()
-    q_x = qq.derivative_x()
-    chain_x = subresultant_chain(qq, q_x)
-    r1 = chain_resultant(chain_x)
-    r2 = chain_resultant(subresultant_chain(qq, q_t))
-    if r1.is_zero() or r2.is_zero():
-        raise IntegrityError("content-free part still shares a factor with a derivative")
-    common = poly_gcd(r1, r2)
-    if common.degree < 1:
-        return []
-    t_roots, residual = k_rational_roots(common)
+    f_t, f_x = form.partial(0), form.partial(1)
+    polars = [
+        (f_t.scale(u_t) + f_x.scale(u_x)).dehomogenize() for u_t, u_x in _polar_directions(form)
+    ]
+    chain_u = subresultant_chain(f, polars[0])
+    r_u = chain_resultant(chain_u)
+    r_v = chain_resultant(subresultant_chain(f, polars[1]))
+    if r_u.is_zero() or r_v.is_zero():
+        raise IntegrityError("a curve shares a component with its polar from a point off it")
+    t_roots, residual = k_rational_roots(poly_gcd(r_u, r_v))
     points: list[PlanePoint] = []
     for t0, _m in t_roots:
-        slices = [p for p in (qq.eval_t(t0), q_x.eval_t(t0), q_t.eval_t(t0)) if not p.is_zero()]
-        g = slices[0]
-        for piece in slices[1:]:
-            g = poly_gcd(g, piece)
-            if g.degree < 1:
-                break
+        g = poly_gcd_many([p.eval_t(t0) for p in (f, *polars)])
         if g.degree < 1:
             continue
         x_roots, x_residual = k_rational_roots(g)
         if x_residual.degree >= 1:
             raise NotKRationalError("singular point with non-K x-coordinate detected")
         points.extend(PlanePoint(t0, x0, ONE) for x0, _mx in x_roots)
-    if residual.degree >= 1 and _residual_is_singular(qq, q_t, chain_x, residual):
+    if residual.degree >= 1 and _residual_is_singular(f, polars[1], chain_u, residual):
         raise NotKRationalError(
             f"possible singular point over the residual factor {residual}"
         )
@@ -375,16 +344,17 @@ def _core_singular_points(qq: BiPoly) -> list[PlanePoint]:
 
 
 def _residual_is_singular(
-    f: BiPoly, f_t: BiPoly, chain_x: list[BiPoly], residual: Poly
+    f: BiPoly, polar_v: BiPoly, chain_u: list[BiPoly], residual: Poly
 ) -> bool:
     """Whether some root of the residual t-factor can support a singular point.
 
     For each square-free residual piece rho, the unique common x of f and
-    f_x over roots of rho is read off the degree-1 subresultant of their
-    chain `chain_x`; the point is singular iff f_t also vanishes there.
-    Degenerate chains are reported as possibly-singular (conservative).
+    its polar D_u f over roots of rho is read off the degree-1 subresultant
+    of their chain `chain_u`; the point is singular iff the other polar D_v f
+    also vanishes there.  Degenerate chains are reported as possibly-singular
+    (conservative).
     """
-    s1 = kth_subresultant_coeffs(chain_x, 1)
+    s1 = kth_subresultant_coeffs(chain_u, 1)
     if s1 is None:
         return True
     s11 = s1.coeff_x(1)
@@ -394,7 +364,7 @@ def _residual_is_singular(
             return True
         if poly_gcd(rho, s11).degree >= 1:
             return True
-        reduced = _t_on_class(f_t, s10, s11, rho)
+        reduced = _t_on_class(polar_v, s10, s11, rho)
         if reduced.is_zero() or poly_gcd(rho, reduced).degree >= 1:
             return True
     return False
@@ -405,10 +375,9 @@ def _infinity_singular_points(form: TriForm) -> list[PlanePoint]:
         raise PreconditionError("curve contains the line at infinity in this frame")
     # Setting Z = 0 commutes with d/dT and d/dX and turns dF/dZ into the
     # coefficient of Z, so the gradient at Z = 0 is read from three partials.
+    # By Euler, d*F(T, X, 0) = T*F_T + X*F_X at Z = 0, so one is nonzero.
     gradient = [form.partial(k).infinity_form() for k in range(3)]
     candidates = [g for g in gradient if not g.is_zero()]
-    if not candidates:
-        return []
     common_points, residual_degree = _binary_common_roots(candidates)
     if residual_degree > 0:
         raise NotKRationalError("possible non-K singular point on the line at infinity")

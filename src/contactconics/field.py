@@ -157,7 +157,7 @@ class FieldElem:
         return FieldElem.coerce(other) - self
 
     def __neg__(self) -> "FieldElem":
-        return _make(-self.n0, -self.n1, -self.n2, -self.n3, self.d)
+        return _canonical(-self.n0, -self.n1, -self.n2, -self.n3, self.d)
 
     def __mul__(self, other: ElemLike) -> "FieldElem":
         if other.__class__ is not FieldElem:
@@ -178,11 +178,11 @@ class FieldElem:
 
     def conj_sqrt2(self) -> "FieldElem":
         """Galois conjugate sending r2 to -r2."""
-        return _make(self.n0, -self.n1, self.n2, -self.n3, self.d)
+        return _canonical(self.n0, -self.n1, self.n2, -self.n3, self.d)
 
     def conj_i(self) -> "FieldElem":
         """Galois conjugate sending i to -i."""
-        return _make(self.n0, self.n1, -self.n2, -self.n3, self.d)
+        return _canonical(self.n0, self.n1, -self.n2, -self.n3, self.d)
 
     def conjugates(self) -> tuple["FieldElem", "FieldElem", "FieldElem", "FieldElem"]:
         """The four Galois conjugates, identity first."""
@@ -320,6 +320,13 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> FieldElem:
             n2 //= g
             n3 //= g
             d //= g
+    return _canonical(n0, n1, n2, n3, d)
+
+
+def _canonical(n0: int, n1: int, n2: int, n3: int, d: int) -> FieldElem:
+    """The element (n0 + n1*r2 + n2*i + n3*i*r2) / d for d > 0 and
+    gcd(n0, n1, n2, n3, d) == 1.  Negation and the conjugations only flip
+    signs of a canonical element's numerators, so they build through here."""
     elem = _new(FieldElem)
     elem.n0 = n0
     elem.n1 = n1

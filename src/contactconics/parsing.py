@@ -326,19 +326,7 @@ def parse_bipoly(text: str) -> BiPoly:
     value = parser.parse_expression()
     parser.expect_end()
     num = _require_constant_den(value, "a polynomial in t and x")
-    cols: dict[int, dict[int, FieldElem]] = {}
-    for (et, ex), coeff in num.terms.items():
-        cols.setdefault(ex, {})[et] = coeff
-    if not cols:
-        return BiPoly.zero()
-    out: list[Poly] = []
-    for k in range(max(cols) + 1):
-        col = cols.get(k, {})
-        coeffs = [ZERO] * ((max(col) + 1) if col else 0)
-        for e, v in col.items():
-            coeffs[e] = v
-        out.append(Poly(coeffs))
-    return BiPoly(out)
+    return BiPoly.from_terms(num.terms.items())
 
 
 def parse_triform(text: str) -> TriForm:

@@ -580,6 +580,21 @@ class BiPoly:
     def variable_x(cls) -> "BiPoly":
         return cls((Poly.zero(), Poly.constant(ONE)))
 
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[tuple[int, int], FieldElem]]) -> "BiPoly":
+        """The sum of c * t**i * x**j over exponent-keyed terms ((i, j), c)."""
+        cols: dict[int, dict[int, FieldElem]] = {}
+        for (i, j), coeff in terms:
+            cols.setdefault(j, {})[i] = coeff
+        out = []
+        for j in range(max(cols, default=-1) + 1):
+            col = cols.get(j, {})
+            coeffs = [ZERO] * (max(col, default=-1) + 1)
+            for i, coeff in col.items():
+                coeffs[i] = coeff
+            out.append(Poly(coeffs))
+        return cls(out)
+
     @property
     def degree_x(self) -> int:
         return len(self.coeffs) - 1
@@ -1005,24 +1020,8 @@ class TriForm:
         in order: (t, x) = (T/Z, X/Z) for Z = 1, (T/X, Z/X) for X = 1 and
         (X/T, Z/T) for T = 1.  Each term moves by its exponents alone.
         """
-        if self.is_zero():
-            return BiPoly.zero()
         u, v = (k for k in range(3) if k != chart)
-        cols: dict[int, dict[int, FieldElem]] = {}
-        for key, coeff in self.terms.items():
-            cols.setdefault(key[v], {})[key[u]] = coeff
-        max_x = max(cols)
-        out = []
-        for k in range(max_x + 1):
-            col = cols.get(k, {})
-            if col:
-                coeffs = [ZERO] * (max(col) + 1)
-                for e, v in col.items():
-                    coeffs[e] = v
-                out.append(Poly(coeffs))
-            else:
-                out.append(Poly.zero())
-        return BiPoly(out)
+        return BiPoly.from_terms(((key[u], key[v]), coeff) for key, coeff in self.terms.items())
 
     @classmethod
     def homogenize(cls, p: BiPoly, degree: int) -> "TriForm":

@@ -186,6 +186,13 @@ def test_quartic_containing_the_line_at_infinity_exits_two(capsys):
     assert "Traceback" not in err and out == ""
 
 
+def test_a_conic_of_two_lines_through_a_k_point_is_not_smooth(capsys):
+    # T^2 - 3*Z^2 is two lines over Q(sqrt(3)) that meet only at [0, 1, 0]
+    code, out, err = run(capsys, "weak-contact", "--conic", "T^2 - 3*Z^2")
+    assert code == 2 and "the conic must be smooth" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,8 @@
 transformation, weak contact certificates, and arrangement fingerprints."""
 
 import dataclasses
+import itertools
+import operator
 import sys
 
 import pytest
@@ -21,6 +23,7 @@ from contactconics import (
     InfiniteMultiplicityError,
     NODE,
     NotKRationalError,
+    OTHER,
     PlaneCurve,
     PlanePoint,
     Poly,
@@ -103,6 +106,78 @@ def test_singular_points_over_a_residual_factor_are_not_k_rational():
     crossing = curve("X^2*Z^4 - (T^3 - 2*Z^3)^2")
     with pytest.raises(NotKRationalError):
         crossing.singular_points()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # two lines over Q(sqrt(3)) through one K-point at infinity
+        ("T^2 - 3*Z^2", [(point("[0, 1, 0]"), NODE)]),
+        ("X^2 - 3*Z^2", [(point("[1, 0, 0]"), NODE)]),
+        ("3*T^2 - 2*T*Z - 2*Z^2", [(point("[0, 1, 0]"), NODE)]),
+        # the gcd of the resultants has the root t = 0, where the slices share no x
+        ("T^2*X + 3*T*Z^2", [(point("[0, 1, 0]"), OTHER)]),
+        # the first polar f_x also meets the curve at the vertical tangent
+        # point (0, 1), over the node's t = 0; the second polar does not
+        (
+            "X^2*(X - Z)^2 - T^2*Z^2 + T*X*Z^2",
+            [(ORIGIN, NODE), (point("[1, 0, 0]"), OTHER)],
+        ),
+        # a residual t-factor whose certificate shows no singular point over it
+        ("3*T*X^2 + Z^3", [(point("[1, 0, 0]"), CUSP)]),
+    ],
+)
+def test_singular_points_of_special_curves(text, expected):
+    assert curve(text).singular_points() == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # crossings at t = +-sqrt(2), x = +-sqrt(3): K-rational t, non-K x
+        ("(T^2 - 2*Z^2)*(X^2 - 3*Z^2)", "non-K x-coordinate"),
+        # crossings (+-sqrt(3), 1): the leading coefficient in x vanishes there
+        ("(X - Z)*(T^2 - 3*Z^2)", "residual factor"),
+        # crossings of x = +-sqrt(-3) with t = +-i*x: the certificate's s11 vanishes there
+        ("(X^2 + 3*Z^2)*(T^2 + X^2)", "residual factor"),
+        # the line x = 0 meets the conic at t = +-1/sqrt(3)
+        ("T*X*(3*T^2 + 2*T*X - Z^2)", "residual factor"),
+        ("(X^2 - 3*T^2 + X*Z)*(X^2 - 3*T^2 + T*Z)", "on the line at infinity"),
+    ],
+)
+def test_non_k_singular_points_are_refused(text, message):
+    with pytest.raises(NotKRationalError, match=message):
+        curve(text).singular_points()
+
+
+def test_a_curve_containing_the_line_at_infinity_is_refused():
+    with pytest.raises(PreconditionError, match="line at infinity"):
+        curve("Z*(X*Z - T^2)").singular_points()
+
+
+LINE_COEFFS = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda c: c[0] or c[1]  # never the line Z = 0
+)
+
+
+@settings(deadline=None)
+@given(st.lists(LINE_COEFFS, min_size=2, max_size=5, unique_by=lambda c: PlanePoint(*c)))
+def test_singular_points_of_lines_are_their_crossings(lines):
+    """Oracle: two lines meet at the cross product of their coefficient
+    vectors; the point is a node where two lines pass and `other` where
+    three or more do."""
+    form = TriForm(0, {(0, 0, 0): 1})
+    for a, b, c in lines:
+        form = form * TriForm(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+    crossings = {}
+    for (a0, a1, a2), (b0, b1, b2) in itertools.combinations(lines, 2):
+        cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        crossings[PlanePoint(*cross)] = cross
+    expected = []
+    for p in sorted(crossings, key=PlanePoint.sort_key):
+        through = sum(1 for line in lines if sum(map(operator.mul, line, crossings[p])) == 0)
+        expected.append((p, NODE if through == 2 else OTHER))
+    assert PlaneCurve(form).singular_points() == expected
 
 
 # -- intersection multiplicity ----------------------------------------------

@@ -1,8 +1,8 @@
 """Case lattices: target heights, short-vector enumeration, pair reports."""
 
 from fractions import Fraction
-from itertools import product
-from math import isqrt, lcm
+from itertools import combinations, product
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +316,52 @@ def test_smith_invariants():
     assert smith_invariants([[2, 4, 4]]) == [2]
     with pytest.raises(PreconditionError):
         smith_invariants([[1, 2], [3]])
+
+
+def test_smith_invariants_fix_up_divisibility_and_swap_columns():
+    # a diagonal form whose entries do not divide each other
+    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
+    # the remainder 6 - 4 = 2 leaves the row, so its column becomes the pivot
+    assert smith_invariants([[4, 6]]) == [2]
+    assert smith_invariants([]) == []
+
+
+def determinant(rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** c * entry * determinant([row[:c] + row[c + 1:] for row in rows[1:]])
+        for c, entry in enumerate(rows[0])
+    )
+
+
+def determinantal_invariants(rows):
+    """Oracle: with d_k the gcd of the k x k minors (d_0 = 1), the invariant
+    factors are d_k / d_(k-1) for every k with d_k != 0."""
+    height, width = len(rows), len(rows[0])
+    divisors = [1]
+    for k in range(1, min(height, width) + 1):
+        d_k = 0
+        for picked_rows in combinations(range(height), k):
+            for picked_cols in combinations(range(width), k):
+                d_k = gcd(d_k, determinant([[rows[r][c] for c in picked_cols] for r in picked_rows]))
+        if d_k == 0:
+            break
+        divisors.append(d_k)
+    return [b // a for a, b in zip(divisors, divisors[1:])]
+
+
+integer_matrices = st.integers(1, 3).flatmap(
+    lambda width: st.lists(
+        st.lists(st.integers(-6, 6), min_size=width, max_size=width), min_size=1, max_size=3
+    )
+)
+
+
+@given(integer_matrices)
+def test_smith_invariants_match_determinantal_divisors(rows):
+    assert smith_invariants(rows) == determinantal_invariants(rows)
 
 
 def test_rank_and_basis_extension():

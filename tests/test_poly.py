@@ -412,6 +412,16 @@ def test_chart_permutation_matches_substitution(form):
         assert_canonical(form.dehomogenize(chart))
 
 
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), k_elems, max_size=6))
+def test_from_terms_matches_a_sum_of_monomials(terms):
+    expected = BiPoly.zero()
+    for (i, j), coeff in terms.items():
+        expected = expected + BiPoly.from_poly_in_t(Poly.constant(coeff).shift_up(i)).shift_x_power(j)
+    built = BiPoly.from_terms(terms.items())
+    assert built == expected
+    assert_canonical(built)
+
+
 @given(triforms(), st.tuples(shift_values, shift_values, shift_values))
 @settings(deadline=None)
 def test_power_table_eval_matches_per_term_powers(form, point):
