@@ -24,8 +24,7 @@ the restricted quartic from its square-free decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InfiniteMultiplicityError,
@@ -530,8 +529,7 @@ def cremona_point(
 # Weak contact
 
 
-@dataclass(frozen=True, slots=True)
-class ContactClass:
+class ContactClass(NamedTuple):
     """One intersection-point class: a square-free factor of the shear resultant."""
 
     factor: str
@@ -539,14 +537,12 @@ class ContactClass:
     multiplicity: int
 
 
-@dataclass(frozen=True, slots=True)
-class InfinityContact:
+class InfinityContact(NamedTuple):
     point: PlanePoint
     multiplicity: int
 
 
-@dataclass(frozen=True, slots=True)
-class ContactCertificate:
+class ContactCertificate(NamedTuple):
     is_weak: bool
     shear: int  # the shear x -> x + shear*t whose subresultant certified the classes
     classes: tuple[ContactClass, ...]
@@ -602,8 +598,7 @@ def _t_on_class(p: BiPoly, s10: Poly, s11: Poly, modulus: Poly) -> Poly:
     return acc
 
 
-@dataclass(frozen=True, slots=True)
-class _PairIntersection:
+class _PairIntersection(NamedTuple):
     """Where two curves meet, from one certified shear.
 
     The affine points are the roots of the resultant of the sheared charts,
@@ -764,8 +759,7 @@ def _line_images(line: PlaneCurve) -> tuple[TriForm, TriForm, TriForm]:
 # Arrangement fingerprints
 
 
-@dataclass(frozen=True, slots=True)
-class _ClassRecord:
+class _ClassRecord(NamedTuple):
     degree: int  # number of points in the class (Galois-orbit size)
     multiplicity: int
     quartic_kind: str

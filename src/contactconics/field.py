@@ -222,9 +222,6 @@ class FieldElem:
     def __truediv__(self, other: ElemLike) -> "FieldElem":
         return self * FieldElem.coerce(other).inv()
 
-    def __rtruediv__(self, other: ElemLike) -> "FieldElem":
-        return FieldElem.coerce(other) * self.inv()
-
     def __pow__(self, exponent: int) -> "FieldElem":
         if exponent < 0:
             return self.inv() ** (-exponent)

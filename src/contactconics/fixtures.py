@@ -11,10 +11,9 @@ IntegrityError naming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, NamedTuple, TypeVar
 
 from .curves import (
     CUSP,
@@ -113,8 +112,7 @@ ARRANGEMENT_NAMES: tuple[str, ...] = tuple(sorted(ARRANGEMENTS))
 SECTION_NAMES: tuple[str, ...] = ("P0", "P1", "P2", "P3")
 
 
-@dataclass(frozen=True)
-class WorkedExample:
+class WorkedExample(NamedTuple):
     """Parsed and verified data of the bundled example."""
 
     conic: PlaneCurve

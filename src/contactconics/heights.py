@@ -9,9 +9,8 @@ not K-rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import IntegrityError, PreconditionError, UnsupportedSectionError
 from .poly import Poly, k_rational_roots, poly_gcd, squarefree_decomposition
@@ -42,8 +41,7 @@ def component_contribution(count: int, i: int, j: int) -> Fraction:
     return Fraction(low * (count - high), count)
 
 
-@dataclass(frozen=True, slots=True)
-class HeightContext:
+class HeightContext(NamedTuple):
     """Model data shared by every height computation."""
 
     model: WeierstrassModel

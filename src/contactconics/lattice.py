@@ -23,11 +23,10 @@ image.  The topological conclusion itself is cited, not re-proved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .curves import arrangement_fingerprint
 from .errors import IntegrityError, PreconditionError
@@ -53,8 +52,7 @@ _TYPE_TABLE: Mapping[int, tuple[int, bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class CaseFiber:
+class CaseFiber(NamedTuple):
     """One reducible fiber of a case configuration.
 
     psi holds the fiber-component indices of the basis sections; it is a
@@ -75,8 +73,7 @@ class CaseFiber:
     psi: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _IntegerLDL:
+class _IntegerLDL(NamedTuple):
     """The LDLᵀ factors of a positive-definite Gram matrix, scaled to integers.
 
     With c_k = sum_{r>k} L[r][k]·x_r, level k of the walk reads the integer
@@ -106,21 +103,27 @@ def _integer_ldl(
     return _IntegerLDL(tuple(scales), tuple(shifts), weights)
 
 
-@dataclass(frozen=True)
 class CaseLattice:
     """Basis, Gram matrix and reducible fibers of one tangent-line case.
 
-    `ldl` holds the integer form of the Gram matrix's LDLᵀ factors, computed
-    once by the positive-definiteness audit and reused by every enumeration.
+    Every audit runs on construction.  `ldl` holds the integer form of the
+    Gram matrix's LDLᵀ factors, computed once by the positive-definiteness
+    audit and reused by every enumeration.
     """
 
-    name: str
-    basis: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    fibers: tuple[CaseFiber, ...]
-    ldl: _IntegerLDL = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "basis", "gram", "fibers", "ldl")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        basis: tuple[str, ...],
+        gram: tuple[tuple[Fraction, ...], ...],
+        fibers: tuple[CaseFiber, ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "fibers", fibers)
         rank = len(self.basis)
         if len(self.gram) != rank or any(len(row) != rank for row in self.gram):
             raise IntegrityError(f"case {self.name}: Gram matrix is not {rank}x{rank}")
@@ -190,6 +193,12 @@ class CaseLattice:
                 f"1/{counts}, one over the product of the fiber component counts"
             )
         object.__setattr__(self, "ldl", _integer_ldl(pivots, lower))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CaseLattice is immutable")
+
+    def __repr__(self) -> str:
+        return f"CaseLattice({self.name})"
 
     @property
     def rank(self) -> int:
@@ -349,15 +358,15 @@ def _short_vectors(ldl: _IntegerLDL, height: Fraction) -> list[tuple[int, ...]]:
     Each vector is reached once, so keeping the ones whose first nonzero
     coordinate is positive keeps one per class.
     """
-    weights = ldl.weights
+    scales, shifts, weights = ldl
     scale = lcm(height.denominator, *(w.denominator for w in weights))
     coefficients = [w.numerator * (scale // w.denominator) for w in weights]
     vector = [0] * len(weights)
     classes: list[tuple[int, ...]] = []
 
     def walk(k: int, remainder: int) -> None:
-        shift = sum(n * vector[r] for r, n in ldl.shifts[k])
-        den, coefficient = ldl.scales[k], coefficients[k]
+        shift = sum(n * vector[r] for r, n in shifts[k])
+        den, coefficient = scales[k], coefficients[k]
         if k == 0:
             for x in _level_roots(remainder, coefficient, den, shift):
                 vector[0] = x
@@ -522,15 +531,13 @@ def extends_to_basis(rows: Sequence[Sequence[int]]) -> bool:
 # Arrangement pair reports
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ZariskiReport:
+class ZariskiReport(NamedTuple):
     """Re-verified lattice hypotheses for one arrangement pair."""
 
     pair_id: str

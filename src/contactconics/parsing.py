@@ -14,9 +14,8 @@ before any expensive arithmetic runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError
 from .field import FieldElem, ONE, SQRT2, ZERO, I
@@ -40,8 +39,7 @@ MAX_PAIR_BEZOUT = 64  # largest product of the degrees of two curves in one arra
 _MAX_LITERAL_DIGITS = len(str(1 << MAX_INTEGER_BITS))
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "name" | an operator character | "end"
     text: str
     pos: int
@@ -143,12 +141,17 @@ class _MultiPoly:
         return result
 
 
-@dataclass(slots=True)
 class _Frac:
     """Numerator/denominator pair; division is deferred to conversion time."""
 
-    num: _MultiPoly
-    den: _MultiPoly
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: _MultiPoly, den: _MultiPoly):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_Frac is immutable")
 
     def __add__(self, other: "_Frac") -> "_Frac":
         return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)

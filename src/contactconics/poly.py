@@ -135,12 +135,6 @@ class Poly:
             out[k] = out[k] - c
         return Poly._trusted(out)
 
-    def __rsub__(self, other) -> "Poly":
-        rhs = Poly._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __neg__(self) -> "Poly":
         return Poly._trusted([-c for c in self.coeffs])
 
@@ -202,9 +196,6 @@ class Poly:
             while rem and not rem[-1]:
                 rem.pop()
         return Poly._trusted(quotient), Poly._trusted(rem)
-
-    def __floordiv__(self, divisor: "Poly") -> "Poly":
-        return self.divmod(divisor)[0]
 
     def __mod__(self, divisor: "Poly") -> "Poly":
         return self.divmod(divisor)[1]
@@ -530,18 +521,6 @@ class RatFunc:
             raise ZeroDivisionError("division by zero rational function")
         return self * RatFunc._reduced(other.den, other.num)
 
-    def scale(self, value: ElemLike) -> "RatFunc":
-        scaled = self.num.scale(value)
-        if scaled.is_zero():
-            return RatFunc._reduced(Poly.zero(), Poly.constant(ONE))
-        return RatFunc._reduced(scaled, self.den)
-
-    def eval(self, point: ElemLike) -> FieldElem:
-        den = self.den.eval(point)
-        if den.is_zero():
-            raise ZeroDivisionError(f"pole at {point}")
-        return self.num.eval(point) / den
-
     def to_str(self, var: str = "t") -> str:
         if self.is_polynomial():
             return self.num.to_str(var)
@@ -652,22 +631,8 @@ class BiPoly:
                 out[i + j] = out[i + j] + a * b
         return BiPoly(out)
 
-    def scale(self, value: ElemLike) -> "BiPoly":
-        return BiPoly(tuple(c.scale(value) for c in self.coeffs))
-
     def scale_poly(self, p: Poly) -> "BiPoly":
         return BiPoly(tuple(c * p for c in self.coeffs))
-
-    def __pow__(self, exponent: int) -> "BiPoly":
-        result = BiPoly.from_poly_in_t(Poly.constant(ONE))
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def eval_t(self, point: ElemLike) -> Poly:
         """Substitute a value for t, leaving a Poly in x."""
@@ -731,9 +696,6 @@ class BiPoly:
 
     def derivative_x(self) -> "BiPoly":
         return BiPoly(tuple(c.scale(k) for k, c in enumerate(self.coeffs) if k))
-
-    def derivative_t(self) -> "BiPoly":
-        return BiPoly(tuple(c.derivative() for c in self.coeffs))
 
     def divide_x_power(self, k: int) -> "BiPoly":
         """Exact division by x**k."""

@@ -7,7 +7,7 @@ located and classified exactly from valuations of the discriminant.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 from .curves import PlaneCurve
 from .errors import (
@@ -47,16 +47,20 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True, slots=True)
 class WeierstrassModel:
-    """y^2 = x^3 + a2 x^2 + a4 x + a6 with polynomial coefficients in t."""
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 with polynomial coefficients in t.
 
-    a2: Poly
-    a4: Poly
-    a6: Poly
-    _mirror: "WeierstrassModel | None" = field(default=None, init=False, repr=False, compare=False)
+    Models are equal when their coefficients are; the `_mirror` cache of
+    `at_infinity` takes no part in equality.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("a2", "a4", "a6", "_mirror")
+
+    def __init__(self, a2: Poly, a4: Poly, a6: Poly):
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "a6", a6)
+        object.__setattr__(self, "_mirror", None)
         bounds = ((self.a2, 2), (self.a4, 4), (self.a6, 6))
         for coeff, bound in bounds:
             if coeff.degree > bound:
@@ -65,6 +69,18 @@ class WeierstrassModel:
                 )
         if self.discriminant().is_zero():
             raise PreconditionError("the discriminant vanishes identically (singular model)")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeierstrassModel is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, WeierstrassModel)
+            and (self.a2, self.a4, self.a6) == (other.a2, other.a4, other.a6)
+        )
+
+    def __repr__(self) -> str:
+        return f"WeierstrassModel(a2={self.a2!r}, a4={self.a4!r}, a6={self.a6!r})"
 
     def cubic(self) -> BiPoly:
         """Right-hand side as a polynomial in (t, x)."""
@@ -122,7 +138,6 @@ def from_quartic(quartic: PlaneCurve) -> WeierstrassModel:
     )
 
 
-@dataclass(frozen=True, slots=True)
 class Section:
     """A section of the surface: the zero section, or (x(t), y(t)) on the model.
 
@@ -137,16 +152,34 @@ class Section:
     operand zero: `2 * P` is one doubling and `1 * P` none.
     """
 
-    model: WeierstrassModel
-    x: RatFunc | None
-    y: RatFunc | None
-    validate: InitVar[bool] = True
+    __slots__ = ("model", "x", "y")
 
-    def __post_init__(self, validate: bool) -> None:
+    def __init__(
+        self,
+        model: WeierstrassModel,
+        x: RatFunc | None,
+        y: RatFunc | None,
+        validate: bool = True,
+    ):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         if (self.x is None) != (self.y is None):
             raise PreconditionError("a section needs both coordinates or neither")
         if validate and self.x is not None and not self.model.contains(self.x, self.y):
             raise PreconditionError("the point does not satisfy the Weierstrass equation")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Section is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Section)
+            and (self.model, self.x, self.y) == (other.model, other.x, other.y)
+        )
+
+    def __repr__(self) -> str:
+        return f"Section(model={self.model!r}, x={self.x!r}, y={self.y!r})"
 
     @classmethod
     def zero(cls, model: WeierstrassModel) -> "Section":
@@ -254,8 +287,7 @@ def plane_curve_to_sections(model: WeierstrassModel, curve: PlaneCurve) -> tuple
     return plus, -plus
 
 
-@dataclass(frozen=True, slots=True)
-class FiberInfo:
+class FiberInfo(NamedTuple):
     """One singular fiber: place, Kodaira symbol, component count, Euler number."""
 
     location: FieldElem | _Infinity
@@ -267,12 +299,17 @@ class FiberInfo:
         return f"{self.kodaira} at t = {self.location}"
 
 
-@dataclass(frozen=True, slots=True)
 class FiberCollection:
     """Reducible/K-rational fibers plus the aggregate Euler mass of the rest."""
 
-    fibers: tuple[FiberInfo, ...]
-    residual_euler: int
+    __slots__ = ("fibers", "residual_euler")
+
+    def __init__(self, fibers: tuple[FiberInfo, ...], residual_euler: int):
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "residual_euler", residual_euler)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiberCollection is immutable")
 
     def __iter__(self):
         return iter(self.fibers)

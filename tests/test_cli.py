@@ -284,6 +284,29 @@ def test_closed_stdout_exits_without_a_traceback():
     assert done.stderr == b""
 
 
+def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
+    # importing and applying dataclasses (which loads inspect) was most of a
+    # cold import; site and .pth hooks may load modules first, so count only
+    # what the import adds
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contactconics.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 # -- fuzzing the command line ---------------------------------------------------
 
 

@@ -1,7 +1,6 @@
 """Plane-curve geometry: singularities, intersection numbers, the quadratic
 transformation, weak contact certificates, and arrangement fingerprints."""
 
-import dataclasses
 import itertools
 import operator
 import sys
@@ -514,7 +513,7 @@ def pair_classes_splitting_every_root(a, b):
         pieces.extend((Poly((-root, 1)), mult) for root, _m in roots)
         if residual.degree >= 1:
             pieces.append((residual, mult))
-    return dataclasses.replace(pair, factors=tuple(pieces)), {}
+    return pair._replace(factors=tuple(pieces)), {}
 
 
 # Quartics with K-rational nodes and a line through two of them, which meets
