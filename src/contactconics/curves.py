@@ -636,9 +636,9 @@ def _pair_intersection(a: PlaneCurve, b: PlaneCurve) -> _PairIntersection:
             continue
         ft = f.shear_x(k)
         gt = g.shear_x(k)
+        # The resultant is never zero: a common component meets Z = 0, and
+        # the pass at infinity above has refused such a pair already.
         resultant, chain = resultant_t(ft, gt)
-        if resultant.is_zero():
-            raise PreconditionError("the curves share a component")
         if resultant.degree + inf_total != bezout:
             raise IntegrityError(
                 f"intersection count audit failed: {resultant.degree} affine + "

@@ -108,10 +108,14 @@ class CaseLattice:
 
     Every audit runs on construction.  `ldl` holds the integer form of the
     Gram matrix's LDLᵀ factors, computed once by the positive-definiteness
-    audit and reused by every enumeration.
+    audit and reused by every enumeration.  The type table is fixed here too:
+    `targets` holds the target height of each of `CONIC_TYPES`, in order (see
+    `target_height`), and the fibers are split into the finite node fibers,
+    the finite cusp fibers and the fibers at infinity the type filter reads.
     """
 
-    __slots__ = ("name", "basis", "gram", "fibers", "ldl")
+    __slots__ = ("name", "basis", "gram", "fibers", "ldl", "targets",
+                 "node_fibers", "cusp_fibers", "infinity_fibers")
 
     def __init__(
         self,
@@ -193,6 +197,23 @@ class CaseLattice:
                 f"1/{counts}, one over the product of the fiber component counts"
             )
         object.__setattr__(self, "ldl", _integer_ldl(pivots, lower))
+        finite = [fiber for fiber in self.fibers if not fiber.at_infinity]
+        nodes = tuple(fiber for fiber in finite if fiber.role == NODE_FIBER)
+        cusps = tuple(fiber for fiber in finite if fiber.role == CUSP_FIBER)
+        infinity = tuple(fiber for fiber in self.fibers if fiber.at_infinity)
+        object.__setattr__(self, "node_fibers", nodes)
+        object.__setattr__(self, "cusp_fibers", cusps)
+        object.__setattr__(self, "infinity_fibers", infinity)
+        targets: list[Fraction | None] = []
+        for conic_type in CONIC_TYPES:
+            nodes_needed, cusp_needed = _TYPE_TABLE[conic_type]
+            height = None
+            if len(nodes) >= nodes_needed and (cusps or not cusp_needed):
+                height = Fraction(2) - Fraction(nodes_needed, 2)
+                if cusp_needed:
+                    height -= Fraction(cusps[0].count - 1, cusps[0].count)
+            targets.append(height)
+        object.__setattr__(self, "targets", tuple(targets))
 
     def __setattr__(self, name, value):
         raise AttributeError("CaseLattice is immutable")
@@ -302,28 +323,13 @@ def target_height(case: CaseLattice, conic_type: int) -> Fraction | None:
     a cusp fiber when it passes through the cusp; a fiber sitting over the
     line at infinity cannot be used because the corresponding section would
     not map to a conic.  Returns None when the case lacks the needed
-    finite fibers.
+    finite fibers.  The case fixes its table of these heights when built.
     """
     if conic_type not in _TYPE_TABLE:
         raise PreconditionError(
             f"unknown conic type {conic_type}; expected 1..6"
         )
-    nodes_needed, cusp_needed = _TYPE_TABLE[conic_type]
-    finite_nodes = [
-        f for f in case.fibers if f.role == NODE_FIBER and not f.at_infinity
-    ]
-    finite_cusps = [
-        f for f in case.fibers if f.role == CUSP_FIBER and not f.at_infinity
-    ]
-    if len(finite_nodes) < nodes_needed:
-        return None
-    if cusp_needed and not finite_cusps:
-        return None
-    height = Fraction(2) - Fraction(nodes_needed, 2)
-    if cusp_needed:
-        count = finite_cusps[0].count
-        height -= Fraction(count - 1, count)
-    return height
+    return case.targets[CONIC_TYPES.index(conic_type)]
 
 
 def enumerate_height_vectors(
@@ -354,31 +360,43 @@ def _short_vectors(ldl: _IntegerLDL, height: Fraction) -> list[tuple[int, ...]]:
     Completeness: every term of Q is >= 0, so a vector of norm H has each
     partial sum sum_{i>=k} e_i·y_i² <= R, and the nested intervals contain
     it.  At the first coordinate the last term must equal what is left, so
-    y_0 is solved for by an exact integer square root instead of scanned.
+    y_0 is solved for by an exact integer square root instead of scanned,
+    inside the loop over x_1 rather than by one more level of the walk.
     Each vector is reached once, so keeping the ones whose first nonzero
     coordinate is positive keeps one per class.
     """
     scales, shifts, weights = ldl
     scale = lcm(height.denominator, *(w.denominator for w in weights))
     coefficients = [w.numerator * (scale // w.denominator) for w in weights]
+    target = height.numerator * (scale // height.denominator)
+    first_den, first_coefficient, first_shifts = scales[0], coefficients[0], shifts[0]
+    if len(weights) == 1:
+        roots = _level_roots(target, first_coefficient, first_den, 0)
+        return sorted((x,) for x in roots if x > 0)
     vector = [0] * len(weights)
     classes: list[tuple[int, ...]] = []
 
     def walk(k: int, remainder: int) -> None:
-        shift = sum(n * vector[r] for r, n in shifts[k])
+        shift = 0
+        for r, n in shifts[k]:
+            shift += n * vector[r]
         den, coefficient = scales[k], coefficients[k]
-        if k == 0:
-            for x in _level_roots(remainder, coefficient, den, shift):
-                vector[0] = x
-                if next(c for c in vector if c) > 0:
-                    classes.append(tuple(vector))
-            return
         for x in _level_range(remainder, coefficient, den, shift):
             vector[k] = x
             y = den * x + shift
-            walk(k - 1, remainder - coefficient * y * y)
+            rest = remainder - coefficient * y * y
+            if k > 1:
+                walk(k - 1, rest)
+                continue
+            first_shift = 0
+            for r, n in first_shifts:
+                first_shift += n * vector[r]
+            for x0 in _level_roots(rest, first_coefficient, first_den, first_shift):
+                vector[0] = x0
+                if next(c for c in vector if c) > 0:
+                    classes.append(tuple(vector))
 
-    walk(len(weights) - 1, height.numerator * (scale // height.denominator))
+    walk(len(weights) - 1, target)
     return sorted(classes)
 
 
@@ -408,18 +426,10 @@ def _psi_value(fiber: CaseFiber, vector: Sequence[int]) -> int:
 
 def _matches_type(case: CaseLattice, vector: Sequence[int], conic_type: int) -> bool:
     nodes_needed, cusp_needed = _TYPE_TABLE[conic_type]
-    nodes_hit = 0
-    cusp_hit = False
-    for fiber in case.fibers:
-        value = _psi_value(fiber, vector)
-        if fiber.at_infinity:
-            if value != 0:
-                return False
-            continue
-        if fiber.role == NODE_FIBER and value != 0:
-            nodes_hit += 1
-        if fiber.role == CUSP_FIBER and value != 0:
-            cusp_hit = True
+    if any(_psi_value(fiber, vector) for fiber in case.infinity_fibers):
+        return False
+    nodes_hit = sum(1 for fiber in case.node_fibers if _psi_value(fiber, vector))
+    cusp_hit = any(_psi_value(fiber, vector) for fiber in case.cusp_fibers)
     return nodes_hit == nodes_needed and cusp_hit == cusp_needed
 
 
@@ -450,56 +460,56 @@ def main_theorem_rows() -> list[tuple[str, tuple[int, ...]]]:
 
 
 def smith_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero invariant factors of an integer matrix, in divisibility order."""
+    """Nonzero invariant factors of an integer matrix, in divisibility order.
+
+    One elimination for every shape.  Each round pivots on an entry p of
+    least absolute value and reduces its column, then its row, once by floor
+    division, leaving remainders a - (a // p)·p of absolute value below |p|.
+    While one is left the pivot row stays in; otherwise the round records |p|
+    and drops the pivot's row and column.
+    """
     work = [list(map(int, row)) for row in rows]
-    if not work or not work[0]:
-        return []
-    height, width = len(work), len(work[0])
-    if any(len(row) != width for row in work):
-        raise PreconditionError("ragged integer matrix")
+    width = len(work[0]) if work else 0
+    for row in work:
+        if len(row) != width:
+            raise PreconditionError("ragged integer matrix")
     invariants: list[int] = []
-    top = 0
-    while top < min(height, width):
-        pivot = min(
-            (
-                (abs(work[r][c]), r, c)
-                for r in range(top, height)
-                for c in range(top, width)
-                if work[r][c] != 0
-            ),
-            default=None,
-        )
-        if pivot is None:
+    while True:
+        least = 0
+        for r, row in enumerate(work):
+            for entry in row:
+                if entry and (not least or abs(entry) < least):
+                    least, r0, p = abs(entry), r, entry
+        if not least:
             break
-        _, r0, c0 = pivot
-        work[top], work[r0] = work[r0], work[top]
+        pivot_row = work[r0]
+        c0 = pivot_row.index(p)
+        left = False
+        for r, row in enumerate(work):
+            if row[c0] and r != r0:
+                q = row[c0] // p
+                row = work[r] = [a - q * b for a, b in zip(row, pivot_row)]
+                if row[c0]:
+                    left = True
+        # reduce the row unless p is already its only nonzero entry
+        if pivot_row.count(0) < width - 1:
+            quotients = [a // p for a in pivot_row]
+            quotients[c0] = 0
+            for r, row in enumerate(work):
+                head = row[c0]
+                if head:
+                    work[r] = [a - q * head for a, q in zip(row, quotients)]
+            left = left or work[r0].count(0) < width - 1
+        if left:
+            continue
+        invariants.append(least)
+        del work[r0]
         for row in work:
-            row[top], row[c0] = row[c0], row[top]
-        while True:
-            for r in range(top + 1, height):
-                while work[r][top]:
-                    q = work[r][top] // work[top][top]
-                    for c in range(top, width):
-                        work[r][c] -= q * work[top][c]
-                    if work[r][top]:
-                        work[top], work[r] = work[r], work[top]
-            for c in range(top + 1, width):
-                while work[top][c]:
-                    q = work[top][c] // work[top][top]
-                    for r in range(top, height):
-                        work[r][c] -= q * work[r][top]
-                    if work[top][c]:
-                        for r in range(top, height):
-                            work[r][top], work[r][c] = work[r][c], work[r][top]
-            column_clean = all(work[r][top] == 0 for r in range(top + 1, height))
-            row_clean = all(work[top][c] == 0 for c in range(top + 1, width))
-            if column_clean and row_clean:
-                break
-        invariants.append(abs(work[top][top]))
-        top += 1
+            del row[c0]
+        width -= 1
     # A diagonal form determines the invariant factors after gcd/lcm
     # normalization into a divisibility chain.
-    changed = True
+    changed = len(invariants) > 1
     while changed:
         changed = False
         for i in range(len(invariants) - 1):
@@ -698,11 +708,12 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
             )
         )
 
+    # read basis extension (see `extends_to_basis`) and rank off the invariants
     invariants = smith_invariants([list(s1_vector), list(s2_vector)])
     checks.append(
         PairCheck(
             f"({s1_name}, {s2_name}) extends to a basis of the section lattice",
-            extends_to_basis([list(s1_vector), list(s2_vector)]),
+            invariants == [1, 1],
             f"Smith invariants {tuple(invariants)}",
         )
     )
@@ -722,7 +733,7 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
         independence_rank = integer_rank([list(s2_vector), list(double_vector)])
     else:
         independent_pair = (s1_name, s2_name)
-        independence_rank = integer_rank([list(s1_vector), list(s2_vector)])
+        independence_rank = len(invariants)
     checks.append(
         PairCheck(
             f"{independent_pair[0]} and {independent_pair[1]} are linearly independent",

@@ -238,6 +238,59 @@ def test_arrangement_sharing_a_component_exits_two(capsys, tmp_path):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "curves",
+    [
+        # the conic X*Z = T^2 is a component of both
+        "X*Z - T^2\nX^2*Z - T^2*X\n",
+        # the line X = T is a component of both
+        "X - T\nX^2 - T*X + X*Z - T*Z\n",
+    ],
+)
+def test_curves_sharing_a_component_are_refused_where_it_meets_infinity(capsys, tmp_path, curves):
+    # A common component meets Z = 0, so the pass at infinity refuses the
+    # pair before any shear, and no resultant of a sheared pair is zero.
+    path = tmp_path / "shared.txt"
+    path.write_text(curves, encoding="utf-8")
+    code, out, err = run(capsys, "fingerprint", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "precondition error: curves share a common component through the point\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ("cremona", "X*Z - T^2", "--input", "{path}"),
+            1,
+            "usage error: give the curve either inline or via --input, not both",
+        ),
+        (("cremona",), 1, "usage error: cremona needs a curve (inline argument or --input file)"),
+        (
+            ("cremona", "X*Z - T^2", "--triangle", "T;X"),
+            1,
+            "usage error: --triangle needs three lines separated by ';'",
+        ),
+        (
+            ("fingerprint", "B11", "--input", "{path}"),
+            1,
+            "usage error: give arrangement names or --input with one curve per line, not both",
+        ),
+        (("fingerprint",), 1, "usage error: fingerprint needs arrangement names or --input"),
+        (
+            ("fingerprint", "--input", "{path}"),
+            2,
+            "precondition error: an arrangement needs at least two curves",
+        ),
+    ],
+)
+def test_refusals_before_any_geometry(capsys, tmp_path, argv, code, message):
+    path = tmp_path / "one-curve.txt"
+    path.write_text("X*Z - T^2\n", encoding="utf-8")
+    argv = [arg.format(path=path) for arg in argv]
+    assert run(capsys, *argv) == (code, "", message + "\n")
+
+
 def test_line_through_k_rational_nodes_meets_them_as_nodes(capsys, tmp_path):
     path = tmp_path / "nodes.txt"
     path.write_text("X^2*Z^2 - (T^2 - 2*Z^2)^2\nX\n", encoding="utf-8")
@@ -284,18 +337,10 @@ def test_closed_stdout_exits_without_a_traceback():
     assert done.stderr == b""
 
 
-def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
-    # importing and applying dataclasses (which loads inspect) was most of a
-    # cold import; site and .pth hooks may load modules first, so count only
-    # what the import adds
+def _fresh_process_output(code):
+    """Standard output of `python -c code` in a fresh process that imports this package."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import contactconics.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
-    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -304,7 +349,34 @@ def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
         timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
+    # importing and applying dataclasses (which loads inspect) was most of a
+    # cold import; site and .pth hooks may load modules first, so count only
+    # what the import adds
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contactconics.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    assert _fresh_process_output(code).strip() == "[]"
+
+
+def test_lattice_only_commands_load_neither_sympy_nor_the_worked_example():
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from contactconics import cli, fixtures\n"
+        "for argv in (['main-theorem'], ['enumerate', '--case', 'I', '--type', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    print(argv[0], 'sympy' in set(sys.modules) - before,\n"
+        "          fixtures.load_worked_example.cache_info().currsize)\n"
+    )
+    assert _fresh_process_output(code).splitlines() == ["main-theorem False 0", "enumerate False 0"]
 
 
 # -- fuzzing the command line ---------------------------------------------------

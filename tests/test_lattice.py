@@ -55,19 +55,19 @@ def test_norms_match_the_gram_data():
 
 
 def test_target_heights():
-    assert target_height(CASE_I, 1) == F(4, 3)
-    assert target_height(CASE_I, 2) == F(3, 2)
-    assert target_height(CASE_I, 3) == F(5, 6)
-    assert target_height(CASE_I, 4) == F(1)
-    assert target_height(CASE_I, 5) == F(1, 3)
-    assert target_height(CASE_I, 6) == F(2)
-    # cases without the needed finite fibers have no target at all
-    for conic_type in (1, 3, 5):
-        assert target_height(CASE_III, conic_type) is None
-    for conic_type in (4, 5):
-        assert target_height(CASE_IV, conic_type) is None
-    with pytest.raises(PreconditionError):
-        target_height(CASE_I, 7)
+    # the whole table, types 1..6 in each case; None where the case lacks a
+    # needed finite node or cusp fiber
+    table = {
+        "I": (F(4, 3), F(3, 2), F(5, 6), F(1), F(1, 3), F(2)),
+        "II": (F(4, 3), F(3, 2), F(5, 6), F(1), F(1, 3), F(2)),
+        "III": (None, F(3, 2), None, F(1), None, F(2)),
+        "IV": (F(4, 3), F(3, 2), F(5, 6), None, None, F(2)),
+    }
+    for name, heights in table.items():
+        assert tuple(target_height(CASES[name], t) for t in range(1, 7)) == heights, name
+    for conic_type in (0, 7):
+        with pytest.raises(PreconditionError):
+            target_height(CASE_I, conic_type)
 
 
 def test_enumeration_is_symmetric_and_canonical():
@@ -152,6 +152,13 @@ def test_non_dominant_gram():
     assert _walk(gram, F(1, 5)) == [(1, -1)]
     for height in (F(1), F(2), F(19, 5), F(38, 5), F(13, 2)):
         assert _walk(gram, height) == _brute_force_classes(gram, height), height
+
+
+def test_rank_one_walk_solves_its_only_coordinate():
+    gram = ((F(1, 2),),)
+    assert _walk(gram, F(2)) == [(2,)]
+    assert _walk(gram, F(1, 2)) == [(1,)]
+    assert _walk(gram, F(1)) == []
 
 
 def test_case_lattices_keep_the_integer_factors_of_their_audit():
@@ -314,16 +321,28 @@ def test_smith_invariants():
     assert smith_invariants([[2, 0, 0], [0, 1, 0]]) == [1, 2]
     assert smith_invariants([[6, 4], [4, 6]]) == [2, 10]
     assert smith_invariants([[2, 4, 4]]) == [2]
-    with pytest.raises(PreconditionError):
-        smith_invariants([[1, 2], [3]])
+    for ragged in ([[1, 2], [3]], [[], [1]]):
+        with pytest.raises(PreconditionError):
+            smith_invariants(ragged)
 
 
-def test_smith_invariants_fix_up_divisibility_and_swap_columns():
+def test_smith_invariants_fix_up_divisibility_and_keep_remainders():
     # a diagonal form whose entries do not divide each other
     assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
-    # the remainder 6 - 4 = 2 leaves the row, so its column becomes the pivot
+    # the remainder 6 - 4 = 2 is left in the pivot row, and pivots the next round
     assert smith_invariants([[4, 6]]) == [2]
+    # the remainder 5 - 3 = 2 is left in the pivot column
+    assert smith_invariants([[3], [5]]) == [1]
     assert smith_invariants([]) == []
+    assert smith_invariants([[]]) == []
+
+
+def test_smith_invariants_of_zero_rows_and_columns():
+    assert smith_invariants([[0, 0], [0, 0]]) == []
+    assert smith_invariants([[0, 3], [0, 6]]) == [3]
+    assert smith_invariants([[0], [0], [-4]]) == [4]
+    assert integer_rank([[0, 3], [0, 6]]) == 1
+    assert not extends_to_basis([[0, 1], [0, 0]])
 
 
 def determinant(rows):
@@ -352,9 +371,9 @@ def determinantal_invariants(rows):
     return [b // a for a, b in zip(divisors, divisors[1:])]
 
 
-integer_matrices = st.integers(1, 3).flatmap(
+integer_matrices = st.integers(1, 4).flatmap(
     lambda width: st.lists(
-        st.lists(st.integers(-6, 6), min_size=width, max_size=width), min_size=1, max_size=3
+        st.lists(st.integers(-12, 12), min_size=width, max_size=width), min_size=1, max_size=4
     )
 )
 
