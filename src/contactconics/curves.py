@@ -12,8 +12,9 @@ multiplicities (the weak-contact condition) is a statement about factor
 multiplicities.  The weak-contact test and the fingerprints read these
 classes from one routine, `_pair_intersection`: it tries a fixed range of
 shears x -> x + k*t and keeps the first whose degree-1 subresultant
-certifies one point per resultant root.  When none does, the input is
-degenerate and is rejected with a PreconditionError.
+certifies one point per resultant root.  When none of them does, the
+pair is refused with a PreconditionError that says only that; for a
+quartic and a smooth conic one always does (see `_MAX_SHEAR`).
 
 Forms restricted to a line are `TriForm`s: the line at infinity is the
 part of a form free of Z, and any other line is reached by substituting
@@ -53,6 +54,17 @@ NODE = "node"
 CUSP = "cusp"
 SMOOTH = "smooth"
 OTHER = "other"
+
+# Conic types 1..6 of a two-node one-cusp quartic: how many nodes the conic
+# passes through and whether it passes through the cusp.
+CONIC_TYPE_TABLE: dict[int, tuple[int, bool]] = {
+    1: (0, True),
+    2: (1, False),
+    3: (1, True),
+    4: (2, False),
+    5: (2, True),
+    6: (0, False),
+}
 
 # Tangent-line cases: simple, bitangent-or-4-fold, through-cusp, through-node.
 CASE_S = "s"
@@ -215,8 +227,6 @@ def _form_is_squarefree(form: TriForm) -> bool:
     if content.degree >= 1 and any(m > 1 for _f, m in squarefree_decomposition(content)):
         return False
     primitive = BiPoly(tuple(c.exact_div(content) for c in g.coeffs))
-    if primitive.degree_x == 0:
-        return True
     # the discriminant is nonzero iff the chain ends in an x-constant
     return subresultant_chain(primitive, primitive.derivative_x())[-1].degree_x == 0
 
@@ -242,8 +252,6 @@ def _fulton(f: BiPoly, g: BiPoly, limit: int) -> int:
     """
     total = 0
     while True:
-        if f.is_zero() or g.is_zero():
-            raise InfiniteMultiplicityError("a zero polynomial meets everything")
         if not f.eval_point(0, 0).is_zero() or not g.eval_point(0, 0).is_zero():
             return total
         a = f.eval_x(0)  # restriction to the line x = 0
@@ -498,9 +506,8 @@ def cremona_transform(
         for j in range(3):
             acc = acc + _SIGMA[j].scale(m[i][j])
         images.append(acc)
+    # the map is dominant, so no nonzero form vanishes under it
     raw = curve.form.substitute(images)
-    if raw.is_zero():
-        raise PreconditionError("curve collapses under the quadratic transformation")
     image = raw.divide_monomial(raw.min_exponents())
     if image.degree > MAX_DEGREE:
         raise PreconditionError(
@@ -655,8 +662,8 @@ def _pair_intersection(a: PlaneCurve, b: PlaneCurve) -> _PairIntersection:
             continue
         return _PairIntersection(infinity, k, factors, s1.coeff_x(0), s11)
     raise PreconditionError(
-        f"no shear x -> x + k*t with |k| <= {_MAX_SHEAR} certifies the intersection: "
-        "a curve contains the line Z = 0, or a common point is singular on both curves"
+        f"no shear x -> x + k*t with |k| <= {_MAX_SHEAR} certifies one common point "
+        "over each root of the resultant"
     )
 
 
@@ -699,17 +706,8 @@ def contact_conic_type(q: PlaneCurve, c: PlaneCurve) -> int:
     cusps = [p for p, kind in records if kind == CUSP]
     if len(nodes) != 2 or len(cusps) != 1:
         raise PreconditionError("conic types require a two-node one-cusp quartic")
-    nodes_on = sum(1 for p in nodes if c.contains(p))
-    cusp_on = c.contains(cusps[0])
-    table = {
-        (0, True): 1,
-        (1, False): 2,
-        (1, True): 3,
-        (2, False): 4,
-        (2, True): 5,
-        (0, False): 6,
-    }
-    return table[(nodes_on, cusp_on)]
+    pattern = (sum(1 for p in nodes if c.contains(p)), c.contains(cusps[0]))
+    return next(t for t, needed in CONIC_TYPE_TABLE.items() if needed == pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,9 @@ class FieldElem:
         For B != 0, X**2 + Y**2 is positive in both real embeddings of Q(r2),
         so it is the root of A**2 + B**2 with positive rational part, the
         one `_real_sqrt` returns; then X**2 = (A + X**2 + Y**2)/2.
+
+        The root returned is lex-positive: its first nonzero coordinate is
+        the positive rational or r2 part of a `_real_sqrt` root.
         """
         if self.is_zero():
             return ZERO

@@ -200,8 +200,6 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
     def guarded(label: str, thunk: Callable[[], _T]) -> _T:
         try:
             value = thunk()
-        except IntegrityError:
-            raise
         except ContactConicsError as exc:
             raise IntegrityError(f"worked example: {label} ({exc})") from exc
         verified.append(label)

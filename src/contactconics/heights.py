@@ -3,8 +3,8 @@
 The pairing is <P, Q> = chi + P.O + Q.O - P.Q - sum_v contr_v(P, Q), with the
 diagonal case <P, P> = 2 chi + 2 P.O - sum_v contr_v(P).  The local terms,
 component indices and P.Q at K-rational places and at infinity, come from the
-blow-up walks in `surface`; this module adds the orders over places that are
-not K-rational.
+one blow-up walk in `surface`; this module adds the orders over places that
+are not K-rational.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def section_intersection(left: Section, right: Section) -> int:
     xp, yp = left.x.as_poly(), left.y.as_poly()
     x_diff = xp - right.x.as_poly()
     y_diff = yp - right.y.as_poly()
-    locus = y_diff.monic() if x_diff.is_zero() else poly_gcd(x_diff, y_diff)
+    locus = poly_gcd(x_diff, y_diff)
     if locus.degree >= 1:
         roots, residual = k_rational_roots(locus)
         for location, _ in roots:

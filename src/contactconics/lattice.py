@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .curves import arrangement_fingerprint
+from .curves import CONIC_TYPE_TABLE as _TYPE_TABLE, arrangement_fingerprint
 from .errors import IntegrityError, PreconditionError
 from .fixtures import ARRANGEMENTS, load_worked_example
 from .heights import _require_positive_definite, component_contribution
@@ -39,17 +39,8 @@ NODE_FIBER = "node"
 CUSP_FIBER = "cusp"
 LINE_FIBER = "line"
 
-# Conic types: how many nodes the conic passes through and whether it
-# passes through the cusp.
-CONIC_TYPES: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-_TYPE_TABLE: Mapping[int, tuple[int, bool]] = {
-    1: (0, True),
-    2: (1, False),
-    3: (1, True),
-    4: (2, False),
-    5: (2, True),
-    6: (0, False),
-}
+# Conic types, in order; `curves.CONIC_TYPE_TABLE` gives the singular points each passes through.
+CONIC_TYPES: tuple[int, ...] = tuple(_TYPE_TABLE)
 
 
 class CaseFiber(NamedTuple):

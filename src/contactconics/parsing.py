@@ -292,10 +292,7 @@ def _to_poly(m: _MultiPoly) -> Poly:
 
 
 def _to_ratfunc(value: _Frac) -> RatFunc:
-    den = _to_poly(value.den)
-    if den.is_zero():
-        raise ParseError("zero denominator")
-    return RatFunc(_to_poly(value.num), den)
+    return RatFunc(_to_poly(value.num), _to_poly(value.den))
 
 
 def parse_field_elem(text: str) -> FieldElem:

@@ -66,10 +66,6 @@ class Poly:
         return cls((value,))
 
     @classmethod
-    def variable(cls) -> "Poly":
-        return cls((ZERO, ONE))
-
-    @classmethod
     def from_roots(cls, roots: Sequence[ElemLike]) -> "Poly":
         result = cls.constant(ONE)
         for root in roots:
@@ -344,12 +340,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         raise PreconditionError("gcd of two zero polynomials")
     # Keeping every remainder monic bounds the coefficients (each is a ratio
     # of subresultants); the raw remainder sequence blows up exponentially.
-    a = p.monic() if not p.is_zero() else p
-    b = q.monic() if not q.is_zero() else q
+    a, b = p.monic(), q.monic()
     while not b.is_zero():
-        a, b = b, a % b
-        if not b.is_zero():
-            b = b.monic()
+        a, b = b, (a % b).monic()
     return a
 
 
@@ -358,7 +351,7 @@ def poly_gcd_many(polys: Sequence[Poly]) -> Poly:
     for p in polys:
         if p.is_zero():
             continue
-        acc = poly_gcd(acc, p) if not acc.is_zero() else p.monic()
+        acc = poly_gcd(acc, p)
         if acc.is_constant():
             break
     if acc.is_zero():
@@ -403,8 +396,6 @@ def poly_is_square(p: Poly) -> Poly | None:
         if mult % 2:
             return None
         root = root * factor ** (mult // 2)
-    if not (root * root == p):
-        return None
     return root
 
 
@@ -486,8 +477,6 @@ class RatFunc:
         left = self.den.exact_div(g)
         right = other.den.exact_div(g)
         num = self.num * right + other.num * left
-        if num.is_zero():
-            return RatFunc._reduced(Poly.zero(), Poly.constant(ONE))
         h = poly_gcd(num, g)
         if h.degree == 0:
             return RatFunc._reduced(num, left * other.den)
@@ -728,39 +717,8 @@ class BiPoly:
         """Monic gcd of the t-coefficients."""
         return poly_gcd_many([c for c in self.coeffs if not c.is_zero()])
 
-    def to_str(self, var_t: str = "t", var_x: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for k in range(self.degree_x, -1, -1):
-            c = self.coeff_x(k)
-            if c.is_zero():
-                continue
-            body = c.to_str(var_t)
-            if k == 0:
-                terms.append(body)
-                continue
-            power = var_x if k == 1 else f"{var_x}^{k}"
-            if c == Poly.constant(ONE):
-                terms.append(power)
-            elif c == Poly.constant(-ONE):
-                terms.append(f"-{power}")
-            else:
-                wrapped = body if (" " not in body and "/" not in body) else f"({body})"
-                terms.append(f"{wrapped}*{power}")
-        out = terms[0]
-        for term in terms[1:]:
-            if term.startswith("-"):
-                out += f" - {term[1:]}"
-            else:
-                out += f" + {term}"
-        return out
-
-    def __str__(self) -> str:
-        return self.to_str()
-
     def __repr__(self) -> str:
-        return f"BiPoly({self.to_str()})"
+        return f"BiPoly({self.coeffs!r})"
 
 
 def bipoly_pseudo_rem(a: BiPoly, b: BiPoly) -> BiPoly:
@@ -897,12 +855,6 @@ class TriForm:
         for key, value in other.terms.items():
             out[key] = out.get(key, ZERO) + value
         return TriForm(self.degree, out)
-
-    def __sub__(self, other: "TriForm") -> "TriForm":
-        return self + (-other)
-
-    def __neg__(self) -> "TriForm":
-        return TriForm(self.degree, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other: "TriForm") -> "TriForm":
         out: dict[tuple[int, int, int], FieldElem] = {}
@@ -1145,11 +1097,7 @@ def _quartic_roots_in_k(factor, t) -> list[FieldElem]:
     extended = sympy.Poly(factor, t, extension=[sympy.sqrt(2), sympy.I])
     for linear, _ in extended.factor_list()[1]:
         if linear.degree() == 1:
-            root_expr = sympy.expand(-linear.nth(0) / linear.nth(1))
-            try:
-                out.append(_from_sympy(root_expr))
-            except ValueError:
-                continue
+            out.append(_from_sympy(sympy.expand(-linear.nth(0) / linear.nth(1))))
     return out
 
 
@@ -1162,7 +1110,8 @@ def _from_sympy(expr) -> FieldElem:
     basis = {1: 0, r2: 1, sympy.I: 2, sympy.I * r2: 3}
     for monom, coeff in expanded.as_coefficients_dict().items():
         if monom not in basis:
-            raise ValueError(f"expression {expr} is not in Q(r2, i)")
+            # the roots of a linear factor over K lie in K
+            raise IntegrityError(f"expression {expr} is not in Q(r2, i)")
         rational = sympy.Rational(coeff)
         coords[basis[monom]] = Fraction(int(rational.p), int(rational.q))
     return FieldElem(*coords)

@@ -37,9 +37,6 @@ class _Infinity:
 
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return "inf"
-
     def __repr__(self) -> str:
         return "inf"
 
@@ -115,9 +112,6 @@ class WeierstrassModel:
             + RatFunc.from_poly(self.a6)
         )
         return (y * y - rhs).is_zero()
-
-    def __str__(self) -> str:
-        return f"y^2 = {self.cubic().to_str()}"
 
 
 def from_quartic(quartic: PlaneCurve) -> WeierstrassModel:
@@ -221,9 +215,6 @@ class Section:
         y3 = -(self.y + slope * (x3 - self.x))
         return Section(self.model, x3, y3, validate=False)
 
-    def __sub__(self, other: "Section") -> "Section":
-        return self + (-other)
-
     def __rmul__(self, count: int) -> "Section":
         if count < 0:
             return (-count) * (-self)
@@ -236,11 +227,6 @@ class Section:
             if count:
                 doubling = doubling + doubling
         return result
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "O"
-        return f"({self.x.to_str()}, {self.y.to_str()})"
 
 
 def section_to_plane_curve(point: Section) -> PlaneCurve:
@@ -259,7 +245,11 @@ def section_to_plane_curve(point: Section) -> PlaneCurve:
 
 
 def plane_curve_to_sections(model: WeierstrassModel, curve: PlaneCurve) -> tuple[Section, Section]:
-    """Lift a curve of the form x = x(t) to its two sections (s+, s-)."""
+    """Lift a curve of the form x = x(t) to its two sections (s+, s-).
+
+    y(s+) has a lex-positive leading coefficient: `poly_is_square` takes it
+    from `FieldElem.sqrt`.
+    """
     chart = curve.form.dehomogenize()
     lead = chart.coeff_x(1)
     if chart.degree_x != 1 or lead.degree != 0:
@@ -281,8 +271,6 @@ def plane_curve_to_sections(model: WeierstrassModel, curve: PlaneCurve) -> tuple
             "the fiber cubic does not evaluate to a square along the curve; "
             "the curve does not lift to sections"
         )
-    if not root.is_zero() and not root.lc.is_lex_positive():
-        root = -root
     plus = Section.from_xy(model, profile, root)
     return plus, -plus
 
@@ -313,9 +301,6 @@ class FiberCollection:
 
     def __iter__(self):
         return iter(self.fibers)
-
-    def __len__(self) -> int:
-        return len(self.fibers)
 
     def __getitem__(self, index: int) -> FiberInfo:
         return self.fibers[index]
@@ -371,42 +356,6 @@ def classify_fibers(model: WeierstrassModel) -> FiberCollection:
     return FiberCollection(tuple(fibers), residual_euler)
 
 
-def _repeated_root(cubic: Poly) -> FieldElem:
-    """The repeated root of a fiber cubic with non-squarefree factorization."""
-    common = poly_gcd(cubic, cubic.derivative())
-    if common.degree < 1:
-        raise IntegrityError("reducible fiber without a repeated Weierstrass root")
-    while common.degree > 1:
-        common = poly_gcd(common, common.derivative())
-    return -common.coeffs[0]
-
-
-def _strict(p: Poly) -> Poly:
-    """Strict transform of a germ through the blow-up centre: exact division by t."""
-    if p.is_zero():
-        return p
-    if not p.coeffs[0].is_zero():
-        raise IntegrityError("strict transform of a curve missing the center")
-    return Poly(p.coeffs[1:])
-
-
-def _blow_up(
-    surface: BiPoly, a: FieldElem, *germs: tuple[Poly, Poly]
-) -> tuple[BiPoly, list[tuple[Poly, Poly]]]:
-    """Blow up y^2 = surface(t, x) once at (t, x, y) = (0, a, 0).
-
-    Substitutes x -> a + t*x1, y -> t*y1 and divides the right-hand side by
-    t^2; each section germ (x(t), y(t)) through the centre becomes its strict
-    transform ((x - a)/t, y/t).
-    """
-    strict = [(_strict(x - a), _strict(y)) for x, y in germs]
-    try:
-        blown = surface.shift_x(a).subs_x_times_t().divide_t_power(2)
-    except ValueError:
-        raise IntegrityError("blow-up centre is not a singular point of the surface") from None
-    return blown, strict
-
-
 def _germ(point: Section, place: FieldElem | _Infinity) -> tuple[BiPoly, Poly, Poly]:
     """The surface y^2 = cubic(t, x) and the section's (x, y), centred at a place.
 
@@ -427,63 +376,63 @@ def _germ(point: Section, place: FieldElem | _Infinity) -> tuple[BiPoly, Poly, P
     return point.model.cubic().shift_t(place), x.shift_argument(place), y.shift_argument(place)
 
 
-def _component_walk(
-    surface: BiPoly, a: FieldElem, x: Poly, y: Poly, count: int, depth: int
-) -> int:
-    """Blow up at (0, a, 0) until the section separates from the fiber's singular point."""
-    if depth > count:
-        raise IntegrityError("component walk exceeded the fiber component count")
-    blown, [(x1, y1)] = _blow_up(surface, a, (x, y))
-    exceptional = blown.eval_t(ZERO)
-    a1 = x1.eval(ZERO)
-    b = y1.eval(ZERO)
-    if exceptional.is_zero():
-        raise IntegrityError("degenerate exceptional locus in component walk")
-    if exceptional.degree == 2:
-        c2, c1 = exceptional.coeffs[2], exceptional.coeffs[1]
-        c0 = exceptional.coeffs[0]
-        if (c1 * c1 - c2 * c0 * 4).is_zero():
-            # Two lines y^2 = c2 (x - crossing)^2 meeting at (crossing, 0), so
-            # a1 == crossing forces b = 0.
-            crossing = -c1 / (c2 * 2)
-            if a1 == crossing:
-                return _component_walk(blown, crossing, x1, y1, count, depth + 1)
-            branch = b / (a1 - crossing)
-            return depth if branch.is_lex_positive() else count - depth
-        return depth  # irreducible exceptional conic
-    if exceptional.degree == 1:
-        return depth  # smooth exceptional parabola
-    return depth if b.is_lex_positive() else count - depth  # two parallel lines
+def _walk(
+    surface: BiPoly, germs: list[tuple[Poly, Poly]], limit: int
+) -> tuple[BiPoly, list[tuple[Poly, Poly]], int]:
+    """Blow up y^2 = surface(t, x) while every germ passes through one point
+    (a, 0) of the fiber t = 0 with F_x(0, a) = 0, a singular point of the fiber.
+
+    Each blow-up substitutes x -> a + t*x1, y -> t*y1 and divides the
+    right-hand side by t^2; each section germ (x(t), y(t)) becomes its strict
+    transform ((x - a)/t, y/t).  A section germ through the point forces the
+    surface to be singular there too (at t = 0, 2 y y' = F_t + F_x x' reads
+    0 = F_t), so the division is exact.  Returns the last surface, the strict
+    germs and the number of blow-ups.
+    """
+    depth = 0
+    while True:
+        a = germs[0][0].eval(ZERO)
+        on_point = all(x.eval(ZERO) == a and y.eval(ZERO).is_zero() for x, y in germs)
+        if not on_point or not surface.derivative_x().eval_point(ZERO, a).is_zero():
+            return surface, germs, depth
+        if depth == limit:
+            raise IntegrityError("blow-up walk exceeded its limit")
+        try:
+            surface = surface.shift_x(a).subs_x_times_t().divide_t_power(2)
+        except ValueError:
+            raise IntegrityError("blow-up centre is not a singular point of the surface") from None
+        # x(0) = a and y(0) = 0, so the strict transforms drop one coefficient
+        germs = [(Poly(x.coeffs[1:]), Poly(y.coeffs[1:])) for x, y in germs]
+        depth += 1
 
 
 def component_index(point: Section, fiber: FiberInfo) -> int:
-    """Which fiber component the section meets, as a residue mod m_v."""
+    """Which fiber component the section meets, as a residue mod m_v.
+
+    The walk leaves the section on the last exceptional locus y^2 = E(x)
+    off its singular points: two lines crossing at (-c1/(2 c2), 0) or two
+    parallel lines y = +-sqrt(c0), where the sign of y picks the branch; or
+    an irreducible conic or a parabola, which is one component.
+    """
     if point.is_zero or fiber.m_v == 1:
         return 0
     surface, x, y = _germ(point, fiber.location)
-    singular_x = _repeated_root(surface.eval_t(ZERO))
-    if x.eval(ZERO) != singular_x or not y.eval(ZERO).is_zero():
+    cubic = surface.eval_t(ZERO)
+    if poly_gcd(cubic, cubic.derivative()).degree < 1:
+        raise IntegrityError("reducible fiber without a repeated Weierstrass root")
+    surface, [(x, y)], depth = _walk(surface, [(x, y)], fiber.m_v)
+    if depth == 0:
         return 0
-    return _component_walk(surface, singular_x, x, y, fiber.m_v, 1)
-
-
-def _meeting_walk(surface: BiPoly, xp: Poly, yp: Poly, xq: Poly, yq: Poly, depth: int) -> int:
-    """Intersection order at t = 0 of two section germs on y^2 = surface(t, x)."""
-    if depth > _WALK_LIMIT:
-        raise IntegrityError("section intersection walk failed to terminate")
-    a = xp.eval(ZERO)
-    b = yp.eval(ZERO)
-    if a != xq.eval(ZERO) or b != yq.eval(ZERO):
-        return 0
-    if not b.is_zero():
-        return (xp - xq).ord_at_zero()
-    if not surface.derivative_x().eval_point(ZERO, a).is_zero():
-        return (yp - yq).ord_at_zero()
-    # The fiber is singular at (a, 0).  A section germ there forces the surface
-    # to be singular too (at t = 0, 2 y y' = F_t + F_x x' reads 0 = F_t), so
-    # pass to strict transforms; _blow_up checks that the centre is singular.
-    blown, [(xi_p, eta_p), (xi_q, eta_q)] = _blow_up(surface, a, (xp, yp), (xq, yq))
-    return _meeting_walk(blown, xi_p, eta_p, xi_q, eta_q, depth + 1)
+    exceptional = surface.eval_t(ZERO)
+    c2, c1, c0 = exceptional.coeff(2), exceptional.coeff(1), exceptional.coeff(0)
+    b = y.eval(ZERO)
+    if exceptional.degree == 2 and (c1 * c1 - c2 * c0 * 4).is_zero():
+        branch = b / (x.eval(ZERO) + c1 / (c2 * 2))
+    elif exceptional.degree == 0:
+        branch = b
+    else:
+        return depth
+    return depth if branch.is_lex_positive() else fiber.m_v - depth
 
 
 def _local_order(left: Section, right: Section, place: FieldElem | _Infinity) -> int:
@@ -493,4 +442,9 @@ def _local_order(left: Section, right: Section, place: FieldElem | _Infinity) ->
         return 0  # the stratum misses the zero section everywhere
     surface, xp, yp = _germ(left, place)
     _, xq, yq = _germ(right, place)
-    return _meeting_walk(surface, xp, yp, xq, yq, 0)
+    _, [(xp, yp), (xq, yq)], _ = _walk(surface, [(xp, yp), (xq, yq)], _WALK_LIMIT)
+    if xp.eval(ZERO) != xq.eval(ZERO) or yp.eval(ZERO) != yq.eval(ZERO):
+        return 0
+    if not yp.eval(ZERO).is_zero():
+        return (xp - xq).ord_at_zero()
+    return (yp - yq).ord_at_zero()

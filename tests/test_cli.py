@@ -291,6 +291,81 @@ def test_refusals_before_any_geometry(capsys, tmp_path, argv, code, message):
     assert run(capsys, *argv) == (code, "", message + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv, curves, code, line",
+    [
+        (("weak-contact", "--conic", "x - x"), None, 2, "precondition error: the zero polynomial does not define a curve"),
+        (("fingerprint", "--input", "{path}"), None, 2, "precondition error: cannot read input file {path}: "),
+        (("weak-contact", "--conic", "x$"), None, 1, "parse error: unexpected character '$' at position 1"),
+        (("weak-contact", "--conic", "x/0"), None, 1, "parse error: division by zero at position 1"),
+        (
+            ("weak-contact", "--conic", "x/t"),
+            None,
+            1,
+            "parse error: a polynomial in t and x must not contain division by a variable expression",
+        ),
+        (("cremona", "T - T"), None, 1, "parse error: the zero form has no degree"),
+        (
+            ("cremona", "X*Z - T^2", "--triangle", "T; X; X*Z - T^2"),
+            None,
+            2,
+            "precondition error: expected a line (degree-1 curve)",
+        ),
+        (
+            ("weak-contact", "--quartic", "X", "--conic", "X*Z - T^2"),
+            None,
+            2,
+            "precondition error: weak contact is defined against a quartic",
+        ),
+        (("weak-contact", "--conic", "T"), None, 2, "precondition error: the contact curve must be a conic"),
+        (
+            ("weak-contact", "--conic", "X^2"),
+            None,
+            2,
+            "precondition error: curve form is not square-free (non-reduced curve)",
+        ),
+        (
+            ("fingerprint", "--input", "{path}"),
+            "T^2 - 3*X^2 + Z^2\nT^2 - 3*X^2 + T*Z\n",
+            2,
+            "precondition error: the curves meet the line at infinity at a non-K-rational point",
+        ),
+        # both curves contain Z = 0, so no form is left at infinity
+        (
+            ("fingerprint", "--input", "{path}"),
+            "Z\nX*Z - T*Z + Z^2\n",
+            2,
+            "precondition error: all binary forms vanish identically",
+        ),
+        # The marks 0, 1, 4, 10, 16, 18, 21, 23 form a complete sparse ruler:
+        # their differences cover 1..23.  The lines X = m*Z meet T = 0 and
+        # T = Z in 16 transversal K-points, and every shear x -> x + k*t with
+        # |k| <= 21 lines up two of them.  Neither curve contains Z = 0 and no
+        # common point is singular on both; the refusal claims neither.
+        (
+            ("fingerprint", "--input", "{path}"),
+            "X*(X - Z)*(X - 4*Z)*(X - 10*Z)*(X - 16*Z)*(X - 18*Z)*(X - 21*Z)*(X - 23*Z)\nT*(T - Z)\n",
+            2,
+            "precondition error: no shear x -> x + k*t with |k| <= 21 certifies one common point "
+            "over each root of the resultant",
+        ),
+        # a bare chart in t and x is the curve x = t^2; the answer goes to stdout
+        (("weak-contact", "--conic", "x - t^2"), None, 0, "conic: x - t^2"),
+    ],
+)
+def test_each_input_is_answered_or_refused_in_one_line(capsys, tmp_path, argv, curves, code, line):
+    path = tmp_path / "curves.txt"
+    if curves is not None:
+        path.write_text(curves, encoding="utf-8")
+    got, out, err = run(capsys, *[arg.format(path=path) for arg in argv])
+    line = line.format(path=path)
+    assert got == code
+    if code == 0:
+        assert err == "" and line in out.splitlines()
+    else:
+        assert out == "" and err.startswith(line) and err.count("\n") == 1
+
+
 def test_line_through_k_rational_nodes_meets_them_as_nodes(capsys, tmp_path):
     path = tmp_path / "nodes.txt"
     path.write_text("X^2*Z^2 - (T^2 - 2*Z^2)^2\nX\n", encoding="utf-8")

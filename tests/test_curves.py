@@ -75,6 +75,16 @@ def lined_up_quartic() -> PlaneCurve:
 # -- singular points ---------------------------------------------------------
 
 
+def test_points_and_curves_refuse_degenerate_input():
+    with pytest.raises(PreconditionError, match=r"\[0, 0, 0\] is not a projective point"):
+        PlanePoint(0, 0, 0)
+    with pytest.raises(PreconditionError, match="a nonzero form of positive degree"):
+        PlaneCurve(TriForm(0, {(0, 0, 0): 1}))
+    # the t-content (t - 1)^2 of the chart (t - 1)^2 * (x + t) is a square
+    with pytest.raises(PreconditionError, match="not square-free"):
+        curve("(T - Z)^2*(X + T)")
+
+
 def test_quartic_singularities(example):
     found = {p: kind for p, kind in example.quartic.singular_points()}
     assert found == {
@@ -245,6 +255,11 @@ def test_point_map_matches_curve_map(example):
     assert cremona_point(example.triangle, example.tangency_point) == example.marked_point
 
 
+def test_point_map_is_undefined_at_a_triangle_vertex(example):
+    with pytest.raises(PreconditionError, match="undefined at a triangle vertex"):
+        cremona_point(example.triangle, point("[0, 1, 1]"))
+
+
 def test_concurrent_triangle_is_rejected():
     with pytest.raises(PreconditionError):
         cremona_transform(CONIC, (curve("T"), curve("X"), curve("T + X")))
@@ -374,6 +389,18 @@ def test_tangent_line_that_is_a_component_is_a_typed_error():
     quartic = curve("X*(X*Z^2 - T^3 + X^3)")
     with pytest.raises(InfiniteMultiplicityError):
         classify_tangent_case(quartic, point("[2, 0, 1]"))
+
+
+def test_tangent_along_t_equal_zero_is_read_through_x_and_z():
+    # T = 0 meets T*Z^3 - X^4 only at [0, 0, 1], with contact 4
+    assert classify_tangent_case(curve("T*Z^3 - X^4"), ORIGIN) == CASE_B
+
+
+def test_tangent_line_needs_a_smooth_point_on_the_curve():
+    with pytest.raises(PreconditionError, match="is not on the curve"):
+        CONIC.tangent_line(point("[1, 0, 1]"))
+    with pytest.raises(PreconditionError, match="is a singular point; no unique tangent line"):
+        curve("X^2*Z - T^2*(T + Z)").tangent_line(ORIGIN)
 
 
 def test_tangent_case_rejects_singular_and_off_curve_points(example):

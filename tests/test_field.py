@@ -215,6 +215,14 @@ def test_coercion_and_rationals():
     assert not I.is_real()
 
 
+def test_only_exact_values_are_elements():
+    with pytest.raises(TypeError, match="not a rational value: 0.5"):
+        FieldElem(0.5)
+    with pytest.raises(ValueError, match="is not rational"):
+        I.as_rational()
+    assert (ONE == "1") is False
+
+
 @given(elements, elements, elements)
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
@@ -273,11 +281,16 @@ def test_square_root_round_trip(a):
     root = square.sqrt()
     assert root is not None
     assert root * root == square
+    assert root.is_zero() or root.is_lex_positive()
 
 
 def test_sqrt_of_non_square_is_none():
     assert FieldElem.from_rational(3).sqrt() is None
     assert (SQRT2 + ONE).sqrt() is None
+    # 1 + 2i: A^2 + B^2 = 5 has no root in Q(r2)
+    assert (ONE + I + I).sqrt() is None
+    # 1 + i: X^2 = (1 + r2)/2 has no root in Q(r2)
+    assert (ONE + I).sqrt() is None
 
 
 def test_pow_negative_exponent():
@@ -290,6 +303,9 @@ def test_str_round_trip_examples():
     for text in ("0", "1", "-3/2", "r2", "i", "1/2*r2*i", "1 + r2 - 2*i"):
         value = parse_field_elem(text)
         assert parse_field_elem(str(value)) == value
+    # hypothesis reprs a filtered strategy's elements only when the filter
+    # rejects a draw, so the repr is pinned here
+    assert repr(ONE + SQRT2) == "FieldElem(1 + r2)"
 
 
 def _to_sympy(value: FieldElem):

@@ -60,6 +60,9 @@ def test_unknown_override_key_is_rejected():
         ("marked_point", "[1, 1, -1]", "image of the tangency point"),
         # a conic that is not the image of the doubled section
         ("conic_0", "8*x - t*(t + 5)", "image of the doubled section of P0"),
+        # a named section or doubling given as the zero section
+        ("section_P2", "O", "section P2 is missing"),
+        ("double_P0", "O", "doubling of P0 is missing"),
     ],
 )
 def test_tampering_raises_named_integrity_errors(field, value, expected_fragment):

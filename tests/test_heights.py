@@ -95,7 +95,7 @@ def test_intersection_needs_two_sections_on_one_model(example):
     with pytest.raises(PreconditionError):
         section_intersection(P1, P1)
     (elsewhere,) = sections_on("2*t + t^2 - 3 - (t^2 - 3)^2", "t^2", ("0", "t"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="sections live on different models"):
         section_intersection(P1, elsewhere)
 
 

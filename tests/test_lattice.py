@@ -52,6 +52,8 @@ def test_norms_match_the_gram_data():
     assert CASE_I.norm((1, -1, 0)) == F(1, 3)
     assert CASE_III.norm((1, 3)) == F(1, 5) + 2 * 3 * F(1, 10) + 9 * F(3, 10)
     assert CASE_IV.norm((0, 2)) == F(1, 3)
+    with pytest.raises(PreconditionError, match="case I expects vectors of length 3"):
+        CASE_I.norm((1, 0))
 
 
 def test_target_heights():
@@ -144,6 +146,11 @@ def test_height_off_the_norm_lattice_has_no_vectors():
 def _walk(gram, height):
     """The enumeration of a bare Gram matrix, factored here as a case lattice factors its own."""
     return _short_vectors(_integer_ldl(*_require_positive_definite(gram, "not positive definite")), height)
+
+
+def test_an_indefinite_gram_matrix_is_refused():
+    with pytest.raises(IntegrityError, match="indefinite"):
+        _require_positive_definite(((F(1), F(2)), (F(2), F(1))), "indefinite")
 
 
 def test_non_dominant_gram():
@@ -427,6 +434,13 @@ def test_reports_after_the_first_run_no_group_law(monkeypatch):
     for pair_id in PAIR_NAMES:
         zariski_pair_report(pair_id)
     assert not additions
+
+
+def test_a_failed_lattice_hypothesis_gives_no_conclusion(monkeypatch):
+    monkeypatch.setattr(lattice, "smith_invariants", lambda rows: [1, 2])
+    report = zariski_pair_report("B11-B21")
+    assert not report.all_lattice_checks_pass
+    assert report.conclusion == "lattice hypotheses FAILED; no conclusion"
 
 
 def test_tampered_section_vector_fails_the_first_report(monkeypatch):

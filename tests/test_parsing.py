@@ -69,6 +69,7 @@ MALFORMED = [
     (parse_bipoly, "t +", None),
     (parse_bipoly, "x^", None),
     (parse_point, "[1, 2]", None),
+    (parse_point, "[0, 0, 0]", r"\[0, 0, 0\] is not a projective point"),
     (parse_bipoly, "(t, )", None),
     (parse_bipoly, "q + 1", None),
     (parse_bipoly, "1//2", None),

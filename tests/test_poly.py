@@ -10,6 +10,7 @@ from contactconics import (
     FieldElem,
     IntegrityError,
     ONE,
+    PreconditionError,
     Poly,
     RatFunc,
     TriForm,
@@ -21,9 +22,11 @@ from contactconics import (
 )
 from contactconics.field import I, SQRT2
 from contactconics.poly import (
+    bipoly_pseudo_rem,
     chain_resultant,
     k_rational_roots,
     poly_gcd,
+    poly_gcd_many,
     poly_is_square,
     resultant_t,
     squarefree_decomposition,
@@ -52,6 +55,56 @@ def test_poly_basics():
     assert p.eval(FieldElem.from_rational(2)).is_zero()
     assert p.derivative() == parse_poly("2*t - 3")
     assert Poly.from_roots([ONE, FieldElem.from_rational(2)]).monic() == p.monic()
+
+
+T_PLUS_ONE = Poly((1, 1))
+X_PLUS_ONE = BiPoly((Poly((1,)), Poly((1,))))
+LINE = TriForm(1, {(1, 0, 0): 1})
+CONIC_FORM = TriForm(2, {(1, 1, 0): 1})
+
+MISUSE = [
+    (lambda: T_PLUS_ONE ** -1, ValueError, "negative polynomial power"),
+    (lambda: T_PLUS_ONE.divmod(Poly.zero()), ZeroDivisionError, "polynomial division by zero"),
+    (lambda: T_PLUS_ONE.exact_div(Poly((0, 1))), ValueError, "division is not exact"),
+    (lambda: parse_poly("t^2").reverse(1), ValueError, "reversal degree below polynomial degree"),
+    (lambda: Poly.zero().ord_at(1), ValueError, "order of the zero polynomial"),
+    (lambda: Poly.zero().ord_at_zero(), ValueError, "order of the zero polynomial"),
+    (lambda: poly_gcd_many([Poly.zero()]), PreconditionError, "gcd of all-zero family"),
+    (lambda: squarefree_decomposition(Poly.zero()), PreconditionError, "square-free decomposition of zero"),
+    (lambda: k_rational_roots(Poly.zero()), PreconditionError, "roots of the zero polynomial"),
+    (lambda: RatFunc(Poly((1,)), T_PLUS_ONE).as_poly(), ValueError, r"\(1\) / \(t \+ 1\) is not polynomial"),
+    (lambda: RatFunc.constant(1) / RatFunc(Poly.zero()), ZeroDivisionError, "division by zero rational function"),
+    (lambda: X_PLUS_ONE.divide_x_power(1), ValueError, "not divisible by the requested x power"),
+    (lambda: X_PLUS_ONE.divide_t_power(1), ValueError, "not divisible by the requested t power"),
+    (lambda: bipoly_pseudo_rem(X_PLUS_ONE, BiPoly.zero()), ZeroDivisionError, "pseudo-division by zero"),
+    (lambda: subresultant_chain(BiPoly.zero(), X_PLUS_ONE), PreconditionError, "chain of a zero polynomial"),
+    (lambda: TriForm(2, {(1, 0, 0): 1}), ValueError, r"monomial \(1, 0, 0\) violates homogeneity of degree 2"),
+    (lambda: LINE + CONIC_FORM, ValueError, "degree mismatch in form addition"),
+    (lambda: LINE.substitute((LINE, LINE, CONIC_FORM)), ValueError, "images must share one degree"),
+    (lambda: TriForm(2, {}).min_exponents(), ValueError, "zero form has no exponent support"),
+    (lambda: TriForm.homogenize(parse_bipoly("t^2"), 1), ValueError, "degree too small to homogenize"),
+    (lambda: T_PLUS_ONE + "t", TypeError, "unsupported operand"),
+    (lambda: T_PLUS_ONE - "t", TypeError, "unsupported operand"),
+    (lambda: T_PLUS_ONE * 0.5, TypeError, "unsupported operand"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", MISUSE, ids=[m for _, _, m in MISUSE])
+def test_calls_outside_the_domain_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_printers_write_zero_and_unit_coefficients():
+    assert Poly.zero().to_str() == "0"
+    assert parse_poly("-t^2 - t").to_str() == "-t^2 - t"
+    assert TriForm(1, {}).to_str() == "0"
+    assert TriForm(0, {(0, 0, 0): 3}).to_str() == "3"
+
+
+def test_poly_is_square_refuses_non_squares():
+    assert poly_is_square(parse_poly("3*t^2")) is None  # 3 is no square in K
+    assert poly_is_square(parse_poly("t^3")) is None  # odd multiplicity
 
 
 @given(polys, polys, polys)

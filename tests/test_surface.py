@@ -6,6 +6,7 @@ import pytest
 
 from contactconics import (
     INFINITY,
+    PlaneCurve,
     PreconditionError,
     Section,
     UnsupportedSectionError,
@@ -15,6 +16,7 @@ from contactconics import (
     from_quartic,
     parse_poly,
     parse_ratfunc,
+    parse_triform,
     plane_curve_to_sections,
     section_to_plane_curve,
 )
@@ -32,6 +34,18 @@ def test_model_read_off_the_quartic(example):
 def test_from_quartic_needs_a_monic_cubic_chart(example):
     with pytest.raises(PreconditionError):
         from_quartic(example.conic)
+
+
+def test_a_model_is_a_rational_surface_with_a_nonzero_discriminant():
+    with pytest.raises(PreconditionError, match="degree 5 exceeds the rational-surface bound 4"):
+        WeierstrassModel(parse_poly("0"), parse_poly("t^5"), parse_poly("1"))
+    with pytest.raises(PreconditionError, match="discriminant vanishes identically"):
+        WeierstrassModel(parse_poly("0"), parse_poly("0"), parse_poly("0"))
+
+
+def test_a_section_needs_both_coordinates_or_neither(model):
+    with pytest.raises(PreconditionError, match="both coordinates or neither"):
+        Section(model, parse_ratfunc("t"), None)
 
 
 def test_sections_satisfy_the_equation(example, model):
@@ -63,6 +77,7 @@ def test_difference_relation(example):
 
 def test_identity_and_inverses(example, model):
     zero = Section.zero(model)
+    assert -zero == zero
     for name in ("P0", "P1", "P2", "P3"):
         section = example.section(name)
         assert section + zero == section
@@ -75,6 +90,13 @@ def test_associativity_on_generators(example):
     sections = [example.section(name) for name in ("P1", "P2", "P3")]
     for a, b, c in itertools.product(sections, repeat=3):
         assert (a + b) + c == a + (b + c)
+
+
+def test_sections_on_different_models_do_not_add(example):
+    model = WeierstrassModel(parse_poly("0"), parse_poly("0"), parse_poly("t^2"))
+    elsewhere = Section.from_xy(model, parse_poly("0"), parse_poly("t"))
+    with pytest.raises(PreconditionError, match="sections live on different models"):
+        example.section("P1") + elsewhere
 
 
 def repeated_sums(section, limit):
@@ -169,6 +191,31 @@ def test_component_index_additive_at_i2_fibers(example):
         assert component_index(a + b, fiber) == expected
 
 
+def test_type_ii_fibers_are_located_and_counted():
+    # six cusps y^2 = x^3 + c*(t - k) at t = k, and a smooth fiber at infinity
+    model = WeierstrassModel(
+        parse_poly("0"), parse_poly("0"), parse_poly("t*(t - 1)*(t - 2)*(t - 3)*(t - 4)*(t - 5)")
+    )
+    fibers = classify_fibers(model)
+    assert [str(fiber) for fiber in fibers] == [f"II at t = {k}" for k in range(6)]
+    assert [(fiber.m_v, fiber.euler) for fiber in fibers] == [(1, 2)] * 6
+    assert fibers.residual_euler == 0
+
+
+def test_a_fiber_outside_the_supported_types_is_refused():
+    # y^2 = x^3 + t^3 has an I0* fiber at t = 0: ord delta = 6 and c4 = 0
+    model = WeierstrassModel(parse_poly("0"), parse_poly("0"), parse_poly("t^3"))
+    with pytest.raises(PreconditionError, match="outside the supported types I_n, II, III, IV"):
+        classify_fibers(model)
+
+
+def test_a_reducible_fiber_at_a_place_outside_k_is_refused():
+    # y^2 = x (x - 1) (x - t^2 + 3) has I2 fibers at t = +-sqrt(3)
+    model = WeierstrassModel(parse_poly("2 - t^2"), parse_poly("t^2 - 3"), parse_poly("0"))
+    with pytest.raises(PreconditionError, match="a reducible fiber sits at a non-K-rational place"):
+        classify_fibers(model)
+
+
 def section_on(model, x, y):
     return Section.from_xy(model, parse_poly(x), parse_poly(y))
 
@@ -223,6 +270,28 @@ def test_section_curve_round_trip(example, model):
 def test_zero_section_has_no_chart_curve(example, model):
     with pytest.raises(PreconditionError):
         section_to_plane_curve(Section.zero(model))
+
+
+def test_sections_off_the_line_and_conic_stratum_have_no_chart_curve(example):
+    P1, P2 = example.section("P1"), example.section("P2")
+    with pytest.raises(UnsupportedSectionError, match="x-coordinate is not polynomial"):
+        section_to_plane_curve(3 * P1)
+    with pytest.raises(UnsupportedSectionError, match="x-degree 4 exceeds the line/conic stratum"):
+        section_to_plane_curve(2 * (P1 + P2))
+
+
+@pytest.mark.parametrize(
+    "form, message",
+    [
+        ("T - Z", "not of the form x = x\\(t\\)"),
+        ("X*Z - T*Z", "contains the line at infinity"),
+        ("X*Z^2 - T^3", "degree 3 is beyond the conic stratum"),
+        ("X - 5*Z", "does not evaluate to a square along the curve"),
+    ],
+)
+def test_curves_that_do_not_lift_to_sections_are_refused(model, form, message):
+    with pytest.raises(PreconditionError, match=message):
+        plane_curve_to_sections(model, PlaneCurve(parse_triform(form)))
 
 
 def test_line_and_conic_images_match_fixture_curves(example):

@@ -23,6 +23,12 @@ TYPE_NAMES = [
     "PairCheck",
     "_Token",
     "_Frac",
+    "Poly",
+    "RatFunc",
+    "BiPoly",
+    "TriForm",
+    "PlanePoint",
+    "PlaneCurve",
 ]
 
 
@@ -52,6 +58,12 @@ def values(example, context):
         report.checks[0],
         parsing._tokenize("1")[0],
         parsing._Frac(one, one),
+        example.model.a2,
+        example.section("P1").x,
+        example.model.cubic(),
+        quartic.form,
+        example.tangency_point,
+        quartic,
     ]
     return {type(value).__name__: value for value in found}
 
