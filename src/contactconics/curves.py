@@ -377,9 +377,16 @@ def _residual_is_singular(
     return False
 
 
-def _infinity_singular_points(form: TriForm) -> list[PlanePoint]:
-    if form.infinity_form().is_zero():
+def _at_infinity(form: TriForm) -> TriForm:
+    """F(T, X, 0), refusing a curve that contains the line Z = 0."""
+    at_infinity = form.infinity_form()
+    if at_infinity.is_zero():
         raise PreconditionError("curve contains the line at infinity in this frame")
+    return at_infinity
+
+
+def _infinity_singular_points(form: TriForm) -> list[PlanePoint]:
+    _at_infinity(form)
     # Setting Z = 0 commutes with d/dT and d/dX and turns dF/dZ into the
     # coefficient of Z, so the gradient at Z = 0 is read from three partials.
     # By Euler, d*F(T, X, 0) = T*F_T + X*F_X at Z = 0, so one is nonzero.
@@ -407,21 +414,15 @@ def _t_polynomial(form: TriForm) -> Poly:
 def _binary_common_roots(
     forms: Sequence[TriForm],
 ) -> tuple[list[tuple[FieldElem, FieldElem]], int]:
-    """Common roots [t : x] of forms in T and X alone; K-rational ones plus residual degree."""
-    g: Poly | None = None
-    for form in forms:
-        p = _t_polynomial(form)
-        if p.is_zero():
-            continue
-        g = p.monic() if g is None else poly_gcd(g, p)
+    """Common roots [t : x] of nonzero forms in T and X alone; K-rational ones
+    plus residual degree."""
+    g = poly_gcd_many([_t_polynomial(form) for form in forms])
     points: list[tuple[FieldElem, FieldElem]] = []
     residual_degree = 0
-    if g is not None and g.degree >= 1:
+    if g.degree >= 1:
         roots, residual = k_rational_roots(g)
         points.extend((r, ONE) for r, _m in roots)
         residual_degree = residual.degree
-    elif g is None:
-        raise PreconditionError("all binary forms vanish identically")
     # [1 : 0] is a common root iff no form has a T^degree term
     if all(form.coeff((form.degree, 0, 0)).is_zero() for form in forms):
         points.append((ONE, ZERO))
@@ -495,8 +496,9 @@ def cremona_transform(
     The result is expressed in the frame where the triangle is the
     coordinate triangle {T=0, X=0, Z=0}; monomial (fundamental-line)
     factors are divided out to their maximal exponent.  An image of degree
-    above the input budget `MAX_DEGREE` is refused before its square-free
-    test, which grows steeply with the degree.
+    0, left by a curve made of fundamental lines, is refused, and so is one
+    above the input budget `MAX_DEGREE`, before its square-free test, which
+    grows steeply with the degree.
     """
     n = [list(_line_coefficients(line)) for line in triangle]
     m = _matrix_inverse_3x3(n)
@@ -509,6 +511,11 @@ def cremona_transform(
     # the map is dominant, so no nonzero form vanishes under it
     raw = curve.form.substitute(images)
     image = raw.divide_monomial(raw.min_exponents())
+    if image.degree == 0:
+        raise PreconditionError(
+            "the image has degree 0: the curve is made of fundamental lines of the "
+            "triangle, which the quadratic transformation contracts to points"
+        )
     if image.degree > MAX_DEGREE:
         raise PreconditionError(
             f"the image has degree {image.degree}, which exceeds the input budget of {MAX_DEGREE}"
@@ -562,7 +569,7 @@ class ContactCertificate(NamedTuple):
 
 # Shears x -> x + k*t are tried for k = 0, 1, -1, ..., _MAX_SHEAR, -_MAX_SHEAR:
 # 43 shears.  For a quartic and a smooth conic at most 42 can fail, so one
-# always certifies unless a curve contains the line Z = 0.
+# always certifies (a curve that contains the line Z = 0 is refused before).
 # - A shear is admissible when [1 : k : 0] lies on neither curve, which makes
 #   both t-leading coefficients nonzero constants.  The quartic and the conic
 #   each meet Z = 0 in at most 4 and 2 points: at most 6 values of k.
@@ -622,8 +629,12 @@ class _PairIntersection(NamedTuple):
 
 
 def _pair_intersection(a: PlaneCurve, b: PlaneCurve) -> _PairIntersection:
-    """Common points at infinity, and the affine ones under the first certifying shear."""
-    at_infinity = (a.form.infinity_form(), b.form.infinity_form())
+    """Common points at infinity, and the affine ones under the first certifying shear.
+
+    A pair in which a curve contains the line Z = 0 is refused first: every
+    shear would be skipped for it.
+    """
+    at_infinity = (_at_infinity(a.form), _at_infinity(b.form))
     points, residual_degree = _binary_common_roots(at_infinity)
     if residual_degree > 0:
         raise NotKRationalError(
@@ -673,9 +684,9 @@ def is_weak_contact(q: PlaneCurve, c: PlaneCurve) -> ContactCertificate:
     Affine points are grouped into square-free factor classes of the
     resultant eliminating t after a shear x -> x + k*t; the first shear
     whose subresultant certificate guarantees one intersection point per
-    resultant root is used, and one always exists unless a curve contains
-    the line Z = 0 (see `_MAX_SHEAR`).  Points on the line Z = 0 are handled
-    separately through Fulton's algorithm.
+    resultant root is used, and one always exists (see `_MAX_SHEAR`); a
+    curve that contains the line Z = 0 is refused.  Points on the line
+    Z = 0 are handled separately through Fulton's algorithm.
     """
     if q.degree != 4:
         raise PreconditionError("weak contact is defined against a quartic")
@@ -810,13 +821,18 @@ def _pair_class_records(
 ) -> tuple[_ClassRecord, ...]:
     """The pair's class records, memoized in its `_pair_cache` entry.
 
-    The key is the exact forms of the other components and of the quartic,
-    since the refinement depends on nothing else.
+    The memo keeps the records under the exact forms of the other components
+    and of the quartic, since the refinement depends on nothing else, and
+    the split of the pair's classes at the quartic's singular points under
+    the quartic's form alone (None without a quartic).
     """
     pair, memo = _pair_classes(a, b)
-    key = (tuple(d.form for d in others), None if quartic is None else quartic.form)
+    quartic_form = None if quartic is None else quartic.form
+    key = (tuple(d.form for d in others), quartic_form)
     if key in memo:
         return memo[key]
+    if quartic_form not in memo:
+        memo[quartic_form] = _split_at_singular_points(pair, quartic)
     records: list[_ClassRecord] = []
     for contact in pair.infinity:
         incidence = tuple(sorted(d.degree for d in others if d.contains(contact.point)))
@@ -824,7 +840,7 @@ def _pair_class_records(
         records.append(
             _ClassRecord(1, contact.multiplicity, kind, incidence)
         )
-    records.extend(_refine_classes(pair, others, quartic, a, b))
+    records.extend(_refine_classes(pair, memo[quartic_form], others, quartic, a, b))
     memo[key] = tuple(records)
     return memo[key]
 
@@ -850,20 +866,17 @@ def _quartic_kind_at_point(quartic: PlaneCurve | None, point: PlanePoint) -> str
     return next((kind for p, kind in quartic.singular_points() if p == point), SMOOTH)
 
 
-def _refine_classes(
-    pair: _PairIntersection,
-    others: Sequence[PlaneCurve],
-    quartic: PlaneCurve | None,
-    a: PlaneCurve,
-    b: PlaneCurve,
-) -> list[_ClassRecord]:
-    """Split the pair's affine classes so that each lies on or off every other
-    component, and each affine singular point of the quartic is a class of its own.
+def _split_at_singular_points(
+    pair: _PairIntersection, quartic: PlaneCurve | None
+) -> tuple[tuple[Poly, int, str], ...]:
+    """The pair's affine classes with each affine singular point of the
+    quartic on them split off as a class of its own, each with the quartic's
+    kind at its points if they lie on it.
+
+    singular_points raises unless every singular point is K-rational, so
+    once they are split off, the other points on the quartic are smooth.
     """
     shear, s10, s11 = pair.shear, pair.s10, pair.s11
-    # Each piece carries the quartic's kind at its points, if they lie on it.
-    # singular_points raises unless every singular point is K-rational, so
-    # once they are split off, the other points on the quartic are smooth.
     pieces = [(factor, mult, SMOOTH) for factor, mult in pair.factors]
     singular = quartic.singular_points() if quartic is not None else []
     for point, kind in singular:
@@ -884,6 +897,22 @@ def _refine_classes(
                 if factor.degree >= 2:
                     pieces.append((factor.exact_div(linear), mult, SMOOTH))
             break
+    return tuple(pieces)
+
+
+def _refine_classes(
+    pair: _PairIntersection,
+    pieces: Sequence[tuple[Poly, int, str]],
+    others: Sequence[PlaneCurve],
+    quartic: PlaneCurve | None,
+    a: PlaneCurve,
+    b: PlaneCurve,
+) -> list[_ClassRecord]:
+    """Split the pieces of the pair's affine classes (see
+    `_split_at_singular_points`) so that each lies on or off every other
+    component.
+    """
+    shear, s10, s11 = pair.shear, pair.s10, pair.s11
     if not pieces:
         return []
     probes = [(comp.degree, _sheared_probe(comp, shear)) for comp in others]

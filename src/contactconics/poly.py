@@ -11,6 +11,19 @@ resultant (Cohen, GTM 138, Alg. 3.3.7).
 All degrees appearing in this application are small (at most 12), so the
 dense representation is the simple and adequate choice.
 
+A Poly is `FieldElem`'s canonical form lifted to the whole polynomial:
+integer numerators over one positive common denominator, one list of
+numerators per basis component of K (1, r2, i, i*r2), index equal to
+degree.  A polynomial with rational coefficients keeps one list, any other
+all four.  Every result is normalized by one gcd of its numerators and
+denominator, so equality is structural.  Arithmetic runs on the integers:
+a product is one integer convolution per pair of components, `divmod` is
+fraction-free long division by the divisor made monic, and `eval` is
+Horner's rule on numerators with the powers of the point's denominator.
+A coefficient of K is an int when rational and a 4-tuple of ints
+otherwise; `coeffs` reads the coefficients as FieldElems for the code
+outside this kernel.
+
 Substitutions are coefficient maps, not compositions.  A chart of a form
 moves each term by its exponents alone (`TriForm.dehomogenize`).  The
 shears x -> x + k*t and shifts x -> x + c of a BiPoly are one translate
@@ -23,47 +36,138 @@ powers per coordinate.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import IntegrityError, PreconditionError
-from .field import FieldElem, ONE, ZERO, ElemLike
+from .field import FieldElem, ONE, ZERO, ElemLike, _make, _reduced
 
 
 def _elem(value) -> FieldElem:
     return FieldElem.coerce(value)
 
 
+def _scalar(value: FieldElem):
+    """The numerators of a FieldElem: an int when rational, else a 4-tuple."""
+    if value.n1 or value.n2 or value.n3:
+        return (value.n0, value.n1, value.n2, value.n3)
+    return value.n0
+
+
+def _kmul(a: tuple, b: tuple) -> tuple:
+    """The product of two elements of Z[r2, i] given by their coordinates."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
+        a0 * b0 + 2 * (a1 * b1 - a3 * b3) - a2 * b2,
+        a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+        a0 * b2 + a2 * b0 + 2 * (a1 * b3 + a3 * b1),
+        a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1,
+    )
+
+
+def _smul(a, b):
+    """The product of two scalars, each an int or a 4-tuple."""
+    if a.__class__ is int:
+        return a * b if b.__class__ is int else tuple(a * c for c in b)
+    return tuple(c * b for c in a) if b.__class__ is int else _kmul(a, b)
+
+
+def _axpy(out: list[list[int]], a, x: Sequence[list[int]], shift: int) -> None:
+    """out += a * x * t**shift, on component lists; a is an int or a 4-tuple.
+
+    `out` has four components whenever a or x is not rational.
+    """
+    if a.__class__ is int:
+        for o, comp in zip(out, x):
+            for k, c in enumerate(comp, shift):
+                o[k] += a * c
+        return
+    if len(x) == 1:
+        for o, m in zip(out, a):
+            if m:
+                for k, c in enumerate(x[0], shift):
+                    o[k] += m * c
+        return
+    for k, b in enumerate(zip(*x), shift):
+        for o, c in zip(out, _kmul(a, b)):
+            o[k] += c
+
+
+def _zeros(width: int, parts: int) -> list[list[int]]:
+    return [[0] * width for _ in range(parts)]
+
+
+def _poly(num: list[list[int]], den: int) -> "Poly":
+    """The polynomial num/den for den > 0, in canonical form: no irrational
+    components that are all zero, no trailing zero coefficient, and
+    gcd(numerators, den) == 1.  The lists of num are consumed."""
+    if len(num) == 4 and not (any(num[1]) or any(num[2]) or any(num[3])):
+        num = num[:1]
+    if len(num) == 1:
+        a = num[0]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *a)
+            if g != 1:
+                den //= g
+                num = [[c // g for c in a]]
+    else:
+        a0, a1, a2, a3 = num
+        while not (a0[-1] or a1[-1] or a2[-1] or a3[-1]):
+            for comp in num:
+                comp.pop()
+        if den != 1:
+            g = gcd(den, *a0, *a1, *a2, *a3)
+            if g != 1:
+                den //= g
+                num = [[c // g for c in comp] for comp in num]
+    p = _new(Poly)
+    _set_num(p, tuple(num))
+    _set_den(p, den)
+    return p
+
+
 class Poly:
-    """Dense univariate polynomial; coefficient index equals degree."""
+    """Dense univariate polynomial over K; coefficient index equals degree.
 
-    __slots__ = ("coeffs",)
+    `_num` holds the integer numerators, one list per basis component of K
+    (one list when every coefficient is rational), and `_den` their positive
+    common denominator, in the canonical form of `_poly`.
+    """
 
-    def __init__(self, coeffs: Iterable[ElemLike] = ()):
+    __slots__ = ("_num", "_den")
+
+    def __new__(cls, coeffs: Iterable[ElemLike] = ()):
         items = [_elem(c) for c in coeffs]
-        while items and items[-1].is_zero():
-            items.pop()
-        object.__setattr__(self, "coeffs", tuple(items))
+        den = 1
+        for c in items:
+            if den % c.d:
+                den = lcm(den, c.d)
+        # canonical elements over the lcm of their denominators share no factor with it
+        scaled = [(den // c.d, c) for c in items]
+        num = [[m * c.n0 for m, c in scaled]]
+        if any(c.n1 or c.n2 or c.n3 for c in items):
+            num += [[m * c.n1 for m, c in scaled], [m * c.n2 for m, c in scaled],
+                    [m * c.n3 for m, c in scaled]]
+        return _poly(num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _trusted(cls, items: list[FieldElem]) -> "Poly":
-        """A Poly on FieldElems taken as they are; trailing zeros are stripped."""
-        while items and items[-1].is_zero():
-            items.pop()
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(items))
-        return p
-
-    @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _poly([[]], 1)
 
     @classmethod
     def constant(cls, value: ElemLike) -> "Poly":
-        return cls((value,))
+        v = _elem(value)
+        if v.n1 or v.n2 or v.n3:
+            return _poly([[v.n0], [v.n1], [v.n2], [v.n3]], v.d)
+        return _poly([[v.n0]], v.d)
 
     @classmethod
     def from_roots(cls, roots: Sequence[ElemLike]) -> "Poly":
@@ -75,169 +179,226 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num[0]
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._num[0]) <= 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num[0])
+
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        """The coefficients as FieldElems, constant term first."""
+        num, den = self._num, self._den
+        if len(num) == 1:
+            return tuple(_reduced(c, den) for c in num[0])
+        return tuple(_make(c0, c1, c2, c3, den) for c0, c1, c2, c3 in zip(*num))
 
     @property
     def lc(self) -> FieldElem:
-        return self.coeffs[-1] if self.coeffs else ZERO
+        return self.coeff(len(self._num[0]) - 1)
 
     def coeff(self, k: int) -> FieldElem:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        num = self._num
+        if not 0 <= k < len(num[0]):
+            return ZERO
+        if len(num) == 1:
+            return _reduced(num[0][k], self._den)
+        return _make(num[0][k], num[1][k], num[2][k], num[3][k], self._den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._den, *map(tuple, self._num)))
 
     @staticmethod
     def _coerce(other) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
+        """A constant Poly for a number, else None; callers take a Poly as it is."""
         if isinstance(other, (int, Fraction, FieldElem)):
             return Poly.constant(other)
         return None
 
     def __add__(self, other) -> "Poly":
-        rhs = Poly._coerce(other)
+        rhs = other if other.__class__ is Poly else Poly._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self.coeffs, rhs.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly._trusted(out)
+        return _combine(self, rhs, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        rhs = Poly._coerce(other)
+        rhs = other if other.__class__ is Poly else Poly._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self.coeffs, rhs.coeffs
-        out = list(a) + [ZERO] * (len(b) - len(a))
-        for k, c in enumerate(b):
-            out[k] = out[k] - c
-        return Poly._trusted(out)
+        return _combine(self, rhs, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted([-c for c in self.coeffs])
+        return _poly([[-c for c in comp] for comp in self._num], self._den)
 
     def __mul__(self, other) -> "Poly":
-        rhs = Poly._coerce(other)
+        rhs = other if other.__class__ is Poly else Poly._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.is_zero() or rhs.is_zero():
+        x, y = self._num, rhs._num
+        if not x[0] or not y[0]:
             return Poly.zero()
-        out = [ZERO] * (len(self.coeffs) + len(rhs.coeffs) - 1)
-        right = [(j, b) for j, b in enumerate(rhs.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in right:
-                out[i + j] = out[i + j] + a * b
-        return Poly._trusted(out)
+        width = len(x[0]) + len(y[0]) - 1
+        if len(x) == 1 and len(y) == 1:
+            out = [0] * width
+            right = [(j, b) for j, b in enumerate(y[0]) if b]
+            for i, a in enumerate(x[0]):
+                if a:
+                    for j, b in right:
+                        out[i + j] += a * b
+            return _poly([out], self._den * rhs._den)
+        if len(x) == 1:
+            x, y = y, x
+        # x is not rational: one row of x's coefficients per coefficient of y
+        out = _zeros(width, 4)
+        for j in range(len(y[0])):
+            b = _coefficient(y, j)
+            if b:
+                _axpy(out, b, x, j)
+        return _poly(out, self._den * rhs._den)
 
     __rmul__ = __mul__
 
     def scale(self, value: ElemLike) -> "Poly":
         v = _elem(value)
-        return Poly._trusted([c * v for c in self.coeffs])
+        num = self._num
+        if not num[0]:
+            return self
+        a = _scalar(v)
+        out = _zeros(len(num[0]), 1 if a.__class__ is int and len(num) == 1 else 4)
+        _axpy(out, a, num, 0)
+        return _poly(out, self._den * v.d)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.constant(ONE)
+        result = None
         base = self
         n = exponent
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Poly.constant(ONE) if result is None else result
 
     def shift_up(self, k: int) -> "Poly":
         """Multiply by t**k."""
         if self.is_zero():
             return self
-        return Poly._trusted([ZERO] * k + list(self.coeffs))
+        return _poly([[0] * k + comp for comp in self._num], self._den)
 
     def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient = [ZERO] * max(0, self.degree - divisor.degree + 1)
-        rem = list(self.coeffs)
-        inv_lc = divisor.lc.inv()
-        d = divisor.degree
-        # the top term cancels exactly, so only the nonzero lower terms are subtracted
-        lower = [(j, c) for j, c in enumerate(divisor.coeffs[:-1]) if c]
-        while len(rem) > d:
-            k = len(rem) - 1 - d
-            factor = rem.pop() * inv_lc
-            quotient[k] = factor
-            for j, c in lower:
-                rem[k + j] = rem[k + j] - factor * c
-            while rem and not rem[-1]:
-                rem.pop()
-        return Poly._trusted(quotient), Poly._trusted(rem)
+        (quotient, den), (rem, rem_den) = self._division(divisor)
+        return _poly(quotient, den), _poly(rem, rem_den)
 
     def __mod__(self, divisor: "Poly") -> "Poly":
-        return self.divmod(divisor)[1]
+        return _poly(*self._division(divisor)[1])
 
     def exact_div(self, divisor: "Poly") -> "Poly":
-        quotient, rem = self.divmod(divisor)
-        if not rem.is_zero():
+        (quotient, den), (rem, _rem_den) = self._division(divisor)
+        if any(any(comp) for comp in rem):
             raise ValueError("division is not exact")
-        return quotient
+        return _poly(quotient, den)
+
+    def _division(self, divisor: "Poly") -> tuple[tuple[list, int], tuple[list, int]]:
+        """The numerators and denominators of the quotient and the remainder."""
+        if divisor.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if len(self._num[0]) < len(divisor._num[0]):
+            return ([[]], 1), ([comp[:] for comp in self._num], self._den)
+        negated, e, sign = _monic_numerators(divisor)
+        quotient, rem, power = _long_division(self._num, negated, e)
+        # the quotient by the monic divisor is Q*e/(E*D); by the divisor, that over its lc
+        den = self._den * power
+        if sign:
+            # lc = sign*e/D' for a rational divisor
+            factor = sign * divisor._den
+            quotient = [[factor * c for c in comp] for comp in quotient]
+        else:
+            inverse = divisor.lc.inv()
+            scaled = _zeros(len(quotient[0]), 4)
+            _axpy(scaled, _smul(_scalar(inverse), e), quotient, 0)
+            quotient, den = scaled, den * inverse.d
+        return (quotient, den), (rem, self._den * power)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        num = self._num
+        if not num[0]:
+            return self
+        lead = num[0][-1]
+        if len(num) == 1:
+            if lead == self._den:
+                return self
+            # (N/D) / (lead/D) = N/lead, with the sign moved to the numerators
+            if lead < 0:
+                return _poly([[-c for c in num[0]]], -lead)
+            return _poly([list(num[0])], lead)
+        if lead == self._den and not (num[1][-1] or num[2][-1] or num[3][-1]):
             return self
         return self.scale(self.lc.inv())
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
+        return _poly([[k * c for k, c in enumerate(comp) if k] for comp in self._num], self._den)
 
     def eval(self, point: ElemLike) -> FieldElem:
-        p = _elem(point)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
+        """The value at the point, by Horner's rule on the numerators: with
+        point = x/w and degree n, sum_k a_k x**k w**(n - k) over den * w**n."""
+        v = _elem(point)
+        num, den = self._num, self._den
+        n = len(num[0]) - 1
+        if n < 1 or not v:
+            return self.coeff(0)
+        w = v.d
+        x = _scalar(v)
+        scale = 1
+        if len(num) == 1 and x.__class__ is int:
+            a = num[0]
+            acc = a[n]
+            for k in range(n - 1, -1, -1):
+                scale *= w
+                acc = acc * x + a[k] * scale
+            return _reduced(acc, den * scale)
+        x = (x, 0, 0, 0) if x.__class__ is int else x
+        if len(num) == 1:
+            num = (num[0], *_zeros(n + 1, 3))
+        acc = _coefficient(num, n)
+        for k in range(n - 1, -1, -1):
+            scale *= w
+            acc = tuple(m + c * scale for m, c in zip(_kmul(acc, x), _coefficient(num, k)))
+        return _make(*acc, den * scale)
 
     def shift_argument(self, offset: ElemLike) -> "Poly":
         """p(t + offset), by the binomial Taylor shift of each term."""
         c = _elem(offset)
-        if not c or len(self.coeffs) <= 1:
+        num = self._num
+        n = len(num[0]) - 1
+        if not c or n < 1:
             return self
-        rows = _translate_rows(c, ZERO, self.degree)
-        out = [ZERO] * len(self.coeffs)
-        for k, a in enumerate(self.coeffs):
-            if a:
-                for p, _r, w in rows[k]:
-                    out[p] = out[p] + a * w
-        return Poly._trusted(out)
+        rows, power = _translate_rows(c, ZERO, n)
+        out = _zeros(n + 1, 4 if len(num) == 4 or not c.is_rational() else 1)
+        for k in range(n + 1):
+            term = [comp[k:k + 1] for comp in num]
+            for p, _r, w in rows[k]:
+                _axpy(out, w, term, p)
+        return _poly(out, self._den * power)
 
     def reverse(self, degree: int) -> "Poly":
         """s**degree * p(1/s), for the chart at infinity."""
         if degree < self.degree:
             raise ValueError("reversal degree below polynomial degree")
-        out = [ZERO] * (degree + 1)
-        for k, c in enumerate(self.coeffs):
-            out[degree - k] = c
-        return Poly(out)
+        pad = degree + 1 - len(self._num[0])
+        return _poly([(comp + [0] * pad)[::-1] for comp in self._num], self._den)
 
     def ord_at(self, root: ElemLike) -> int:
         """Multiplicity of the given root (0 if not a root)."""
@@ -256,13 +417,11 @@ class Poly:
     def ord_at_zero(self) -> int:
         if self.is_zero():
             raise ValueError("order of the zero polynomial")
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        raise AssertionError
+        num = self._num
+        return next(k for k in range(len(num[0])) if any(comp[k] for comp in num))
 
     def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
+        return len(self._num) == 1
 
     def map_coeffs(self, fn: Callable[[FieldElem], FieldElem]) -> "Poly":
         return Poly(tuple(fn(c) for c in self.coeffs))
@@ -301,6 +460,99 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
+# object creation and the slot setters, which bypass the __setattr__ that
+# refuses assignment
+_new = object.__new__
+_set_num = Poly._num.__set__
+_set_den = Poly._den.__set__
+
+
+def _coefficient(num: Sequence[list[int]], k: int):
+    """Coefficient k of component lists: an int for one list, else a 4-tuple."""
+    if len(num) == 1:
+        return num[0][k]
+    return (num[0][k], num[1][k], num[2][k], num[3][k])
+
+
+def _combine(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign*q over the lcm of the two denominators."""
+    x, y = p._num, q._num
+    dx, dy = p._den, q._den
+    if dx == dy:
+        den, mx, my = dx, 1, sign
+    else:
+        g = gcd(dx, dy)
+        den, mx, my = dx // g * dy, dy // g, sign * (dx // g)
+    width = max(len(x[0]), len(y[0]))
+    if len(x) != len(y):
+        x, y = (x + ([], [], []), y) if len(x) == 1 else (x, y + ([], [], []))
+    out = []
+    for a, b in zip(x, y):
+        if mx != 1:
+            a = [mx * v for v in a]
+        if my != 1:
+            b = [my * v for v in b]
+        if len(a) < len(b):
+            a, b = b, a
+        c = [u + v for u, v in zip(a, b)]
+        c += a[len(b):]
+        c += [0] * (width - len(c))
+        out.append(c)
+    return _poly(out, den)
+
+
+def _monic_numerators(divisor: Poly) -> tuple[tuple[list[int], ...], int, int]:
+    """The divisor made monic, M = B/e with integer numerators B and e > 0,
+    as (-B without its top term, e, sign of the divisor's lc or 0).
+
+    A rational divisor b/D' gives B = sign*b and e = |lead of b|, not
+    reduced; any other is made monic by the inverse of its lc.
+    """
+    num = divisor._num
+    if len(num) == 1:
+        lead = num[0][-1]
+        if lead > 0:
+            return ([-c for c in num[0][:-1]],), lead, 1
+        return (num[0][:-1],), -lead, -1
+    monic = divisor.monic()
+    return tuple([-c for c in comp[:-1]] for comp in monic._num), monic._den, 0
+
+
+def _long_division(
+    num: tuple[list[int], ...], negated: tuple[list[int], ...], e: int
+) -> tuple[list, list, int]:
+    """Fraction-free long division of numerators A by a monic M = B/e, given
+    -B without its top term (e).
+
+    With E = e**s for the s = deg A - deg B + 1 steps, E*A = Q*B + R: each
+    quotient coefficient is the top of the remainder divided exactly by e,
+    and the top term it cancels is never read again.  Returns (Q, R, E); so
+    A/D = Q*e/(E*D) * M + R/(E*D).
+    """
+    d = len(negated[0])
+    steps = len(num[0]) - d
+    power = e**steps
+    if len(num) == 1 and len(negated) == 1:
+        b = negated[0]
+        a = [c * power for c in num[0]] if power != 1 else num[0][:]
+        q = [0] * steps
+        for k in range(steps - 1, -1, -1):
+            c = q[k] = a[k + d] // e
+            if c:
+                for j, v in enumerate(b, k):
+                    a[j] += c * v
+        del a[d:]
+        return [q], [a], power
+    rem = [[c * power for c in comp] for comp in num]
+    rem += [[0] * len(rem[0]) for _ in range(4 - len(rem))]
+    quotient = _zeros(steps, 4)
+    for k in range(steps - 1, -1, -1):
+        for comp, q in zip(rem, quotient):
+            q[k] = comp[k + d] // e
+        _axpy(rem, _coefficient(quotient, k), negated, k)
+    return quotient, [comp[:d] for comp in rem], power
+
+
 def _coeff_str(c: FieldElem, standalone: bool = False) -> str:
     text = str(c)
     if " " in text and not standalone:
@@ -308,30 +560,35 @@ def _coeff_str(c: FieldElem, standalone: bool = False) -> str:
     return text
 
 
-def _translate_rows(
-    c0: FieldElem, c1: FieldElem, n: int
-) -> list[list[tuple[int, int, FieldElem]]]:
-    """The terms of (x + c0 + c1*t)**j for j = 0..n, read from binomial rows.
+def _translate_rows(c0: FieldElem, c1: FieldElem, n: int) -> tuple[list[list[tuple]], int]:
+    """The terms of (x + c0 + c1*t)**j for j = 0..n, on integer numerators.
 
-    rows[j] lists (p, r, w) with (x + c0 + c1*t)**j = sum w * x**p * t**r,
-    where w = C(j, p) * C(j - p, r) * c0**(j - p - r) * c1**r; zero terms
-    are left out.
+    With c0 = u0/v and c1 = u1/v over a common v, the rows are those of
+    v**(n - j) * (v*x + u0 + u1*t)**j = v**n * (x + c0 + c1*t)**j.  rows[j]
+    lists (p, r, w) with that product equal to sum w * x**p * t**r, where
+    w = C(j, p) * C(j - p, r) * v**(n - j + p) * u0**(j - p - r) * u1**r is
+    an int or a 4-tuple; zero terms are left out.  Returns (rows, v**n).
     """
-    c0_powers, c1_powers = [ONE], [ONE]
+    v = lcm(c0.d, c1.d)
+    u0, u1 = _scalar(c0 * v), _scalar(c1 * v)
+    u0_powers, u1_powers, v_powers = [1], [1], [1]
     for _ in range(n):
-        c0_powers.append(c0_powers[-1] * c0)
-        c1_powers.append(c1_powers[-1] * c1)
+        u0_powers.append(_smul(u0_powers[-1], u0))
+        u1_powers.append(_smul(u1_powers[-1], u1))
+        v_powers.append(v_powers[-1] * v)
     rows = []
     for j in range(n + 1):
         row = []
         for p in range(j + 1):
             m = j - p
-            for r in range(m + 1):
-                w = c0_powers[m - r] * c1_powers[r]
-                if w:
-                    row.append((p, r, w * (comb(j, p) * comb(m, r))))
+            # a shift (u1 = 0) keeps only r = 0, a shear (u0 = 0) only r = m
+            for r in range(m + 1) if u0 and u1 else (m,) if u1 else (0,):
+                w = _smul(u0_powers[m - r], u1_powers[r])
+                if w and (w.__class__ is int or any(w)):
+                    scale = comb(j, p) * comb(m, r) * v_powers[n - j + p]
+                    row.append((p, r, _smul(scale, w)))
         rows.append(row)
-    return rows
+    return rows, v_powers[n]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -604,10 +861,11 @@ class BiPoly:
         return BiPoly(out)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly(tuple(-c for c in self.coeffs))
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [Poly.zero()] * (len(b) - len(a))
+        for k, c in enumerate(b):
+            out[k] = out[k] - c
+        return BiPoly(out)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero() or other.is_zero():
@@ -620,9 +878,6 @@ class BiPoly:
                 out[i + j] = out[i + j] + a * b
         return BiPoly(out)
 
-    def scale_poly(self, p: Poly) -> "BiPoly":
-        return BiPoly(tuple(c * p for c in self.coeffs))
-
     def eval_t(self, point: ElemLike) -> Poly:
         """Substitute a value for t, leaving a Poly in x."""
         return Poly(tuple(c.eval(point) for c in self.coeffs))
@@ -630,6 +885,8 @@ class BiPoly:
     def eval_x(self, point: ElemLike) -> Poly:
         """Substitute a value for x, leaving a Poly in t."""
         p = _elem(point)
+        if not p:
+            return self.coeff_x(0)
         acc = Poly.zero()
         for c in reversed(self.coeffs):
             acc = acc.scale(p) + c
@@ -659,29 +916,36 @@ class BiPoly:
 
     def _translate_x(self, c0: FieldElem, c1: FieldElem) -> "BiPoly":
         """Substitute x -> x + c0 + c1*t, expanding each term c*t**i*x**j by
-        the binomial terms of (x + c0 + c1*t)**j."""
-        if len(self.coeffs) <= 1 or not (c0 or c1):
+        the binomial terms of (x + c0 + c1*t)**j, on the numerators of the
+        columns over their common denominator."""
+        cols = self.coeffs
+        if len(cols) <= 1 or not (c0 or c1):
             return self
-        rows = _translate_rows(c0, c1, self.degree_x)
-        width = self.degree_t + len(self.coeffs)
-        out = [[ZERO] * width for _ in self.coeffs]
-        for j, col in enumerate(self.coeffs):
-            for i, a in enumerate(col.coeffs):
-                if a:
-                    for p, r, w in rows[j]:
-                        row = out[p]
-                        row[i + r] = row[i + r] + a * w
-        return BiPoly(Poly._trusted(row) for row in out)
+        rows, power = _translate_rows(c0, c1, len(cols) - 1)
+        den = lcm(*(col._den for col in cols))
+        irrational = not (c0.is_rational() and c1.is_rational())
+        parts = 4 if irrational or any(len(col._num) == 4 for col in cols) else 1
+        width = self.degree_t + len(cols)
+        out = [_zeros(width, parts) for _ in cols]
+        for j, col in enumerate(cols):
+            if col._num[0]:
+                m = den // col._den
+                for p, r, w in rows[j]:
+                    _axpy(out[p], _smul(w, m), col._num, r)
+        return BiPoly(_poly(row, den * power) for row in out)
 
     def swap_vars(self) -> "BiPoly":
         """Exchange the roles of t and x."""
-        rows = len(self.coeffs)
-        cols = self.degree_t + 1
-        out = [[ZERO] * rows for _ in range(cols)]
-        for j, c in enumerate(self.coeffs):
-            for i, value in enumerate(c.coeffs):
-                out[i][j] = value
-        return BiPoly(tuple(Poly(row) for row in out))
+        cols = self.coeffs
+        den = lcm(*(col._den for col in cols))
+        parts = 4 if any(len(col._num) == 4 for col in cols) else 1
+        out = [_zeros(len(cols), parts) for _ in range(self.degree_t + 1)]
+        for j, col in enumerate(cols):
+            m = den // col._den
+            for part, comp in enumerate(col._num):
+                for i, value in enumerate(comp):
+                    out[i][part][j] = m * value
+        return BiPoly(_poly(row, den) for row in out)
 
     def derivative_x(self) -> "BiPoly":
         return BiPoly(tuple(c.scale(k) for k, c in enumerate(self.coeffs) if k))
@@ -692,12 +956,6 @@ class BiPoly:
             raise ValueError("not divisible by the requested x power")
         return BiPoly(self.coeffs[k:])
 
-    def shift_x_power(self, k: int) -> "BiPoly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return BiPoly((Poly.zero(),) * k + self.coeffs)
-
     def divide_t_power(self, k: int) -> "BiPoly":
         out = []
         for c in self.coeffs:
@@ -706,7 +964,7 @@ class BiPoly:
                 continue
             if c.ord_at_zero() < k:
                 raise ValueError("not divisible by the requested t power")
-            out.append(Poly(c.coeffs[k:]))
+            out.append(_poly([comp[k:] for comp in c._num], c._den))
         return BiPoly(out)
 
     def subs_x_times_t(self) -> "BiPoly":
@@ -727,16 +985,20 @@ def bipoly_pseudo_rem(a: BiPoly, b: BiPoly) -> BiPoly:
         raise ZeroDivisionError("pseudo-division by zero")
     d = b.degree_x
     lc_b = b.lc_x
-    rem = a
-    steps = max(0, a.degree_x - d + 1)
+    lower = b.coeffs[:-1]
+    rem = list(a.coeffs)
+    steps = max(0, len(rem) - d)
     for _ in range(steps):
-        if rem.degree_x < d:
-            rem = rem.scale_poly(lc_b)
+        if len(rem) <= d:
+            rem = [c * lc_b for c in rem]
             continue
-        k = rem.degree_x - d
-        top = rem.lc_x
-        rem = rem.scale_poly(lc_b) - b.scale_poly(top).shift_x_power(k)
-    return rem
+        # rem*lc(b) - top*b*x^k, whose top term cancels
+        top = rem.pop()
+        k = len(rem) - d
+        rem = [c * lc_b if j < k else c * lc_b - top * lower[j - k] for j, c in enumerate(rem)]
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return BiPoly(rem)
 
 
 def resultant_t(p: BiPoly, q: BiPoly) -> tuple[Poly, list[BiPoly]]:

@@ -330,12 +330,12 @@ def test_refusals_before_any_geometry(capsys, tmp_path, argv, code, message):
             2,
             "precondition error: the curves meet the line at infinity at a non-K-rational point",
         ),
-        # both curves contain Z = 0, so no form is left at infinity
+        # both curves contain Z = 0; the pair is refused before any shear
         (
             ("fingerprint", "--input", "{path}"),
             "Z\nX*Z - T*Z + Z^2\n",
             2,
-            "precondition error: all binary forms vanish identically",
+            "precondition error: curve contains the line at infinity in this frame",
         ),
         # The marks 0, 1, 4, 10, 16, 18, 21, 23 form a complete sparse ruler:
         # their differences cover 1..23.  The lines X = m*Z meet T = 0 and
@@ -351,6 +351,28 @@ def test_refusals_before_any_geometry(capsys, tmp_path, argv, code, message):
         ),
         # a bare chart in t and x is the curve x = t^2; the answer goes to stdout
         (("weak-contact", "--conic", "x - t^2"), None, 0, "conic: x - t^2"),
+        # one curve is the line Z = 0, which every shear would skip
+        (
+            ("fingerprint", "--input", "{path}"),
+            "Z\nX\n",
+            2,
+            "precondition error: curve contains the line at infinity in this frame",
+        ),
+        # a fundamental line of the triangle is contracted to a point
+        (
+            ("cremona", "Z"),
+            None,
+            2,
+            "precondition error: the image has degree 0: the curve is made of fundamental lines "
+            "of the triangle, which the quadratic transformation contracts to points",
+        ),
+        (
+            ("cremona", "(T - Z)*X", "--triangle", "T - Z; X; Z"),
+            None,
+            2,
+            "precondition error: the image has degree 0: the curve is made of fundamental lines "
+            "of the triangle, which the quadratic transformation contracts to points",
+        ),
     ],
 )
 def test_each_input_is_answered_or_refused_in_one_line(capsys, tmp_path, argv, curves, code, line):

@@ -469,7 +469,7 @@ def test_chart_permutation_matches_substitution(form):
 def test_from_terms_matches_a_sum_of_monomials(terms):
     expected = BiPoly.zero()
     for (i, j), coeff in terms.items():
-        expected = expected + BiPoly.from_poly_in_t(Poly.constant(coeff).shift_up(i)).shift_x_power(j)
+        expected = expected + BiPoly([Poly.zero()] * j + [Poly.constant(coeff).shift_up(i)])
     built = BiPoly.from_terms(terms.items())
     assert built == expected
     assert_canonical(built)
@@ -537,3 +537,213 @@ def test_is_proportional_edge_cases():
     assert not f.is_proportional(zero2) and not zero2.is_proportional(f)
     assert zero2.is_proportional(zero2) and not zero2.is_proportional(zero3)
     assert not f.is_proportional(parse_triform("T^2*Z - X*Z^2"))
+
+
+# -- the integer kernel against a coefficient-by-coefficient reference ----------
+#
+# The reference works on tuples of FieldElems, one per coefficient, constant
+# term first and with no trailing zero: the representation Poly had before
+# it kept integer numerators over one denominator.
+
+
+def ref_trim(coeffs) -> tuple:
+    out = list(coeffs)
+    while out and out[-1].is_zero():
+        out.pop()
+    return tuple(out)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    pad = lambda c: list(c) + [ZERO] * (n - len(c))
+    return ref_trim(x + y for x, y in zip(pad(a), pad(b)))
+
+
+def ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_trim(out)
+
+
+def ref_scale(a, v):
+    return ref_trim(c * v for c in a)
+
+
+def ref_divmod(a, b):
+    inv = b[-1].inv()
+    quotient = [ZERO] * max(0, len(a) - len(b) + 1)
+    rem = list(a)
+    while len(rem) >= len(b):
+        factor = rem[-1] * inv
+        k = len(rem) - len(b)
+        quotient[k] = factor
+        for j, c in enumerate(b):
+            rem[k + j] = rem[k + j] - factor * c
+        rem = list(ref_trim(rem))
+    return ref_trim(quotient), tuple(rem)
+
+
+def ref_monic(a):
+    return ref_scale(a, a[-1].inv()) if a else ()
+
+
+def ref_eval(a, x):
+    acc = ZERO
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_shift(a, c):
+    """a(t + c), composed by Horner's rule."""
+    acc = ()
+    for coeff in reversed(a):
+        acc = ref_add(ref_mul(acc, (c, ONE)), (coeff,))
+    return acc
+
+
+def ref_derivative(a):
+    return ref_trim(c * k for k, c in enumerate(a) if k)
+
+
+def ref_ord_at(a, root):
+    order = 0
+    while True:
+        quotient, rem = ref_divmod(a, (-root, ONE))
+        if rem:
+            return order
+        order, a = order + 1, quotient
+
+
+def ref_gcd(a, b):
+    a, b = ref_monic(a), ref_monic(b)
+    while b:
+        a, b = b, ref_monic(ref_divmod(a, b)[1])
+    return a
+
+
+def ref_squarefree(p):
+    """Yun's algorithm, step for step as `squarefree_decomposition`."""
+    f = ref_monic(p)
+    if len(f) < 2:
+        return []
+    fp = ref_derivative(f)
+    a = ref_gcd(f, fp)
+    b, c = ref_divmod(f, a)[0], ref_divmod(fp, a)[0]
+    d = ref_add(c, ref_neg(ref_derivative(b)))
+    out, k = [], 1
+    while len(b) >= 2:
+        a = ref_gcd(b, d)
+        if len(a) >= 2:
+            out.append((a, k))
+        b, c = ref_divmod(b, a)[0], ref_divmod(d, a)[0]
+        d = ref_add(c, ref_neg(ref_derivative(b)))
+        k += 1
+    return out
+
+
+# Coefficients with r2, i and i*r2 parts over denominators 1..6, rational
+# ones, and zeros, which make sparse and constant polynomials likely.
+kernel_digits = st.integers(-9, 9)
+kernel_elems = st.one_of(
+    st.just(ZERO),
+    st.builds(lambda n, d: FieldElem(Fraction(n, d)), kernel_digits, st.integers(1, 6)),
+    st.builds(
+        lambda ns, d: FieldElem(*(Fraction(n, d) for n in ns)),
+        st.tuples(kernel_digits, kernel_digits, kernel_digits, kernel_digits),
+        st.integers(1, 6),
+    ),
+)
+# Degree -1 (the zero polynomial) up to 12, all-rational half of the time.
+kernel_coeffs = st.one_of(
+    st.lists(st.builds(lambda n, d: FieldElem(Fraction(n, d)), kernel_digits, st.integers(1, 6)),
+             max_size=13),
+    st.lists(kernel_elems, max_size=13),
+)
+nonzero_kernel_elems = kernel_elems.filter(bool)
+
+
+@given(kernel_coeffs, kernel_coeffs, nonzero_kernel_elems)
+@settings(deadline=None)
+def test_kernel_matches_the_coefficientwise_reference(a, b, v):
+    p, q = Poly(a), Poly(b)
+    a, b = ref_trim(a), ref_trim(b)
+    assert p.coeffs == a and Poly(p.coeffs) == p
+    assert p.is_rational() == all(c.is_rational() for c in a)
+    assert (p + q).coeffs == ref_add(a, b)
+    assert (p - q).coeffs == ref_add(a, ref_neg(b))
+    assert (-p).coeffs == ref_neg(a)
+    assert (p * q).coeffs == ref_mul(a, b)
+    assert p.scale(v).coeffs == ref_scale(a, v)
+    assert p.monic().coeffs == ref_monic(a)
+    assert p.derivative().coeffs == ref_derivative(a)
+    assert p.eval(v) == ref_eval(a, v) and p.eval(ZERO) == ref_eval(a, ZERO)
+    assert p.shift_argument(v).coeffs == ref_shift(a, v)
+    if b:
+        quotient, rem = p.divmod(q)
+        assert (quotient.coeffs, rem.coeffs) == ref_divmod(a, b)
+        assert (p % q) == rem
+
+
+@given(kernel_coeffs.filter(any), nonzero_kernel_elems, st.integers(0, 3))
+@settings(deadline=None)
+def test_ord_at_matches_the_reference(a, root, mult):
+    p = Poly(a) * Poly((-root, ONE)) ** mult
+    assert p.ord_at(root) == ref_ord_at(p.coeffs, root) >= mult
+    assert p.ord_at(ZERO) == p.ord_at_zero() == ref_ord_at(p.coeffs, ZERO)
+
+
+small_kernel_coeffs = st.lists(kernel_elems, max_size=7)
+
+
+@given(small_kernel_coeffs, small_kernel_coeffs, small_kernel_coeffs)
+@settings(deadline=None)
+def test_gcd_matches_the_reference(a, b, c):
+    p, q = Poly(a) * Poly(c), Poly(b) * Poly(c)
+    if p.is_zero() and q.is_zero():
+        return
+    assert poly_gcd(p, q).coeffs == ref_gcd(p.coeffs, q.coeffs)
+
+
+@given(st.lists(st.lists(kernel_elems, min_size=1, max_size=3), min_size=1, max_size=3))
+@settings(deadline=None)
+def test_squarefree_decomposition_matches_the_reference(factors):
+    # factor k of the product appears to the power k: degree at most 2+4+6
+    p = Poly.constant(ONE)
+    for k, coeffs in enumerate(factors, 1):
+        p = p * Poly(coeffs) ** k
+    if p.is_zero():
+        return
+    got = [(factor.coeffs, mult) for factor, mult in squarefree_decomposition(p)]
+    assert got == ref_squarefree(p.coeffs)
+
+
+@given(kernel_coeffs, kernel_coeffs.filter(any), nonzero_kernel_elems)
+@settings(deadline=None)
+def test_equal_polynomials_built_along_different_paths_are_equal(a, b, v):
+    p, q = Poly(a), Poly(b)
+    paths = [
+        Poly(p.coeffs),
+        p + q - q,
+        (p * q).exact_div(q),
+        p.scale(v).scale(v.inv()),
+        p.shift_argument(v).shift_argument(-v),
+        -(-p),
+        p.shift_up(2).divmod(Poly((0, 0, 1)))[0],
+    ]
+    for r in paths:
+        assert r == p and hash(r) == hash(p)
+    # the four conjugates add up to four times the rational part, a rational polynomial
+    conjugates = [p.map_coeffs(f) for f in (FieldElem.conj_sqrt2, FieldElem.conj_i,
+                                             lambda c: c.conj_sqrt2().conj_i())]
+    total = p + conjugates[0] + conjugates[1] + conjugates[2]
+    rational = Poly(FieldElem(4 * c.coords[0]) for c in p.coeffs)
+    assert total == rational and hash(total) == hash(rational) and total.is_rational()
