@@ -302,11 +302,10 @@ def _polar_directions(form: TriForm) -> list[tuple[int, int]]:
     F(T, X, 0) is a nonzero binary form of degree d, so at most d of the
     first d + 2 candidates lie on the curve.
     """
-    at_infinity = form.infinity_form()
     candidates = [(0, 1), (1, 0)]
     for k in range(1, (form.degree + 1) // 2 + 1):
         candidates += [(1, k), (1, -k)]
-    return [u for u in candidates if at_infinity.eval((u[0], u[1], 0))][:2]
+    return [u for u in candidates if form.eval((u[0], u[1], 0))][:2]
 
 
 def _affine_singular_points(form: TriForm) -> list[PlanePoint]:
@@ -377,22 +376,17 @@ def _residual_is_singular(
     return False
 
 
-def _at_infinity(form: TriForm) -> TriForm:
-    """F(T, X, 0), refusing a curve that contains the line Z = 0."""
-    at_infinity = form.infinity_form()
-    if at_infinity.is_zero():
+def _refuse_line_at_infinity(form: TriForm) -> None:
+    if form.binary_form().is_zero():
         raise PreconditionError("curve contains the line at infinity in this frame")
-    return at_infinity
 
 
 def _infinity_singular_points(form: TriForm) -> list[PlanePoint]:
-    _at_infinity(form)
+    _refuse_line_at_infinity(form)
     # Setting Z = 0 commutes with d/dT and d/dX and turns dF/dZ into the
     # coefficient of Z, so the gradient at Z = 0 is read from three partials.
     # By Euler, d*F(T, X, 0) = T*F_T + X*F_X at Z = 0, so one is nonzero.
-    gradient = [form.partial(k).infinity_form() for k in range(3)]
-    candidates = [g for g in gradient if not g.is_zero()]
-    common_points, residual_degree = _binary_common_roots(candidates)
+    common_points, residual_degree = _binary_common_roots([form.partial(k) for k in range(3)])
     if residual_degree > 0:
         raise NotKRationalError("possible non-K singular point on the line at infinity")
     out = []
@@ -403,28 +397,21 @@ def _infinity_singular_points(form: TriForm) -> list[PlanePoint]:
     return out
 
 
-def _t_polynomial(form: TriForm) -> Poly:
-    """A form in T and X alone at X = 1; its roots are the points [t : 1]."""
-    coeffs = [ZERO] * (form.degree + 1)
-    for (a, _b, _c), coeff in form.terms.items():
-        coeffs[a] = coeff
-    return Poly(coeffs)
-
-
 def _binary_common_roots(
     forms: Sequence[TriForm],
 ) -> tuple[list[tuple[FieldElem, FieldElem]], int]:
-    """Common roots [t : x] of nonzero forms in T and X alone; K-rational ones
-    plus residual degree."""
-    g = poly_gcd_many([_t_polynomial(form) for form in forms])
+    """Common roots [t : x] on the line Z = 0 of forms whose binary forms
+    F(T, X, 0) are not all zero; K-rational ones plus residual degree."""
+    binaries = [(form.binary_form(), form.degree) for form in forms]
+    g = poly_gcd_many([binary for binary, _d in binaries])
     points: list[tuple[FieldElem, FieldElem]] = []
     residual_degree = 0
     if g.degree >= 1:
         roots, residual = k_rational_roots(g)
         points.extend((r, ONE) for r, _m in roots)
         residual_degree = residual.degree
-    # [1 : 0] is a common root iff no form has a T^degree term
-    if all(form.coeff((form.degree, 0, 0)).is_zero() for form in forms):
+    # [1 : 0] is a common root iff no binary form has a T^degree term
+    if all(binary.degree < d for binary, d in binaries):
         points.append((ONE, ZERO))
     return points, residual_degree
 
@@ -634,8 +621,9 @@ def _pair_intersection(a: PlaneCurve, b: PlaneCurve) -> _PairIntersection:
     A pair in which a curve contains the line Z = 0 is refused first: every
     shear would be skipped for it.
     """
-    at_infinity = (_at_infinity(a.form), _at_infinity(b.form))
-    points, residual_degree = _binary_common_roots(at_infinity)
+    _refuse_line_at_infinity(a.form)
+    _refuse_line_at_infinity(b.form)
+    points, residual_degree = _binary_common_roots((a.form, b.form))
     if residual_degree > 0:
         raise NotKRationalError(
             "the curves meet the line at infinity at a non-K-rational point"
@@ -744,7 +732,7 @@ def classify_tangent_case(q: PlaneCurve, z: PlanePoint) -> str:
         raise IntegrityError("tangent line has contact order below 2")
     # The line is a bitangent or a 4-fold tangent exactly when q restricted
     # to it is a square: every root, [1 : 0] included, has even multiplicity.
-    pullback = _t_polynomial(q.form.substitute(_line_images(line)))
+    pullback = q.form.substitute(_line_images(line)).binary_form()
     multiplicities = [m for _f, m in squarefree_decomposition(pullback)]
     multiplicities.append(q.degree - pullback.degree)
     return CASE_B if all(m % 2 == 0 for m in multiplicities) else CASE_S

@@ -285,10 +285,7 @@ def _require_constant_den(value: _Frac, what: str) -> _MultiPoly:
 
 def _to_poly(m: _MultiPoly) -> Poly:
     """The univariate polynomial with the accumulator's coefficients."""
-    coeffs = [ZERO] * (max((e for (e,) in m.terms), default=-1) + 1)
-    for (e,), coeff in m.terms.items():
-        coeffs[e] = coeff
-    return Poly(coeffs)
+    return BiPoly.from_terms(((e, 0), coeff) for (e,), coeff in m.terms.items()).coeff_x(0)
 
 
 def _to_ratfunc(value: _Frac) -> RatFunc:

@@ -24,13 +24,17 @@ A coefficient of K is an int when rational and a 4-tuple of ints
 otherwise; `coeffs` reads the coefficients as FieldElems for the code
 outside this kernel.
 
-Substitutions are coefficient maps, not compositions.  A chart of a form
-moves each term by its exponents alone (`TriForm.dehomogenize`).  The
-shears x -> x + k*t and shifts x -> x + c of a BiPoly are one translate
-kernel, and the Taylor shift t -> t + c of a Poly uses the same binomial
-rows (`_translate_rows`; von zur Gathen and Gerhard, ISSAC 1997, at these
-degrees the plain binomial form).  `TriForm.eval` reads one table of
-powers per coordinate.
+A TriForm of degree d is stored as its chart f(t, x) = F(t, x, 1), a
+BiPoly, so forms run on the same integer kernel.  `binary_form` reads
+F(T, X, 0) at X = 1 off the chart's terms of total degree d, and `terms`
+reads the coefficients as FieldElems by exponents.
+
+Substitutions are coefficient maps, not compositions.  The charts X = 1
+and T = 1 of a form move each term by its exponents alone
+(`TriForm.dehomogenize`).  The shears x -> x + k*t and shifts x -> x + c
+of a BiPoly are one translate kernel, and the Taylor shift t -> t + c of a
+Poly uses the same binomial rows (`_translate_rows`; von zur Gathen and
+Gerhard, ISSAC 1997, at these degrees the plain binomial form).
 """
 
 from __future__ import annotations
@@ -427,31 +431,11 @@ class Poly:
         return Poly(tuple(fn(c) for c in self.coeffs))
 
     def to_str(self, var: str = "t") -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c.is_zero():
-                continue
-            if k == 0:
-                body = _coeff_str(c, standalone=True)
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                if c == ONE:
-                    body = power
-                elif c == -ONE:
-                    body = f"-{power}"
-                else:
-                    body = f"{_coeff_str(c)}*{power}"
-            terms.append(body)
-        out = terms[0]
-        for term in terms[1:]:
-            if term.startswith("-"):
-                out += f" - {term[1:]}"
-            else:
-                out += f" + {term}"
-        return out
+        coeffs = self.coeffs
+        return _render(
+            (coeffs[k], var if k == 1 else f"{var}^{k}" if k else "")
+            for k in range(len(coeffs) - 1, -1, -1)
+        )
 
     def __str__(self) -> str:
         return self.to_str()
@@ -553,11 +537,29 @@ def _long_division(
     return quotient, [comp[:d] for comp in rem], power
 
 
-def _coeff_str(c: FieldElem, standalone: bool = False) -> str:
-    text = str(c)
-    if " " in text and not standalone:
-        return f"({text})"
-    return text
+def _render(terms: Iterable[tuple[FieldElem, str]]) -> str:
+    """Terms (coefficient, monomial text), highest first, as one sum; the
+    constant monomial is the empty text and zero coefficients are left out."""
+    out = ""
+    for coeff, monomial in terms:
+        if not coeff:
+            continue
+        text = str(coeff)
+        if not monomial:
+            body = text
+        elif coeff == ONE:
+            body = monomial
+        elif coeff == -ONE:
+            body = f"-{monomial}"
+        else:
+            body = f"({text})*{monomial}" if " " in text else f"{text}*{monomial}"
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += f" - {body[1:]}"
+        else:
+            out += f" + {body}"
+    return out or "0"
 
 
 def _translate_rows(c0: FieldElem, c1: FieldElem, n: int) -> tuple[list[list[tuple]], int]:
@@ -1075,201 +1077,186 @@ def chain_resultant(chain: list[BiPoly]) -> Poly:
 
 
 class TriForm:
-    """Homogeneous form in T, X, Z with exponent-keyed coefficients."""
+    """Homogeneous form F in T, X, Z of a given degree d, stored as its chart
+    f(t, x) = F(t, x, 1): the term c*T^a*X^b*Z^(d-a-b) is c*t^a*x^b of `chart`."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "chart")
 
     def __init__(self, degree: int, terms: dict[tuple[int, int, int], ElemLike]):
-        cleaned: dict[tuple[int, int, int], FieldElem] = {}
-        for key, value in terms.items():
-            a, b, c = key
-            if a + b + c != degree or min(a, b, c) < 0:
+        for key in terms:
+            if sum(key) != degree or min(key) < 0:
                 raise ValueError(f"monomial {key} violates homogeneity of degree {degree}")
-            coeff = _elem(value)
-            if not coeff.is_zero():
-                cleaned[key] = coeff
+        chart = BiPoly.from_terms(((a, b), v) for (a, b, _c), v in terms.items())
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
+        object.__setattr__(self, "chart", chart)
 
     def __setattr__(self, name, value):
         raise AttributeError("TriForm is immutable")
 
+    @property
+    def terms(self) -> dict[tuple[int, int, int], FieldElem]:
+        """The nonzero coefficients by exponents (a, b, c), ascending; a new dict."""
+        d, cols = self.degree, self.chart.coeffs
+        pairs = [((a, b, d - a - b), c)
+                 for b, col in enumerate(cols) for a, c in enumerate(col.coeffs)]
+        return dict(sorted(pair for pair in pairs if pair[1]))
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.chart
 
     def coeff(self, key: tuple[int, int, int]) -> FieldElem:
-        return self.terms.get(key, ZERO)
+        a, b, _c = key
+        return self.chart.coeff_x(b).coeff(a) if sum(key) == self.degree else ZERO
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TriForm)
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.chart == other.chart
         )
 
     def __hash__(self) -> int:
-        return hash((self.degree, tuple(self.terms.items())))
+        return hash((self.degree, self.chart))
 
     def __add__(self, other: "TriForm") -> "TriForm":
         if self.degree != other.degree:
             raise ValueError("degree mismatch in form addition")
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            out[key] = out.get(key, ZERO) + value
-        return TriForm(self.degree, out)
+        return _form(self.degree, self.chart + other.chart)
 
     def __mul__(self, other: "TriForm") -> "TriForm":
-        out: dict[tuple[int, int, int], FieldElem] = {}
-        for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in other.terms.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                out[key] = out.get(key, ZERO) + v1 * v2
-        return TriForm(self.degree + other.degree, out)
+        return _form(self.degree + other.degree, self.chart * other.chart)
 
     def scale(self, value: ElemLike) -> "TriForm":
         v = _elem(value)
-        return TriForm(self.degree, {k: c * v for k, c in self.terms.items()})
-
-    def __pow__(self, exponent: int) -> "TriForm":
-        result = TriForm(0, {(0, 0, 0): ONE})
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _form(self.degree, BiPoly(col.scale(v) for col in self.chart.coeffs))
 
     def eval(self, point: Sequence[ElemLike]) -> FieldElem:
-        """The value at (T, X, Z), from one table of powers per coordinate."""
-        tables = []
-        for value in point:
-            value = _elem(value)
-            powers = [ONE]
-            for _ in range(self.degree):
-                powers.append(powers[-1] * value)
-            tables.append(powers)
-        pt, px, pz = tables
+        """The value at (T, X, Z): Z^d * f(T/Z, X/Z) off the line Z = 0, and
+        the binary form on it."""
+        t, x, z = (_elem(v) for v in point)
+        d = self.degree
+        if not z:
+            if not x:
+                return self.binary_form().coeff(d) * t**d
+            return self.binary_form().eval(t / x) * x**d
+        if z != ONE:
+            return self.eval((t / z, x / z, ONE)) * z**d
         acc = ZERO
-        for (a, b, c), coeff in self.terms.items():
-            monomial = pt[a] * px[b] * pz[c]
-            if monomial:
-                acc = acc + coeff * monomial
+        for col in reversed(self.chart.coeffs):
+            acc = acc * x + col.eval(t)
         return acc
 
     def partial(self, index: int) -> "TriForm":
-        """Partial derivative with respect to T (0), X (1) or Z (2)."""
-        out: dict[tuple[int, int, int], FieldElem] = {}
-        for key, coeff in self.terms.items():
-            e = key[index]
-            if e == 0:
-                continue
-            new_key = list(key)
-            new_key[index] = e - 1
-            out[tuple(new_key)] = coeff * e
-        return TriForm(max(self.degree - 1, 0), out)
+        """Partial derivative with respect to T (0), X (1) or Z (2); d/dZ
+        multiplies the term t^a*x^b of the chart by d - a - b."""
+        d, cols = self.degree, self.chart.coeffs
+        if index == 0:
+            chart = BiPoly(col.derivative() for col in cols)
+        elif index == 1:
+            chart = self.chart.derivative_x()
+        else:
+            chart = BiPoly(
+                _poly([[(d - a - b) * c for a, c in enumerate(row)] for row in col._num], col._den)
+                for b, col in enumerate(cols)
+            )
+        return _form(max(d - 1, 0), chart)
 
     def substitute(self, images: Sequence["TriForm"]) -> "TriForm":
-        """Substitute forms of a common degree d for (T, X, Z); output degree is d*degree."""
+        """Substitute forms of a common degree d for (T, X, Z); output degree is
+        d*degree.  Each term is a product from one table of powers per image."""
         img_t, img_x, img_z = images
         d = img_t.degree
         if img_x.degree != d or img_z.degree != d:
             raise ValueError("substitution images must share one degree")
-        result = TriForm(self.degree * d, {})
-        for (a, b, c), coeff in self.terms.items():
-            term = img_t**a * img_x**b * img_z**c
-            result = result + term.scale(coeff)
-        return result
+        terms = self.terms
+        tables = []
+        for k, image in enumerate(images):
+            powers = [TriForm(0, {(0, 0, 0): ONE})]
+            for _ in range(max((key[k] for key in terms), default=0)):
+                powers.append(powers[-1] * image)
+            tables.append(powers)
+        pt, px, pz = tables
+        acc = BiPoly.zero()
+        for (a, b, c), coeff in terms.items():
+            acc = acc + (pt[a] * px[b] * pz[c]).scale(coeff).chart
+        return _form(self.degree * d, acc)
 
     def min_exponents(self) -> tuple[int, int, int]:
         if self.is_zero():
             raise ValueError("zero form has no exponent support")
-        keys = list(self.terms)
-        return tuple(min(k[i] for k in keys) for i in range(3))
+        cols = self.chart.coeffs
+        a = min(col.ord_at_zero() for col in cols if col)
+        b = next(j for j, col in enumerate(cols) if col)
+        return a, b, self.degree - self.chart.total_degree
 
     def divide_monomial(self, exponents: tuple[int, int, int]) -> "TriForm":
-        a0, b0, c0 = exponents
-        out = {
-            (a - a0, b - b0, c - c0): v
-            for (a, b, c), v in self.terms.items()
-        }
-        return TriForm(self.degree - a0 - b0 - c0, out)
+        """Exact division by T^a*X^b*Z^c."""
+        a, b, c = exponents
+        if self.chart.total_degree + c > self.degree:
+            raise ValueError("not divisible by the requested Z power")
+        return _form(self.degree - a - b - c, self.chart.divide_x_power(b).divide_t_power(a))
 
     def dehomogenize(self, chart: int = 2) -> BiPoly:
         """The chart where coordinate `chart` is 1, in the other two coordinates
-        in order: (t, x) = (T/Z, X/Z) for Z = 1, (T/X, Z/X) for X = 1 and
-        (X/T, Z/T) for T = 1.  Each term moves by its exponents alone.
+        in order: (t, x) = (T/Z, X/Z) for Z = 1, the stored chart, (T/X, Z/X)
+        for X = 1 and (X/T, Z/T) for T = 1, where each term moves by its
+        exponents alone.
         """
+        if chart == 2:
+            return self.chart
         u, v = (k for k in range(3) if k != chart)
         return BiPoly.from_terms(((key[u], key[v]), coeff) for key, coeff in self.terms.items())
 
     @classmethod
     def homogenize(cls, p: BiPoly, degree: int) -> "TriForm":
         """Inverse chart map: t = T/Z, x = X/Z, cleared to the given degree."""
-        terms: dict[tuple[int, int, int], FieldElem] = {}
-        for b, col in enumerate(p.coeffs):
-            for a, coeff in enumerate(col.coeffs):
-                if coeff.is_zero():
-                    continue
-                c = degree - a - b
-                if c < 0:
-                    raise ValueError("degree too small to homogenize")
-                terms[(a, b, c)] = coeff
-        return cls(degree, terms)
+        if p.total_degree > degree:
+            raise ValueError("degree too small to homogenize")
+        return _form(degree, p)
 
-    def infinity_form(self) -> "TriForm":
-        """F(T, X, 0): the terms free of Z."""
-        return TriForm(self.degree, {k: v for k, v in self.terms.items() if k[2] == 0})
+    def binary_form(self) -> Poly:
+        """F(T, X, 0) at X = 1, indexed by the exponent of T: the coefficient
+        of T^a is that of t^a*x^(d - a) in the chart."""
+        d, chart = self.degree, self.chart
+        return Poly(chart.coeff_x(d - a).coeff(a) for a in range(d + 1))
 
     def canonical_scaled(self) -> "TriForm":
-        """Divide by the coefficient of the lexicographically largest monomial."""
+        """Divide by the coefficient of the lexicographically largest monomial:
+        the top t-coefficient of the last column of the largest t-degree."""
         if self.is_zero():
             return self
-        key = max(self.terms)
-        return self.scale(self.terms[key].inv())
+        top = self.chart.degree_t
+        pivot = next(col for col in reversed(self.chart.coeffs) if col.degree == top).lc
+        return self.scale(pivot.inv())
 
     def is_proportional(self, other: "TriForm") -> bool:
-        """Same degree, same support, and a_k * b_p == b_k * a_p for every
-        monomial k against one pivot monomial p."""
-        if self.degree != other.degree or self.terms.keys() != other.terms.keys():
+        """Same degree and t-degree in every column of the chart, and a*G == b*F
+        for the top coefficients a of F and b of G in the last column."""
+        f, g = self.chart.coeffs, other.chart.coeffs
+        if self.degree != other.degree or [p.degree for p in f] != [q.degree for q in g]:
             return False
-        if not self.terms:
-            return True
-        pivot = next(iter(self.terms))
-        a_p, b_p = self.terms[pivot], other.terms[pivot]
-        return all(a * b_p == other.terms[k] * a_p for k, a in self.terms.items())
+        a, b = (f[-1].lc, g[-1].lc) if f else (ONE, ONE)
+        return all(p.scale(b) == q.scale(a) for p, q in zip(f, g))
 
     def to_str(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for key in sorted(self.terms, reverse=True):
-            coeff = self.terms[key]
-            parts = []
-            for e, var in zip(key, ("T", "X", "Z")):
-                if e == 1:
-                    parts.append(var)
-                elif e > 1:
-                    parts.append(f"{var}^{e}")
-            monomial = "*".join(parts) if parts else "1"
-            if not parts:
-                body = _coeff_str(coeff, standalone=True)
-            elif coeff == ONE:
-                body = monomial
-            elif coeff == -ONE:
-                body = f"-{monomial}"
-            else:
-                body = f"{_coeff_str(coeff)}*{monomial}"
-            terms.append(body)
-        out = terms[0]
-        for term in terms[1:]:
-            if term.startswith("-"):
-                out += f" - {term[1:]}"
-            else:
-                out += f" + {term}"
-        return out
+        return _render(
+            (coeff, "*".join(v if e == 1 else f"{v}^{e}" for e, v in zip(key, "TXZ") if e))
+            for key, coeff in reversed(self.terms.items())
+        )
 
     def __str__(self) -> str:
         return self.to_str()
 
     def __repr__(self) -> str:
         return f"TriForm({self.to_str()})"
+
+
+def _form(degree: int, chart: BiPoly) -> TriForm:
+    """The form of the given degree with the chart, of at most that total degree."""
+    form = _new(TriForm)
+    object.__setattr__(form, "degree", degree)
+    object.__setattr__(form, "chart", chart)
+    return form
 
 
 def kth_subresultant_coeffs(chain: list[BiPoly], x_degree: int) -> BiPoly | None:

@@ -371,9 +371,14 @@ def test_triform_partials_satisfy_euler_relation():
 
 
 def test_infinity_form_reads_top_coefficients():
-    form = TriForm.homogenize(parse_bipoly("x^2 - t^3"), 3)
-    binary = form.infinity_form()
-    assert binary.degree == 3
+    # F = X^2*Z - T^3 + 2*T*X^2 - 5*T^2*X, so F(T, 1, 0) = -T^3 - 5*T^2 + 2*T
+    form = TriForm.homogenize(parse_bipoly("x^2 - t^3 + 2*t*x^2 - 5*t^2*x"), 3)
+    binary = form.binary_form()
+    expected = [FieldElem.from_rational(c) for c in (0, 2, -5, -1, 0)]
+    assert [binary.coeff(a) for a in range(5)] == expected
+    assert binary == parse_poly("-t^3 - 5*t^2 + 2*t")
+    assert TriForm(2, {(0, 0, 2): 7}).binary_form().is_zero()
+    assert TriForm(0, {(0, 0, 0): 7}).binary_form() == Poly.constant(7)
 
 
 # -- substitutions as coefficient maps, against composition oracles ---------------
@@ -537,6 +542,8 @@ def test_is_proportional_edge_cases():
     assert not f.is_proportional(zero2) and not zero2.is_proportional(f)
     assert zero2.is_proportional(zero2) and not zero2.is_proportional(zero3)
     assert not f.is_proportional(parse_triform("T^2*Z - X*Z^2"))
+    # the pivot is the top monomial T*X, not T*Z of the same T-degree
+    assert parse_triform("2*T*X + 4*T*Z").canonical_scaled() == parse_triform("T*X + 2*T*Z")
 
 
 # -- the integer kernel against a coefficient-by-coefficient reference ----------
@@ -747,3 +754,213 @@ def test_equal_polynomials_built_along_different_paths_are_equal(a, b, v):
     total = p + conjugates[0] + conjugates[1] + conjugates[2]
     rational = Poly(FieldElem(4 * c.coords[0]) for c in p.coeffs)
     assert total == rational and hash(total) == hash(rational) and total.is_rational()
+
+
+# -- forms on their chart against a dict reference ---------------------------
+#
+# The reference keeps a form as its degree and a dict from exponents (a, b, c)
+# of T^a*X^b*Z^c to nonzero FieldElems, in ascending order: the representation
+# TriForm had before it kept its chart f(t, x) = F(t, x, 1).
+
+
+def ref_form(degree, terms):
+    cleaned = {key: FieldElem.coerce(v) for key, v in terms.items() if v}
+    return degree, dict(sorted(cleaned.items()))
+
+
+def ref_form_add(f, g):
+    out = dict(f[1])
+    for key, value in g[1].items():
+        out[key] = out.get(key, ZERO) + value
+    return ref_form(f[0], out)
+
+
+def ref_form_mul(f, g):
+    out = {}
+    for (a1, b1, c1), v1 in f[1].items():
+        for (a2, b2, c2), v2 in g[1].items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out.get(key, ZERO) + v1 * v2
+    return ref_form(f[0] + g[0], out)
+
+
+def ref_form_scale(f, v):
+    return ref_form(f[0], {key: c * v for key, c in f[1].items()})
+
+
+def ref_form_partial(f, index):
+    out = {}
+    for key, coeff in f[1].items():
+        if key[index]:
+            lowered = list(key)
+            lowered[index] -= 1
+            out[tuple(lowered)] = coeff * key[index]
+    return ref_form(max(f[0] - 1, 0), out)
+
+
+def ref_form_substitute(f, images):
+    result = ref_form(f[0] * images[0][0], {})
+    for key, coeff in f[1].items():
+        term = ref_form(0, {(0, 0, 0): ONE})
+        for image, e in zip(images, key):
+            for _ in range(e):
+                term = ref_form_mul(term, image)
+        result = ref_form_add(result, ref_form_scale(term, coeff))
+    return result
+
+
+def ref_form_eval(f, point):
+    t, x, z = (FieldElem.coerce(v) for v in point)
+    acc = ZERO
+    for (a, b, c), coeff in f[1].items():
+        acc = acc + coeff * t**a * x**b * z**c
+    return acc
+
+
+def ref_chart_terms(f, chart):
+    """The chart where coordinate `chart` is 1, as {(i, j): c} for c*t^i*x^j."""
+    u, v = (k for k in range(3) if k != chart)
+    return {(key[u], key[v]): c for key, c in f[1].items()}
+
+
+def bipoly_terms(p: BiPoly):
+    return {(i, j): c for j, col in enumerate(p.coeffs) for i, c in enumerate(col.coeffs) if c}
+
+
+def ref_min_exponents(f):
+    return tuple(min(key[k] for key in f[1]) for k in range(3))
+
+
+def ref_divide_monomial(f, exponents):
+    shifted = {tuple(e - m for e, m in zip(key, exponents)): c for key, c in f[1].items()}
+    return ref_form(f[0] - sum(exponents), shifted)
+
+
+def ref_canonical_scaled(f):
+    return ref_form_scale(f, f[1][max(f[1])].inv()) if f[1] else f
+
+
+def ref_is_proportional(f, g):
+    if f[0] != g[0] or f[1].keys() != g[1].keys():
+        return False
+    if not f[1]:
+        return True
+    pivot = next(iter(f[1]))
+    a_p, b_p = f[1][pivot], g[1][pivot]
+    return all(a * b_p == g[1][key] * a_p for key, a in f[1].items())
+
+
+def ref_form_str(f):
+    def coeff_str(c, standalone=False):
+        text = str(c)
+        return f"({text})" if " " in text and not standalone else text
+
+    terms = []
+    for key in sorted(f[1], reverse=True):
+        coeff = f[1][key]
+        parts = [var if e == 1 else f"{var}^{e}" for e, var in zip(key, "TXZ") if e]
+        monomial = "*".join(parts)
+        if not parts:
+            body = coeff_str(coeff, standalone=True)
+        elif coeff == ONE:
+            body = monomial
+        elif coeff == -ONE:
+            body = f"-{monomial}"
+        else:
+            body = f"{coeff_str(coeff)}*{monomial}"
+        terms.append(body)
+    if not terms:
+        return "0"
+    out = terms[0]
+    for term in terms[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
+def as_ref(form: TriForm):
+    """A TriForm read through `terms`, which must come in ascending order."""
+    assert list(form.terms) == sorted(form.terms)
+    return form.degree, form.terms
+
+
+@st.composite
+def ref_forms(draw, degree=None):
+    """(degree, terms) of degree 0..4 with up to seven terms, whose
+    coefficients have r2, i and i*r2 parts and denominators, zeros included."""
+    d = draw(st.integers(0, 4)) if degree is None else degree
+    keys = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=7))
+    return d, {key: draw(kernel_elems) for key in chosen}
+
+
+@st.composite
+def form_cases(draw):
+    f = draw(ref_forms())
+    g = draw(ref_forms(degree=f[0]))
+    h = draw(ref_forms(degree=draw(st.integers(0, 2))))
+    e = draw(st.integers(0, 2))
+    images = tuple(draw(ref_forms(degree=e)) for _ in range(3))
+    return f, g, h, images
+
+
+@given(form_cases(), nonzero_kernel_elems, kernel_elems, kernel_elems, nonzero_kernel_elems)
+@settings(deadline=None)
+def test_forms_match_the_dict_reference(case, v, t, x, w):
+    f, g, h, images = case
+    F, G, H = TriForm(*f), TriForm(*g), TriForm(*h)
+    f, g, h = ref_form(*f), ref_form(*g), ref_form(*h)
+    assert as_ref(F) == f and list(F.terms.items()) == list(f[1].items())
+    assert as_ref(F + G) == ref_form_add(f, g)
+    assert as_ref(F * H) == ref_form_mul(f, h)
+    assert as_ref(F.scale(v)) == ref_form_scale(f, v)
+    for index in range(3):
+        assert as_ref(F.partial(index)) == ref_form_partial(f, index)
+    refs = tuple(ref_form(*image) for image in images)
+    substituted = F.substitute(tuple(TriForm(*image) for image in images))
+    assert as_ref(substituted) == ref_form_substitute(f, refs)
+    # off Z = 0, on it with X != 0, and at [1 : 0 : 0]
+    for point in ((t, x, w), (t, w, ZERO), (w, ZERO, ZERO)):
+        assert F.eval(point) == ref_form_eval(f, point)
+    for chart in range(3):
+        assert bipoly_terms(F.dehomogenize(chart)) == ref_chart_terms(f, chart)
+    assert F.to_str() == ref_form_str(f)
+    assert as_ref(F.canonical_scaled()) == ref_canonical_scaled(f)
+    if f[1]:
+        mins = F.min_exponents()
+        assert mins == ref_min_exponents(f)
+        assert as_ref(F.divide_monomial(mins)) == ref_divide_monomial(f, mins)
+        # a rescaled copy, the same with one coefficient moved, and g
+        key = sorted(f[1])[len(f[1]) // 2]
+        moved = F.scale(v) + TriForm(F.degree, {key: w})
+        for other in (F.scale(v), moved, G, TriForm(F.degree + 1, {})):
+            o = as_ref(other)
+            assert F.is_proportional(other) == ref_is_proportional(f, o)
+            assert other.is_proportional(F) == ref_is_proportional(o, f)
+
+
+@given(ref_forms(), ref_forms())
+@settings(deadline=None)
+def test_equal_forms_built_four_ways_are_equal_and_hash_equal(f, g):
+    f, g = ref_form(*f), ref_form(*g)
+    product = ref_form_mul(f, g)
+    chart = BiPoly.zero()
+    for (a, b, _c), coeff in product[1].items():
+        chart = chart + BiPoly([Poly.zero()] * b + [Poly.constant(coeff).shift_up(a)])
+    built = [
+        TriForm(*product),
+        TriForm.homogenize(chart, product[0]),
+        TriForm(*f) * TriForm(*g),
+    ]
+    if product[1]:
+        built.append(parse_triform(built[0].to_str()))
+    for form in built:
+        assert form == built[0] and hash(form) == hash(built[0])
+        assert as_ref(form) == product
+
+
+def test_divide_monomial_refuses_a_monomial_that_does_not_divide():
+    form = parse_triform("T^2*X + X*Z^2")
+    assert form.divide_monomial((0, 1, 0)) == parse_triform("T^2 + Z^2")
+    for exponents, power in (((1, 1, 0), "t"), ((0, 2, 0), "x"), ((0, 1, 1), "Z")):
+        with pytest.raises(ValueError, match=f"not divisible by the requested {power} power"):
+            form.divide_monomial(exponents)
