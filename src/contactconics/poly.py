@@ -461,6 +461,10 @@ def _coefficient(num: Sequence[list[int]], k: int):
 def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     """p + sign*q over the lcm of the two denominators."""
     x, y = p._num, q._num
+    if not y[0]:
+        return p
+    if not x[0] and sign == 1:
+        return q
     dx, dy = p._den, q._den
     if dx == dy:
         den, mx, my = dx, 1, sign
@@ -544,14 +548,14 @@ def _render(terms: Iterable[tuple[FieldElem, str]]) -> str:
     for coeff, monomial in terms:
         if not coeff:
             continue
-        text = str(coeff)
         if not monomial:
-            body = text
+            body = str(coeff)
         elif coeff == ONE:
             body = monomial
         elif coeff == -ONE:
             body = f"-{monomial}"
         else:
+            text = str(coeff)
             body = f"({text})*{monomial}" if " " in text else f"{text}*{monomial}"
         if not out:
             out = body
@@ -873,11 +877,11 @@ class BiPoly:
         if self.is_zero() or other.is_zero():
             return BiPoly.zero()
         out = [Poly.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            if a:
+                for j, b in right:
+                    out[i + j] = out[i + j] + a * b
         return BiPoly(out)
 
     def eval_t(self, point: ElemLike) -> Poly:
@@ -1109,11 +1113,8 @@ class TriForm:
         return self.chart.coeff_x(b).coeff(a) if sum(key) == self.degree else ZERO
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TriForm)
-            and self.degree == other.degree
-            and self.chart == other.chart
-        )
+        same_degree = isinstance(other, TriForm) and self.degree == other.degree
+        return same_degree and self.chart == other.chart
 
     def __hash__(self) -> int:
         return hash((self.degree, self.chart))
@@ -1169,13 +1170,10 @@ class TriForm:
         if img_x.degree != d or img_z.degree != d:
             raise ValueError("substitution images must share one degree")
         terms = self.terms
-        tables = []
-        for k, image in enumerate(images):
-            powers = [TriForm(0, {(0, 0, 0): ONE})]
+        pt, px, pz = tables = [[TriForm(0, {(0, 0, 0): ONE})] for _ in images]
+        for k, (powers, image) in enumerate(zip(tables, images)):
             for _ in range(max((key[k] for key in terms), default=0)):
                 powers.append(powers[-1] * image)
-            tables.append(powers)
-        pt, px, pz = tables
         acc = BiPoly.zero()
         for (a, b, c), coeff in terms.items():
             acc = acc + (pt[a] * px[b] * pz[c]).scale(coeff).chart
@@ -1194,7 +1192,8 @@ class TriForm:
         a, b, c = exponents
         if self.chart.total_degree + c > self.degree:
             raise ValueError("not divisible by the requested Z power")
-        return _form(self.degree - a - b - c, self.chart.divide_x_power(b).divide_t_power(a))
+        chart = self.chart.divide_x_power(b) if b else self.chart
+        return _form(self.degree - a - b - c, chart.divide_t_power(a) if a else chart)
 
     def dehomogenize(self, chart: int = 2) -> BiPoly:
         """The chart where coordinate `chart` is 1, in the other two coordinates
@@ -1230,13 +1229,13 @@ class TriForm:
         return self.scale(pivot.inv())
 
     def is_proportional(self, other: "TriForm") -> bool:
-        """Same degree and t-degree in every column of the chart, and a*G == b*F
+        """Same degree and t-degree in every column of the chart, and F*(b/a) == G
         for the top coefficients a of F and b of G in the last column."""
         f, g = self.chart.coeffs, other.chart.coeffs
         if self.degree != other.degree or [p.degree for p in f] != [q.degree for q in g]:
             return False
-        a, b = (f[-1].lc, g[-1].lc) if f else (ONE, ONE)
-        return all(p.scale(b) == q.scale(a) for p, q in zip(f, g))
+        ratio = g[-1].lc / f[-1].lc if f else ONE
+        return all(p.scale(ratio) == q for p, q in zip(f, g))
 
     def to_str(self) -> str:
         return _render(
