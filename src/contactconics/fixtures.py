@@ -33,7 +33,7 @@ from .surface import (
     Section,
     WeierstrassModel,
     from_quartic,
-    section_to_plane_curve,
+    section_image_form,
 )
 
 _T = TypeVar("_T")
@@ -128,6 +128,7 @@ class WorkedExample(NamedTuple):
     model: WeierstrassModel
     sections: Mapping[str, Section]
     doubles: Mapping[str, Section]
+    images: Mapping[str, TriForm]  # the forms of P0..P3 and [2]P0..[2]P2
     lines: Mapping[str, PlaneCurve]
     conics: Mapping[str, PlaneCurve]
     nodes: tuple[PlanePoint, PlanePoint]
@@ -348,25 +349,25 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
         )
         doubles[name] = stated
 
+    images: dict[str, TriForm] = {}
+
+    def image_matches(key: str, section: Section, curve: PlaneCurve) -> bool:
+        images[key] = section_image_form(section)
+        return images[key].is_proportional(curve.form)
+
     for sec_name, line_name in (("P1", "L1"), ("P2", "L2"), ("P3", "L3")):
         check(
             f"companion line {line_name} is the image of section {sec_name}",
-            lambda s=sec_name, l=line_name: section_to_plane_curve(
-                sections[s]
-            ).form.is_proportional(lines[l].form),
+            lambda s=sec_name, l=line_name: image_matches(s, sections[s], lines[l]),
         )
     check(
         "contact conic Cbar is the image of section P0",
-        lambda: section_to_plane_curve(sections["P0"]).form.is_proportional(
-            conics["Cbar"].form
-        ),
+        lambda: image_matches("P0", sections["P0"], conics["Cbar"]),
     )
     for j in ("0", "1", "2"):
         check(
             f"contact conic C{j} is the image of the doubled section of P{j}",
-            lambda j=j: section_to_plane_curve(doubles[f"P{j}"]).form.is_proportional(
-                conics[f"C{j}"].form
-            ),
+            lambda j=j: image_matches(f"[2]P{j}", doubles[f"P{j}"], conics[f"C{j}"]),
         )
 
     return WorkedExample(
@@ -383,6 +384,7 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
         model=model,
         sections=MappingProxyType(sections),
         doubles=MappingProxyType(doubles),
+        images=MappingProxyType(images),
         lines=MappingProxyType(lines),
         conics=MappingProxyType(conics),
         nodes=nodes,

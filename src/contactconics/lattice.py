@@ -32,7 +32,7 @@ from .curves import CONIC_TYPE_TABLE as _TYPE_TABLE, arrangement_fingerprint
 from .errors import IntegrityError, PreconditionError
 from .fixtures import ARRANGEMENTS, load_worked_example
 from .heights import _require_positive_definite, component_contribution
-from .surface import Section, section_to_plane_curve
+from .surface import Section
 
 # Fiber roles: the plane-curve feature the fiber sits over.
 NODE_FIBER = "node"
@@ -621,12 +621,13 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
     The checks cover: both arrangements decompose as quartic + section
     image + doubled-section image; (s1, s2) extends to a basis of the
     section lattice (Smith normal form); s1 and [2]s1 are dependent; the
-    swapped pair is independent.  The [2]s images are read from
-    `example.doubles`, which the load has already checked against the group
-    law and the conics C0-C2.  The fingerprint comparison records
-    whether the combinatorial necessary conditions agree.  The
-    topological conclusion is cited from the underlying criterion, not
-    re-proved here.
+    swapped pair is independent.  The images of s and [2]s are read from
+    `example.images`, which the load computed from the sections and their
+    stated doublings (checked against the group law) and matched to the
+    companion lines and the conics Cbar and C0-C2.  The fingerprint
+    comparison records whether the combinatorial necessary conditions
+    agree.  The topological conclusion is cited from the underlying
+    criterion, not re-proved here.
     """
     if pair_id not in _PAIRS:
         raise PreconditionError(
@@ -639,8 +640,6 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
     vectors = _section_vectors()
     s1_vector = vectors[s1_name]
     s2_vector = vectors[s2_name]
-    s1 = example.sections[s1_name]
-    s2 = example.sections[s2_name]
 
     left_components = ARRANGEMENTS[left_name]
     right_components = ARRANGEMENTS[right_name]
@@ -661,41 +660,20 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
         )
     )
 
-    def image_matches(curve_key: str, section: Section) -> bool:
-        return section_to_plane_curve(section).form.is_proportional(
-            example.curve(curve_key).form
-        )
-
+    # the left members of s1 and [2]s1, and the swapped member on the right
+    identities = [(left_components[1], s1_name), (left_components[2], f"[2]{s1_name}")]
     if swapped == SWAP_COMPANION:
-        identities = (
-            (left_components[1], s1, f"{left_components[1]} is the image of {s1_name}"),
-            (right_components[1], s2, f"{right_components[1]} is the image of {s2_name}"),
-            (
-                left_components[2],
-                example.doubles[s1_name],
-                f"{left_components[2]} is the image of [2]{s1_name}",
-            ),
-        )
+        identities.insert(1, (right_components[1], s2_name))
     else:
-        identities = (
-            (left_components[1], s1, f"{left_components[1]} is the image of {s1_name}"),
-            (
-                left_components[2],
-                example.doubles[s1_name],
-                f"{left_components[2]} is the image of [2]{s1_name}",
-            ),
-            (
-                right_components[2],
-                example.doubles[s2_name],
-                f"{right_components[2]} is the image of [2]{s2_name}",
-            ),
-        )
-    for curve_key, section, description in identities:
+        identities.append((right_components[2], f"[2]{s2_name}"))
+    # No curve is built from an image: one proportional to a fixture curve,
+    # which the load tested square-free, is itself square-free.
+    for curve_key, image_key in identities:
         checks.append(
             PairCheck(
                 "member identified as a section image",
-                image_matches(curve_key, section),
-                description,
+                example.images[image_key].is_proportional(example.curve(curve_key).form),
+                f"{curve_key} is the image of {image_key}",
             )
         )
 

@@ -102,6 +102,15 @@ def _zeros(width: int, parts: int) -> list[list[int]]:
     return [[0] * width for _ in range(parts)]
 
 
+def _times(num: Sequence[list[int]], a) -> list[list[int]]:
+    """num times the scalar a, without all-zero irrational components or any gcd."""
+    if a.__class__ is int and len(num) == 1:
+        return [[a * c for c in num[0]]]
+    out = _zeros(len(num[0]), 4)
+    _axpy(out, a, num, 0)
+    return out if any(out[1]) or any(out[2]) or any(out[3]) else out[:1]
+
+
 def _poly(num: list[list[int]], den: int) -> "Poly":
     """The polynomial num/den for den > 0, in canonical form: no irrational
     components that are all zero, no trailing zero coefficient, and
@@ -277,10 +286,7 @@ class Poly:
         num = self._num
         if not num[0]:
             return self
-        a = _scalar(v)
-        out = _zeros(len(num[0]), 1 if a.__class__ is int and len(num) == 1 else 4)
-        _axpy(out, a, num, 0)
-        return _poly(out, self._den * v.d)
+        return _poly(_times(num, _scalar(v)), self._den * v.d)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -1082,9 +1088,10 @@ def chain_resultant(chain: list[BiPoly]) -> Poly:
 
 class TriForm:
     """Homogeneous form F in T, X, Z of a given degree d, stored as its chart
-    f(t, x) = F(t, x, 1): the term c*T^a*X^b*Z^(d-a-b) is c*t^a*x^b of `chart`."""
+    f(t, x) = F(t, x, 1): the term c*T^a*X^b*Z^(d-a-b) is c*t^a*x^b of `chart`.
+    A form is immutable, so it computes its hash once, at the first call."""
 
-    __slots__ = ("degree", "chart")
+    __slots__ = ("degree", "chart", "_hash")
 
     def __init__(self, degree: int, terms: dict[tuple[int, int, int], ElemLike]):
         for key in terms:
@@ -1117,7 +1124,9 @@ class TriForm:
         return same_degree and self.chart == other.chart
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.chart))
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash", hash((self.degree, self.chart)))
+        return self._hash
 
     def __add__(self, other: "TriForm") -> "TriForm":
         if self.degree != other.degree:
@@ -1229,13 +1238,18 @@ class TriForm:
         return self.scale(pivot.inv())
 
     def is_proportional(self, other: "TriForm") -> bool:
-        """Same degree and t-degree in every column of the chart, and F*(b/a) == G
-        for the top coefficients a of F and b of G in the last column."""
+        """Same degree and t-degree in every column of the chart, and F*b == G*a for
+        the top coefficients a = A/d_a of F and b = B/d_b of G in the last column,
+        on numerators: P*B*d_q*d_a == Q*A*d_p*d_b for the columns P/d_p and Q/d_q."""
         f, g = self.chart.coeffs, other.chart.coeffs
         if self.degree != other.degree or [p.degree for p in f] != [q.degree for q in g]:
             return False
-        ratio = g[-1].lc / f[-1].lc if f else ONE
-        return all(p.scale(ratio) == q for p, q in zip(f, g))
+        a, b = self.chart.lc_x.lc, other.chart.lc_x.lc
+        top_f, top_g = _scalar(a), _scalar(b)
+        return all(
+            _times(p._num, _smul(top_g, q._den * a.d)) == _times(q._num, _smul(top_f, p._den * b.d))
+            for p, q in zip(f, g)
+        )
 
     def to_str(self) -> str:
         return _render(

@@ -229,8 +229,8 @@ class Section:
         return result
 
 
-def section_to_plane_curve(point: Section) -> PlaneCurve:
-    """The line or conic x = x(t), homogenized."""
+def section_image_form(point: Section) -> TriForm:
+    """The form of the line or conic x = x(t), homogenized."""
     if point.is_zero:
         raise PreconditionError("the zero section has no affine chart curve")
     if not point.x.is_polynomial():
@@ -241,7 +241,12 @@ def section_to_plane_curve(point: Section) -> PlaneCurve:
             f"section x-degree {profile.degree} exceeds the line/conic stratum"
         )
     chart = BiPoly.variable_x() - BiPoly.from_poly_in_t(profile)
-    return PlaneCurve(TriForm.homogenize(chart, max(1, profile.degree)))
+    return TriForm.homogenize(chart, max(1, profile.degree))
+
+
+def section_to_plane_curve(point: Section) -> PlaneCurve:
+    """The line or conic of `section_image_form`, as a curve."""
+    return PlaneCurve(section_image_form(point))
 
 
 def plane_curve_to_sections(model: WeierstrassModel, curve: PlaneCurve) -> tuple[Section, Section]:

@@ -35,6 +35,7 @@ from contactconics import (
     cremona_transform,
     intersection_multiplicity,
     is_weak_contact,
+    parse_bipoly,
     parse_point,
     parse_triform,
 )
@@ -517,6 +518,17 @@ def test_rescaled_curve_gets_its_own_memo_entry(example):
     assert second == first
     assert conic.form in quartic._pair_cache and doubled.form in quartic._pair_cache
     assert quartic._pair_cache[conic.form] is not quartic._pair_cache[doubled.form]
+
+
+def test_equal_form_built_another_way_hits_the_pair_memo():
+    # the memo key hashes the parsed form first, and the lookup a form that
+    # computes its own hash
+    conic = curve("X*Z - T^2")
+    parsed = curve("X^2 - 7*X*Z + 15*Z^2 - T^2")
+    homogenized = PlaneCurve(TriForm.homogenize(parse_bipoly("x^2 - 7*x + 15 - t^2"), 2))
+    arrangement_fingerprint([conic, parsed])
+    assert curves._pair_classes(conic, homogenized) is conic._pair_cache[parsed.form]
+    assert len(conic._pair_cache) == 1
 
 
 def test_pair_sharing_a_component_raises_on_every_call():

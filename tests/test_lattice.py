@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactconics import (
+    ARRANGEMENT_NAMES,
+    BiPoly,
     CASE_I,
     CASE_II,
     CASE_III,
@@ -17,15 +19,17 @@ from contactconics import (
     PAIR_NAMES,
     PreconditionError,
     Section,
+    arrangement_fingerprint,
     count_by_type,
     enumerate_height_vectors,
+    load_worked_example,
     main_theorem_rows,
     smith_invariants,
     target_height,
     vectors_for_type,
     zariski_pair_report,
 )
-from contactconics import lattice
+from contactconics import curves, lattice
 from contactconics.errors import IntegrityError
 from contactconics.heights import _require_positive_definite
 from contactconics.lattice import (
@@ -434,6 +438,51 @@ def test_reports_after_the_first_run_no_group_law(monkeypatch):
     for pair_id in PAIR_NAMES:
         zariski_pair_report(pair_id)
     assert not additions
+
+
+def test_warm_reports_build_no_curve_and_hash_no_chart(monkeypatch):
+    # After a first run, every pair and every form hash is in a memo: the
+    # reports compare image forms without a square-free test, and the memo
+    # keys hash each form from its cached value.
+    example = load_worked_example()
+    for pair_id in PAIR_NAMES:
+        zariski_pair_report(pair_id)
+    calls = {"squarefree": 0, "hash": 0}
+    squarefree, chart_hash = curves._form_is_squarefree, BiPoly.__hash__
+
+    def counting_squarefree(form):
+        calls["squarefree"] += 1
+        return squarefree(form)
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return chart_hash(self)
+
+    monkeypatch.setattr(curves, "_form_is_squarefree", counting_squarefree)
+    monkeypatch.setattr(BiPoly, "__hash__", counting_hash)
+    reports = [zariski_pair_report(pair_id).render() for pair_id in PAIR_NAMES]
+    for name in ARRANGEMENT_NAMES:
+        arrangement_fingerprint(example.arrangement(name))
+    assert calls == {"squarefree": 0, "hash": 0}
+    assert all("lattice hypotheses verified" in report for report in reports)
+
+
+@pytest.mark.parametrize(
+    "sections, failed",
+    [(("P1", "P0"), ["L2 is the image of P0"]),
+     (("P2", "P1"), ["L1 is the image of P2", "L2 is the image of P1", "C1 is the image of [2]P2"])],
+)
+def test_a_wrong_section_fails_the_image_check(monkeypatch, sections, failed):
+    # (P1, P0) compares a line with a conic; (P2, P1) also compares C1 with
+    # the image of [2]P2, a conic with the same support.
+    monkeypatch.setitem(lattice._PAIRS, "B11-B21", ("B11", "B21", *sections, lattice.SWAP_COMPANION))
+    report = zariski_pair_report("B11-B21")
+    rendered = report.render()
+    assert [c.detail for c in report.checks if not c.passed] == failed
+    for detail in failed:
+        assert f"[FAIL] member identified as a section image: {detail}" in rendered
+    assert report.conclusion == "lattice hypotheses FAILED; no conclusion"
+    assert rendered.endswith("conclusion: lattice hypotheses FAILED; no conclusion")
 
 
 def test_a_failed_lattice_hypothesis_gives_no_conclusion(monkeypatch):

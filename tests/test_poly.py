@@ -542,6 +542,9 @@ def test_is_proportional_edge_cases():
     assert not f.is_proportional(zero2) and not zero2.is_proportional(f)
     assert zero2.is_proportional(zero2) and not zero2.is_proportional(zero3)
     assert not f.is_proportional(parse_triform("T^2*Z - X*Z^2"))
+    # a rational column against an irrational one: -i*(i*X + T) = X - i*T
+    assert parse_triform("i*X + T").is_proportional(parse_triform("X - i*T"))
+    assert parse_triform("X - i*T").is_proportional(parse_triform("i*X + T"))
     # the pivot is the top monomial T*X, not T*Z of the same T-degree
     assert parse_triform("2*T*X + 4*T*Z").canonical_scaled() == parse_triform("T*X + 2*T*Z")
 
@@ -946,15 +949,25 @@ def test_equal_forms_built_four_ways_are_equal_and_hash_equal(f, g):
     chart = BiPoly.zero()
     for (a, b, _c), coeff in product[1].items():
         chart = chart + BiPoly([Poly.zero()] * b + [Poly.constant(coeff).shift_up(a)])
-    built = [
-        TriForm(*product),
-        TriForm.homogenize(chart, product[0]),
-        TriForm(*f) * TriForm(*g),
-    ]
-    if product[1]:
-        built.append(parse_triform(built[0].to_str()))
-    for form in built:
-        assert form == built[0] and hash(form) == hash(built[0])
+
+    def build():
+        built = [
+            TriForm(*product),
+            TriForm.homogenize(chart, product[0]),
+            TriForm(*f) * TriForm(*g),
+        ]
+        if product[1]:
+            built.append(parse_triform(built[0].to_str()))
+        return built
+
+    # a form's hash is computed at its first call and cached: hash each form
+    # twice, one set first to last and a fresh set last to first
+    forward, backward = build(), build()
+    hashes = [hash(form) for form in forward] + [hash(form) for form in reversed(backward)]
+    hashes += [hash(form) for form in forward + backward]
+    assert len(set(hashes)) == 1
+    for form in forward:
+        assert form == forward[0] and forward[0] == form
         assert as_ref(form) == product
 
 

@@ -301,3 +301,12 @@ def test_line_and_conic_images_match_fixture_curves(example):
     assert section_to_plane_curve(2 * example.section("P0")).form.is_proportional(
         example.curve("C0").form
     )
+
+
+def test_example_keeps_the_image_form_of_each_section_and_doubling(example):
+    sections = {**example.sections, **{f"[2]{k}": s for k, s in example.doubles.items()}}
+    assert sorted(example.images) == sorted(sections) == [
+        "P0", "P1", "P2", "P3", "[2]P0", "[2]P1", "[2]P2"
+    ]
+    for key, section in sections.items():
+        assert example.images[key] == section_to_plane_curve(section).form
