@@ -25,6 +25,7 @@ the restricted quartic from its square-free decomposition.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -148,11 +149,12 @@ def _graded_parts(g: BiPoly) -> dict[int, dict[tuple[int, int], FieldElem]]:
 class PlaneCurve:
     """Reduced projective plane curve, defined by a square-free TriForm.
 
-    A curve caches its singular points; in `_pair_cache` its
-    intersection with each other curve it has been paired with, with the
-    class records refined from it (see `_pair_classes`); and in
-    `_probe_cache`, keyed by the shear, its sheared chart as a class probe
-    (see `_sheared_probe`).
+    Curves are equal when their forms are proportional, and hash as the
+    canonical scaling their form keeps.  A curve caches its singular
+    points; in `_pair_cache` its intersection with each other curve it has
+    been paired with, with the class records refined from it and their
+    fingerprint block (see `_pair_classes`); and in `_probe_cache`, keyed
+    by the shear, its sheared chart as a class probe (see `_sheared_probe`).
     """
 
     __slots__ = ("form", "_singular_cache", "_pair_cache", "_probe_cache")
@@ -780,25 +782,20 @@ def arrangement_fingerprint(components: Sequence[PlaneCurve]) -> str:
     other components through the class), all sorted into a canonical
     byte-comparable text.  This captures necessary conditions for two
     arrangements to share a combinatorial type, not a proof of it.
+    Components must be distinct; only those of equal degree are compared,
+    through their forms' cached canonical scalings.  Each pair's block of
+    text is memoized with its records (see `_pair_entry`).
     """
     comps = list(components)
-    for a in range(len(comps)):
-        for b in range(a + 1, len(comps)):
-            if comps[a] == comps[b]:
-                raise PreconditionError("arrangement components must be distinct")
+    if any(p.degree == q.degree and p == q for p, q in combinations(comps, 2)):
+        raise PreconditionError("arrangement components must be distinct")
     quartics = [c for c in comps if c.degree == 4]
     quartic = quartics[0] if len(quartics) == 1 else None
-    entries: list[str] = []
-    for a in range(len(comps)):
-        for b in range(a + 1, len(comps)):
-            label = tuple(sorted((comps[a].degree, comps[b].degree)))
-            others = [comps[k] for k in range(len(comps)) if k not in (a, b)]
-            records = _pair_class_records(comps[a], comps[b], others, quartic)
-            lines = sorted(line for r in records for line in [r.render()] * r.degree)
-            body = "\n".join(f"  {line}" for line in lines)
-            entries.append(f"pair ({label[0]},{label[1]}):\n{body}" if lines else f"pair ({label[0]},{label[1]}): none")
-    entries.sort()
-    return "\n".join(entries)
+    blocks = []
+    for a, b in combinations(range(len(comps)), 2):
+        others = [c for k, c in enumerate(comps) if k not in (a, b)]
+        blocks.append(_pair_entry(comps[a], comps[b], others, quartic)[1])
+    return "\n".join(sorted(blocks))
 
 
 def _pair_class_records(
@@ -807,13 +804,23 @@ def _pair_class_records(
     others: Sequence[PlaneCurve],
     quartic: PlaneCurve | None,
 ) -> tuple[_ClassRecord, ...]:
-    """The pair's class records, memoized in its `_pair_cache` entry.
+    """The pair's class records (see `_pair_entry`)."""
+    return _pair_entry(a, b, others, quartic)[0]
 
-    The memo keeps the records under the exact forms of the other components
-    and of the quartic, since the refinement depends on nothing else, and
-    the split of the pair's classes at the quartic's singular points under
-    the quartic's form alone (None without a quartic).
-    """
+
+def _pair_entry(
+    a: PlaneCurve,
+    b: PlaneCurve,
+    others: Sequence[PlaneCurve],
+    quartic: PlaneCurve | None,
+) -> tuple[tuple[_ClassRecord, ...], str]:
+    """The pair's class records and its sorted `pair (d1,d2): ...` block of
+    the fingerprint, memoized in its `_pair_cache` entry.
+
+    The memo keeps them under the exact forms of the other components and
+    of the quartic, since the refinement depends on nothing else, and the
+    split of the pair's classes at the quartic's singular points under the
+    quartic's form alone (None without a quartic)."""
     pair, memo = _pair_classes(a, b)
     quartic_form = None if quartic is None else quartic.form
     key = (tuple(d.form for d in others), quartic_form)
@@ -825,17 +832,18 @@ def _pair_class_records(
     for contact in pair.infinity:
         incidence = tuple(sorted(d.degree for d in others if d.contains(contact.point)))
         kind = _quartic_kind_at_point(quartic, contact.point)
-        records.append(
-            _ClassRecord(1, contact.multiplicity, kind, incidence)
-        )
+        records.append(_ClassRecord(1, contact.multiplicity, kind, incidence))
     records.extend(_refine_classes(pair, memo[quartic_form], others, quartic, a, b))
-    memo[key] = tuple(records)
+    lines = sorted(line for r in records for line in [r.render()] * r.degree)
+    low, high = sorted((a.degree, b.degree))
+    body = "".join(f"\n  {line}" for line in lines) if lines else " none"
+    memo[key] = (tuple(records), f"pair ({low},{high}):{body}")
     return memo[key]
 
 
 def _pair_classes(a: PlaneCurve, b: PlaneCurve) -> tuple[_PairIntersection, dict]:
     """The pair's intersection and the memo of its class records (see
-    `_pair_class_records`).
+    `_pair_entry`).
 
     The result is memoized on `a`, keyed by b's form under exact equality: a
     rescaled form is a different key, because s10 and s11 depend on the

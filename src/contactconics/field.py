@@ -193,11 +193,6 @@ class FieldElem:
         a0, a1, a2, a3 = self.n0, self.n1, self.n2, self.n3
         return a0 * a0 + 2 * a1 * a1 + a2 * a2 + 2 * a3 * a3, 2 * (a0 * a1 + a2 * a3)
 
-    def norm_to_q(self) -> Fraction:
-        """Product of the four Galois conjugates, always rational."""
-        p, q = self._norm_to_sqrt2()
-        return Fraction(p * p - 2 * q * q, self.d ** 4)
-
     def inv(self) -> "FieldElem":
         """1/x = d*(A - B*i)*(p - q*r2) / (p**2 - 2*q**2) for x = (A + B*i)/d.
 

@@ -102,15 +102,6 @@ def _zeros(width: int, parts: int) -> list[list[int]]:
     return [[0] * width for _ in range(parts)]
 
 
-def _times(num: Sequence[list[int]], a) -> list[list[int]]:
-    """num times the scalar a, without all-zero irrational components or any gcd."""
-    if a.__class__ is int and len(num) == 1:
-        return [[a * c for c in num[0]]]
-    out = _zeros(len(num[0]), 4)
-    _axpy(out, a, num, 0)
-    return out if any(out[1]) or any(out[2]) or any(out[3]) else out[:1]
-
-
 def _poly(num: list[list[int]], den: int) -> "Poly":
     """The polynomial num/den for den > 0, in canonical form: no irrational
     components that are all zero, no trailing zero coefficient, and
@@ -181,13 +172,6 @@ class Poly:
         if v.n1 or v.n2 or v.n3:
             return _poly([[v.n0], [v.n1], [v.n2], [v.n3]], v.d)
         return _poly([[v.n0]], v.d)
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[ElemLike]) -> "Poly":
-        result = cls.constant(ONE)
-        for root in roots:
-            result = result * cls((-_elem(root), ONE))
-        return result
 
     @property
     def degree(self) -> int:
@@ -286,7 +270,12 @@ class Poly:
         num = self._num
         if not num[0]:
             return self
-        return _poly(_times(num, _scalar(v)), self._den * v.d)
+        a = _scalar(v)
+        if a.__class__ is int and len(num) == 1:
+            return _poly([[a * c for c in num[0]]], self._den * v.d)
+        out = _zeros(len(num[0]), 4)
+        _axpy(out, a, num, 0)
+        return _poly(out, self._den * v.d)
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -907,13 +896,6 @@ class BiPoly:
     def eval_point(self, t0: ElemLike, x0: ElemLike) -> FieldElem:
         return self.eval_x(x0).eval(t0)
 
-    def subs_x_poly(self, p: Poly) -> Poly:
-        """Substitute x = p(t)."""
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
-
     def shear_x(self, k: ElemLike) -> "BiPoly":
         """Substitute x -> x + k*t."""
         return self._translate_x(ZERO, _elem(k))
@@ -1089,9 +1071,10 @@ def chain_resultant(chain: list[BiPoly]) -> Poly:
 class TriForm:
     """Homogeneous form F in T, X, Z of a given degree d, stored as its chart
     f(t, x) = F(t, x, 1): the term c*T^a*X^b*Z^(d-a-b) is c*t^a*x^b of `chart`.
-    A form is immutable, so it computes its hash once, at the first call."""
+    A form is immutable, so it computes its hash and its canonical scaling
+    once, at the first call; proportionality is equality of canonical forms."""
 
-    __slots__ = ("degree", "chart", "_hash")
+    __slots__ = ("degree", "chart", "_hash", "_canonical")
 
     def __init__(self, degree: int, terms: dict[tuple[int, int, int], ElemLike]):
         for key in terms:
@@ -1230,26 +1213,20 @@ class TriForm:
 
     def canonical_scaled(self) -> "TriForm":
         """Divide by the coefficient of the lexicographically largest monomial:
-        the top t-coefficient of the last column of the largest t-degree."""
-        if self.is_zero():
-            return self
-        top = self.chart.degree_t
-        pivot = next(col for col in reversed(self.chart.coeffs) if col.degree == top).lc
-        return self.scale(pivot.inv())
+        the top t-coefficient of the last column of the largest t-degree.
+        Computed once; a form whose pivot is 1 is its own canonical form."""
+        if not hasattr(self, "_canonical"):
+            pivot = ONE
+            if self.chart:
+                top = self.chart.degree_t
+                pivot = next(col for col in reversed(self.chart.coeffs) if col.degree == top).lc
+            object.__setattr__(self, "_canonical", self if pivot == ONE else self.scale(pivot.inv()))
+        return self._canonical
 
     def is_proportional(self, other: "TriForm") -> bool:
-        """Same degree and t-degree in every column of the chart, and F*b == G*a for
-        the top coefficients a = A/d_a of F and b = B/d_b of G in the last column,
-        on numerators: P*B*d_q*d_a == Q*A*d_p*d_b for the columns P/d_p and Q/d_q."""
-        f, g = self.chart.coeffs, other.chart.coeffs
-        if self.degree != other.degree or [p.degree for p in f] != [q.degree for q in g]:
-            return False
-        a, b = self.chart.lc_x.lc, other.chart.lc_x.lc
-        top_f, top_g = _scalar(a), _scalar(b)
-        return all(
-            _times(p._num, _smul(top_g, q._den * a.d)) == _times(q._num, _smul(top_f, p._den * b.d))
-            for p, q in zip(f, g)
-        )
+        """Same degree and equal canonical forms: both sides are divided by
+        the coefficient of the same top monomial, so the test is exact."""
+        return self.degree == other.degree and self.canonical_scaled() == other.canonical_scaled()
 
     def to_str(self) -> str:
         return _render(

@@ -500,6 +500,34 @@ def test_second_fingerprint_reads_every_record_from_the_memo(example, monkeypatc
     assert not calls
 
 
+def test_second_fingerprint_renders_nothing_and_compares_only_equal_degrees(example, monkeypatch):
+    calls = {"render": 0, "is_proportional": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    b11 = fresh_arrangement(example, "B11")  # Q + line + conic
+    d0 = fresh_arrangement(example, "D0")  # Q + conic + conic
+    first = [arrangement_fingerprint(b11), arrangement_fingerprint(d0)]
+    monkeypatch.setattr(curves._ClassRecord, "render", counting("render", curves._ClassRecord.render))
+    monkeypatch.setattr(TriForm, "is_proportional", counting("is_proportional", TriForm.is_proportional))
+    assert arrangement_fingerprint(b11) == first[0]
+    assert calls == {"render": 0, "is_proportional": 0}
+    assert arrangement_fingerprint(d0) == first[1]
+    assert calls["render"] == 0 and calls["is_proportional"] <= 1
+
+
+def test_proportional_components_are_refused_at_any_position():
+    conic, line = curve("X*Z - T^2"), curve("X - 3*Z")
+    for comps in ([conic, PlaneCurve(conic.form.scale(2)), line],
+                  [line, conic, PlaneCurve(line.form.scale(3))]):
+        with pytest.raises(PreconditionError, match="arrangement components must be distinct"):
+            arrangement_fingerprint(comps)
+
+
 def test_records_memo_is_keyed_by_the_other_components():
     # The line x = 3 passes through two of the four points where the conics
     # meet and x = 9 through none, so the pair's records depend on the line.

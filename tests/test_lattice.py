@@ -19,6 +19,7 @@ from contactconics import (
     PAIR_NAMES,
     PreconditionError,
     Section,
+    TriForm,
     arrangement_fingerprint,
     count_by_type,
     enumerate_height_vectors,
@@ -442,13 +443,14 @@ def test_reports_after_the_first_run_no_group_law(monkeypatch):
 
 def test_warm_reports_build_no_curve_and_hash_no_chart(monkeypatch):
     # After a first run, every pair and every form hash is in a memo: the
-    # reports compare image forms without a square-free test, and the memo
-    # keys hash each form from its cached value.
+    # reports compare the cached canonical forms of the images without a
+    # square-free test or a scaling, and the memo keys hash each form from
+    # its cached value.
     example = load_worked_example()
     for pair_id in PAIR_NAMES:
         zariski_pair_report(pair_id)
-    calls = {"squarefree": 0, "hash": 0}
-    squarefree, chart_hash = curves._form_is_squarefree, BiPoly.__hash__
+    calls = {"squarefree": 0, "hash": 0, "scale": 0}
+    squarefree, chart_hash, scale = curves._form_is_squarefree, BiPoly.__hash__, TriForm.scale
 
     def counting_squarefree(form):
         calls["squarefree"] += 1
@@ -458,12 +460,17 @@ def test_warm_reports_build_no_curve_and_hash_no_chart(monkeypatch):
         calls["hash"] += 1
         return chart_hash(self)
 
+    def counting_scale(self, value):
+        calls["scale"] += 1
+        return scale(self, value)
+
     monkeypatch.setattr(curves, "_form_is_squarefree", counting_squarefree)
     monkeypatch.setattr(BiPoly, "__hash__", counting_hash)
+    monkeypatch.setattr(TriForm, "scale", counting_scale)
     reports = [zariski_pair_report(pair_id).render() for pair_id in PAIR_NAMES]
     for name in ARRANGEMENT_NAMES:
         arrangement_fingerprint(example.arrangement(name))
-    assert calls == {"squarefree": 0, "hash": 0}
+    assert calls == {"squarefree": 0, "hash": 0, "scale": 0}
     assert all("lattice hypotheses verified" in report for report in reports)
 
 

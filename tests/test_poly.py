@@ -48,13 +48,21 @@ def test_arithmetic_results_have_no_trailing_zero(p, q):
         assert not r.coeffs or not r.coeffs[-1].is_zero()
 
 
+def poly_from_roots(roots) -> Poly:
+    """Reference: the product of the linear factors t - root."""
+    result = Poly.constant(ONE)
+    for root in roots:
+        result = result * Poly((-root, ONE))
+    return result
+
+
 def test_poly_basics():
     p = parse_poly("t^2 - 3*t + 2")
     assert p.degree == 2
     assert p.eval(FieldElem.from_rational(1)).is_zero()
     assert p.eval(FieldElem.from_rational(2)).is_zero()
     assert p.derivative() == parse_poly("2*t - 3")
-    assert Poly.from_roots([ONE, FieldElem.from_rational(2)]).monic() == p.monic()
+    assert poly_from_roots([ONE, FieldElem.from_rational(2)]).monic() == p.monic()
 
 
 T_PLUS_ONE = Poly((1, 1))
@@ -155,7 +163,7 @@ def test_poly_is_square_round_trip(p):
 
 
 def test_k_rational_roots_finds_field_roots():
-    p = Poly.from_roots([SQRT2, SQRT2, I]) * parse_poly("t^2 - 3")
+    p = poly_from_roots([SQRT2, SQRT2, I]) * parse_poly("t^2 - 3")
     roots, residual = k_rational_roots(p)
     as_dict = {root: order for root, order in roots}
     assert as_dict[SQRT2] == 2
@@ -194,7 +202,7 @@ rootless = st.sampled_from(["1", "t^2 - 3", "t^2 + t + 1", "t^3 - 2"]).map(parse
 def test_k_rational_roots_recovers_planted_roots(planted, lead, cofactor):
     p = Poly.constant(lead) * cofactor
     for root, mult in planted:
-        p = p * Poly.from_roots([root] * mult)
+        p = p * poly_from_roots([root] * mult)
     roots, residual = k_rational_roots(p)
     assert roots == sorted(planted, key=lambda item: item[0].sort_key())
     assert residual == cofactor
@@ -225,13 +233,21 @@ def test_ratfunc_normalization_and_arithmetic():
         RatFunc(parse_poly("1"), Poly.zero())
 
 
+def subs_x_poly(f: BiPoly, p: Poly) -> Poly:
+    """Reference: f(t, p(t)), by Horner in x."""
+    acc = Poly.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * p + c
+    return acc
+
+
 def test_bipoly_substitutions():
     f = parse_bipoly("x^2 - t^3 + t*x")
     assert f.degree_x == 2
     assert f.degree_t == 3
     assert f.total_degree == 3
     assert f.shift_x(1).eval_x(0) == f.eval_x(ONE)
-    assert f.subs_x_poly(parse_poly("t")) == parse_poly("t^2 - t^3 + t^2")
+    assert subs_x_poly(f, parse_poly("t")) == parse_poly("t^2 - t^3 + t^2")
     assert f.swap_vars().swap_vars() == f
 
 
@@ -490,15 +506,6 @@ def test_power_table_eval_matches_per_term_powers(form, point):
     assert form.eval(point) == expected
 
 
-def proportional_by_canonical_scaling(f: TriForm, g: TriForm) -> bool:
-    """Oracle: equal after dividing each by its lexicographically top coefficient."""
-    if f.degree != g.degree:
-        return False
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    return f.canonical_scaled() == g.canonical_scaled()
-
-
 @st.composite
 def form_pairs(draw):
     """Rescaled copies, copies with a term moved or dropped, unrelated forms,
@@ -522,10 +529,17 @@ def form_pairs(draw):
 
 @given(form_pairs())
 @settings(deadline=None)
-def test_cross_multiplication_matches_canonical_scaling(pair):
+def test_is_proportional_matches_the_dict_reference(pair):
     f, g = pair
-    assert f.is_proportional(g) == proportional_by_canonical_scaling(f, g)
-    if f.is_proportional(g):
+    expected = ref_is_proportional(as_ref(f), as_ref(g))
+    assert ref_is_proportional(as_ref(g), as_ref(f)) == expected
+    assert TriForm(g.degree, g.terms).is_proportional(TriForm(f.degree, f.terms)) == expected
+    # the first call computes both canonical forms, the later calls read them
+    assert f.is_proportional(g) == expected
+    for form in (f, g, f.canonical_scaled(), g.canonical_scaled()):
+        hash(form)
+    assert f.is_proportional(g) == g.is_proportional(f) == expected
+    if expected:
         assert hash(f.canonical_scaled()) == hash(g.canonical_scaled())
 
 
