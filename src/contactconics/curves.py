@@ -784,7 +784,7 @@ def arrangement_fingerprint(components: Sequence[PlaneCurve]) -> str:
     arrangements to share a combinatorial type, not a proof of it.
     Components must be distinct; only those of equal degree are compared,
     through their forms' cached canonical scalings.  Each pair's block of
-    text is memoized with its records (see `_pair_entry`).
+    text is memoized (see `_pair_entry`).
     """
     comps = list(components)
     if any(p.degree == q.degree and p == q for p, q in combinations(comps, 2)):
@@ -794,18 +794,8 @@ def arrangement_fingerprint(components: Sequence[PlaneCurve]) -> str:
     blocks = []
     for a, b in combinations(range(len(comps)), 2):
         others = [c for k, c in enumerate(comps) if k not in (a, b)]
-        blocks.append(_pair_entry(comps[a], comps[b], others, quartic)[1])
+        blocks.append(_pair_entry(comps[a], comps[b], others, quartic))
     return "\n".join(sorted(blocks))
-
-
-def _pair_class_records(
-    a: PlaneCurve,
-    b: PlaneCurve,
-    others: Sequence[PlaneCurve],
-    quartic: PlaneCurve | None,
-) -> tuple[_ClassRecord, ...]:
-    """The pair's class records (see `_pair_entry`)."""
-    return _pair_entry(a, b, others, quartic)[0]
 
 
 def _pair_entry(
@@ -813,14 +803,16 @@ def _pair_entry(
     b: PlaneCurve,
     others: Sequence[PlaneCurve],
     quartic: PlaneCurve | None,
-) -> tuple[tuple[_ClassRecord, ...], str]:
-    """The pair's class records and its sorted `pair (d1,d2): ...` block of
-    the fingerprint, memoized in its `_pair_cache` entry.
+) -> str:
+    """The pair's sorted `pair (d1,d2): ...` block of the fingerprint,
+    memoized in its `_pair_cache` entry.
 
-    The memo keeps them under the exact forms of the other components and
-    of the quartic, since the refinement depends on nothing else, and the
-    split of the pair's classes at the quartic's singular points under the
-    quartic's form alone (None without a quartic)."""
+    The memo keeps the block under the exact forms of the other components
+    and of the quartic, since the refinement depends on nothing else, and
+    the split of the pair's classes at the quartic's singular points under
+    the quartic's form alone (None without a quartic).  Both kinds of entry
+    belong to the pair, so they share its one memo: a split's key is a form
+    or None and a block's key is a 2-tuple, so they never collide."""
     pair, memo = _pair_classes(a, b)
     quartic_form = None if quartic is None else quartic.form
     key = (tuple(d.form for d in others), quartic_form)
@@ -837,12 +829,12 @@ def _pair_entry(
     lines = sorted(line for r in records for line in [r.render()] * r.degree)
     low, high = sorted((a.degree, b.degree))
     body = "".join(f"\n  {line}" for line in lines) if lines else " none"
-    memo[key] = (tuple(records), f"pair ({low},{high}):{body}")
+    memo[key] = f"pair ({low},{high}):{body}"
     return memo[key]
 
 
 def _pair_classes(a: PlaneCurve, b: PlaneCurve) -> tuple[_PairIntersection, dict]:
-    """The pair's intersection and the memo of its class records (see
+    """The pair's intersection and the memo of its blocks and splits (see
     `_pair_entry`).
 
     The result is memoized on `a`, keyed by b's form under exact equality: a

@@ -32,4 +32,6 @@ class NotKRationalError(PreconditionError):
 
 
 class UnsupportedSectionError(PreconditionError):
-    """A section lies outside the polynomial stratum this layer supports."""
+    """A section this layer cannot handle: its coordinates are not polynomial
+    where local fiber geometry needs them, or its chart curve x = x(t) is off
+    the line/conic stratum."""

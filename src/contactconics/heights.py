@@ -1,10 +1,16 @@
 """Height pairing on sections: chi = 1, intersection numbers, fiber corrections.
 
 The pairing is <P, Q> = chi + P.O + Q.O - P.Q - sum_v contr_v(P, Q), with the
-diagonal case <P, P> = 2 chi + 2 P.O - sum_v contr_v(P).  The local terms,
-component indices and P.Q at K-rational places and at infinity, come from the
-one blow-up walk in `surface`; this module adds the orders over places that
-are not K-rational.
+diagonal case <P, P> = 2 chi + 2 P.O - sum_v contr_v(P).  The component
+indices behind the local terms come from the blow-up walk in `surface`.
+Every intersection number comes from two standard facts (Shioda, "On the
+Mordell-Weil lattices", 1990; Schuett-Shioda, Mordell-Weil Lattices, 2019,
+ch. 6):
+
+- P.O is read off the pole orders of x(P) (see `_zero_intersection`), so
+  no root is found.
+- Translation by -Q is an automorphism of the smooth model that takes Q to
+  O, so P.Q = (P - Q).O.
 """
 
 from __future__ import annotations
@@ -12,14 +18,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import IntegrityError, PreconditionError, UnsupportedSectionError
-from .poly import Poly, k_rational_roots, poly_gcd, squarefree_decomposition
+from .errors import IntegrityError, PreconditionError
 from .surface import (
-    INFINITY,
     FiberCollection,
     Section,
     WeierstrassModel,
-    _local_order,
     classify_fibers,
     component_index,
 )
@@ -52,64 +55,32 @@ class HeightContext(NamedTuple):
         return cls(model, classify_fibers(model))
 
 
-def _stripped_order_sum(target: Poly, factor: Poly) -> int:
-    """Sum of root orders of target over all roots of the square-free factor."""
-    if target.is_zero():
-        raise IntegrityError("sections agree to infinite order at a meeting place")
-    total = 0
-    current = target
-    while True:
-        common = poly_gcd(current, factor)
-        if common.degree < 1:
-            return total
-        total += common.degree
-        current = current.exact_div(common)
+def _zero_intersection(point: Section) -> int:
+    """P.O over all places, read off x = num/den in lowest terms.
+
+    P meets O where x has a pole, with half the pole's order, counted with
+    the place's degree: the finite places give deg(den)/2.  The chart
+    s = 1/t, (x, y) -> (s^2 x, s^3 y) at t = infinity (chi = 1) turns x into
+    s^2 x, whose pole at s = 0 has order deg(num) - deg(den) - 2 when that
+    is positive.  The Weierstrass equation makes every pole order even.
+
+    Half the pole order is the local P.O only on a model that is minimal at
+    the place, infinity included.  Every model here is: after x -> x - a2/3,
+    which moves no pole, a non-minimal place forces ord a_i >= i for every
+    i, and under deg a_i <= i that makes the model a constant curve up to
+    the scaling x -> (t - v)^2 x (or with constant a_i, when the place is
+    infinity).  Every section of it is then constant in the scaled chart,
+    so deg(den) = 0 and deg(num) <= 2, and P.O = 0 either way.
+    """
+    x = point.x
+    return (x.den.degree + max(0, x.num.degree - x.den.degree - 2)) // 2
 
 
 def section_intersection(left: Section, right: Section) -> int:
-    """P.Q over all places, on the smooth model."""
+    """P.Q over all places, on the smooth model: (P - Q).O."""
     if left == right:
         raise PreconditionError("self-intersection is handled through chi, not P.Q")
-    if left.is_zero or right.is_zero:
-        return _local_order(left, right, INFINITY)
-    if left.model != right.model:
-        raise PreconditionError("sections live on different models")
-    total = _local_order(left, right, INFINITY)  # refuses sections off the stratum
-    xp, yp = left.x.as_poly(), left.y.as_poly()
-    x_diff = xp - right.x.as_poly()
-    y_diff = yp - right.y.as_poly()
-    locus = poly_gcd(x_diff, y_diff)
-    if locus.degree >= 1:
-        roots, residual = k_rational_roots(locus)
-        for location, _ in roots:
-            total += _local_order(left, right, location)
-        if residual.degree >= 1:
-            total += _residual_orders(left.model, residual, yp, x_diff, y_diff)
-    return total
-
-
-def _residual_orders(
-    model: WeierstrassModel,
-    residual: Poly,
-    y_left: Poly,
-    x_diff: Poly,
-    y_diff: Poly,
-) -> int:
-    """Meeting orders over non-K-rational places; only smooth fibers are supported."""
-    delta = model.discriminant()
-    total = 0
-    for part, _ in squarefree_decomposition(residual):
-        if poly_gcd(part, delta).degree >= 1:
-            raise UnsupportedSectionError(
-                "sections meet over a non-K-rational place with a singular fiber"
-            )
-        vanishing = poly_gcd(part, y_left) if not y_left.is_zero() else part
-        if vanishing.degree >= 1:
-            total += _stripped_order_sum(y_diff, vanishing)
-        separated = part.exact_div(vanishing) if vanishing.degree >= 1 else part
-        if separated.degree >= 1:
-            total += _stripped_order_sum(x_diff, separated)
-    return total
+    return _zero_intersection(left + (-right))
 
 
 def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
@@ -117,15 +88,15 @@ def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
     if left.is_zero or right.is_zero:
         return Fraction(0)
     if left == right:
-        value = 2 * _CHI + 2 * section_intersection(left, Section.zero(ctx.model))
+        value = 2 * _CHI + 2 * _zero_intersection(left)
         for fiber in ctx.fibers:
             index = component_index(left, fiber)
             value -= component_contribution(fiber.m_v, index, index)
         return value
     value = (
         _CHI
-        + section_intersection(left, Section.zero(ctx.model))
-        + section_intersection(right, Section.zero(ctx.model))
+        + _zero_intersection(left)
+        + _zero_intersection(right)
         - section_intersection(left, right)
     )
     for fiber in ctx.fibers:

@@ -28,8 +28,6 @@ from .poly import (
 )
 
 _X_DEGREE_LIMIT = 2
-_Y_DEGREE_LIMIT = 3
-_WALK_LIMIT = 64
 
 
 class _Infinity:
@@ -362,70 +360,74 @@ def classify_fibers(model: WeierstrassModel) -> FiberCollection:
 
 
 def _germ(point: Section, place: FieldElem | _Infinity) -> tuple[BiPoly, Poly, Poly]:
-    """The surface y^2 = cubic(t, x) and the section's (x, y), centred at a place.
+    """The surface y^2 = cubic(t, x) and the section's (x, y), centred at a place
+    where x has no pole.
 
     A K-place p moves to t = 0 by t -> t + p.  The chart at t = infinity is
-    s = 1/t, (x, y) -> (s^2 x, s^3 y); a section reaches it only from the
-    stratum deg x <= 2, deg y <= 3, which misses the zero section everywhere.
+    s = 1/t, (x, y) -> (s^2 x, s^3 y); a polynomial section that misses O
+    there has deg x <= 2, hence deg y <= 3, so its germ is polynomial in s.
     """
     if not (point.x.is_polynomial() and point.y.is_polynomial()):
         raise UnsupportedSectionError("local fiber geometry needs polynomial section coordinates")
     x, y = point.x.as_poly(), point.y.as_poly()
     if isinstance(place, _Infinity):
-        if x.degree > _X_DEGREE_LIMIT or y.degree > _Y_DEGREE_LIMIT:
-            raise UnsupportedSectionError(
-                "section leaves the stratum (deg x <= 2, deg y <= 3) with P.O = 0 "
-                "and a chart at infinity"
-            )
         return point.model.at_infinity().cubic(), x.reverse(2), y.reverse(3)
     return point.model.cubic().shift_t(place), x.shift_argument(place), y.shift_argument(place)
 
 
-def _walk(
-    surface: BiPoly, germs: list[tuple[Poly, Poly]], limit: int
-) -> tuple[BiPoly, list[tuple[Poly, Poly]], int]:
-    """Blow up y^2 = surface(t, x) while every germ passes through one point
-    (a, 0) of the fiber t = 0 with F_x(0, a) = 0, a singular point of the fiber.
+def _walk(surface: BiPoly, x: Poly, y: Poly, limit: int) -> tuple[BiPoly, Poly, Poly, int]:
+    """Blow up y^2 = surface(t, x) while the section germ (x(t), y(t)) passes
+    through a point (a, 0) of the fiber t = 0 with F_x(0, a) = 0, a singular
+    point of the fiber.
 
     Each blow-up substitutes x -> a + t*x1, y -> t*y1 and divides the
-    right-hand side by t^2; each section germ (x(t), y(t)) becomes its strict
-    transform ((x - a)/t, y/t).  A section germ through the point forces the
-    surface to be singular there too (at t = 0, 2 y y' = F_t + F_x x' reads
+    right-hand side by t^2; the germ becomes its strict transform
+    ((x - a)/t, y/t).  A section germ through the point forces the surface
+    to be singular there too (at t = 0, 2 y y' = F_t + F_x x' reads
     0 = F_t), so the division is exact.  Returns the last surface, the strict
-    germs and the number of blow-ups.
+    germ and the number of blow-ups.
     """
     depth = 0
     while True:
-        a = germs[0][0].eval(ZERO)
-        on_point = all(x.eval(ZERO) == a and y.eval(ZERO).is_zero() for x, y in germs)
-        if not on_point or not surface.derivative_x().eval_point(ZERO, a).is_zero():
-            return surface, germs, depth
+        a = x.eval(ZERO)
+        if not y.eval(ZERO).is_zero() or not surface.derivative_x().eval_point(ZERO, a).is_zero():
+            return surface, x, y, depth
         if depth == limit:
             raise IntegrityError("blow-up walk exceeded its limit")
         try:
             surface = surface.shift_x(a).subs_x_times_t().divide_t_power(2)
         except ValueError:
             raise IntegrityError("blow-up centre is not a singular point of the surface") from None
-        # x(0) = a and y(0) = 0, so the strict transforms drop one coefficient
-        germs = [(Poly(x.coeffs[1:]), Poly(y.coeffs[1:])) for x, y in germs]
+        # x(0) = a and y(0) = 0, so the strict transform drops one coefficient
+        x, y = Poly(x.coeffs[1:]), Poly(y.coeffs[1:])
         depth += 1
+
+
+def _meets_zero_section(point: Section, place: FieldElem | _Infinity) -> bool:
+    """Whether x has a pole at the place (at infinity, in the chart s^2 x)."""
+    num, den = point.x.num, point.x.den
+    if isinstance(place, _Infinity):
+        return num.degree > den.degree + 2
+    return den.eval(place).is_zero()
 
 
 def component_index(point: Section, fiber: FiberInfo) -> int:
     """Which fiber component the section meets, as a residue mod m_v.
 
-    The walk leaves the section on the last exceptional locus y^2 = E(x)
-    off its singular points: two lines crossing at (-c1/(2 c2), 0) or two
-    parallel lines y = +-sqrt(c0), where the sign of y picks the branch; or
-    an irreducible conic or a parabola, which is one component.
+    Where x has a pole, P meets O, and O meets only the identity component.
+    Elsewhere the walk leaves the section on the last exceptional locus
+    y^2 = E(x) off its singular points: two lines crossing at
+    (-c1/(2 c2), 0) or two parallel lines y = +-sqrt(c0), where the sign of
+    y picks the branch; or an irreducible conic or a parabola, which is one
+    component.
     """
-    if point.is_zero or fiber.m_v == 1:
+    if point.is_zero or fiber.m_v == 1 or _meets_zero_section(point, fiber.location):
         return 0
     surface, x, y = _germ(point, fiber.location)
     cubic = surface.eval_t(ZERO)
     if poly_gcd(cubic, cubic.derivative()).degree < 1:
         raise IntegrityError("reducible fiber without a repeated Weierstrass root")
-    surface, [(x, y)], depth = _walk(surface, [(x, y)], fiber.m_v)
+    surface, x, y, depth = _walk(surface, x, y, fiber.m_v)
     if depth == 0:
         return 0
     exceptional = surface.eval_t(ZERO)
@@ -438,18 +440,3 @@ def component_index(point: Section, fiber: FiberInfo) -> int:
     else:
         return depth
     return depth if branch.is_lex_positive() else fiber.m_v - depth
-
-
-def _local_order(left: Section, right: Section, place: FieldElem | _Infinity) -> int:
-    """Local P.Q at one place, on the smooth model; 0 against the zero section."""
-    if left.is_zero or right.is_zero:
-        _germ(right if left.is_zero else left, INFINITY)
-        return 0  # the stratum misses the zero section everywhere
-    surface, xp, yp = _germ(left, place)
-    _, xq, yq = _germ(right, place)
-    _, [(xp, yp), (xq, yq)], _ = _walk(surface, [(xp, yp), (xq, yq)], _WALK_LIMIT)
-    if xp.eval(ZERO) != xq.eval(ZERO) or yp.eval(ZERO) != yq.eval(ZERO):
-        return 0
-    if not yp.eval(ZERO).is_zero():
-        return (xp - xq).ord_at_zero()
-    return (yp - yq).ord_at_zero()

@@ -199,8 +199,8 @@ def test_criterion_8_property_suites(example, context):
         assert height(P1 + P2, probe, context) == height(P1, probe, context) + height(
             P2, probe, context
         )
-    # the m^2 law, checked for every multiple that stays in the polynomial
-    # stratum the pairing is defined on (doubles of all four named sections)
+    # the m^2 law, checked on the doubles of all four named sections: they
+    # have polynomial coordinates, which the component indices need
     for name in ("P0", "P1", "P2", "P3"):
         section = example.section(name)
         assert height(2 * section, 2 * section, context) == 4 * height(

@@ -79,6 +79,28 @@ def test_height_command(capsys):
     code, out, _ = run(capsys, "height", "(0, 1/4*r2*t*(t - 1))", "P2")
     assert code == 0
     assert out.strip() == "<(0, 1/4*r2*t*(t - 1)), P2> = 1/6"
+    # 2(P1 + P2): polynomial, with x of degree 4, so it meets O at t = infinity
+    doubled = "(2*t^4 - 2*t^2 + 1/2*t + 1/8, -2*r2*t^6 + 5/2*r2*t^4 - 5/8*r2*t^2 - 1/32*r2)"
+    code, out, _ = run(capsys, "height", doubled)
+    assert code == 0
+    assert out.strip() == f"<{doubled}, {doubled}> = 4"
+    code, out, _ = run(capsys, "height", doubled, "--format", "structured")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "height", "left": doubled, "right": doubled, "value": "4"
+    }
+    # [3]P1 has coordinates that are not polynomial
+    tripled = (
+        "((-2*t^3 - 1/2*t^2 + 2*t + 1/2) / (t^2 + 3*t + 9/4), "
+        "(7/4*r2*t^5 + 13/8*r2*t^4 - 17/16*r2*t^3 - 45/32*r2*t^2 - 21/32*r2*t - 1/4*r2)"
+        " / (t^3 + 9/2*t^2 + 27/4*t + 27/8))"
+    )
+    for fmt in ("text", "structured"):
+        code, out, err = run(capsys, "height", tripled, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == (
+            "precondition error: local fiber geometry needs polynomial section coordinates\n"
+        )
 
 
 def test_verify_example_lists_identities(capsys):

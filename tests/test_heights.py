@@ -1,5 +1,6 @@
 """The height pairing on sections and its Gram matrices."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,13 @@ from contactconics import (
 from contactconics.heights import section_intersection
 
 F = Fraction
+
+# The Gram matrix of P1, P2, P3 on the worked example.
+BASIS_GRAM = [
+    [F(1, 3), F(1, 6), F(0)],
+    [F(1, 6), F(1, 3), F(0)],
+    [F(0), F(0), F(1, 2)],
+]
 
 
 def test_component_contribution_table():
@@ -46,11 +54,7 @@ def test_pairing_with_zero_section(example, context, model):
 
 def test_gram_matrix_of_the_basis(example, context):
     basis = [example.section(name) for name in ("P1", "P2", "P3")]
-    assert gram_matrix(basis, context) == [
-        [F(1, 3), F(1, 6), F(0)],
-        [F(1, 6), F(1, 3), F(0)],
-        [F(0), F(0), F(1, 2)],
-    ]
+    assert gram_matrix(basis, context) == BASIS_GRAM
 
 
 def test_pairing_is_symmetric(example, context):
@@ -119,15 +123,20 @@ def test_section_meets_its_negative_where_y_vanishes_over_conjugate_places():
     assert height(P, -P, context) == -F(4, 3)
 
 
-def test_meeting_over_a_non_rational_singular_fiber_is_refused():
-    left, right = sections_on(
-        "3*(t^2 - 3) - (t^2 - 3)^2",
-        "(t^2 - 3)^2",
-        ("0", "t^2 - 3"),
-        ("t^2 - 3", "2*(t^2 - 3)"),
-    )
-    with pytest.raises(UnsupportedSectionError):
-        section_intersection(left, right)
+def test_sections_through_conjugate_or_rational_singular_fibers_need_not_meet():
+    # y^2 = x^3 + (3 q - q^2) x + q^2 and sections through its singular
+    # fibers over q = 0, which are conjugate over K for q = t^2 - 3 and
+    # K-rational for q = t^2 - 2.  x(P - Q) is a polynomial of degree at
+    # most 2, so P - Q misses O and P misses Q on the smooth model.
+    for place in ("t^2 - 3", "t^2 - 2"):
+        left, right = sections_on(
+            f"3*({place}) - ({place})^2",
+            f"({place})^2",
+            ("0", place),
+            (place, f"2*({place})"),
+        )
+        assert section_intersection(left, right) == 0, place
+        assert section_intersection(right, left) == 0, place
 
 
 def test_sections_meeting_transversally_off_the_two_torsion():
@@ -160,11 +169,37 @@ def test_two_torsion_through_iii_fibers_has_height_zero():
     assert height(torsion, torsion, HeightContext.for_model(model)) == 0
 
 
-def test_intersections_need_the_polynomial_stratum(example):
+def test_intersections_come_from_pole_orders_off_the_stratum(example, context):
     P1 = example.section("P1")
     off_stratum = 2 * (P1 + example.section("P2"))  # polynomial, x of degree 4
-    for other in (P1, Section.zero(example.model)):
-        with pytest.raises(UnsupportedSectionError, match="stratum"):
-            section_intersection(off_stratum, other)
+    assert section_intersection(off_stratum, P1) == 1
+    assert section_intersection(off_stratum, Section.zero(example.model)) == 1
+    for other in (P1, 3 * P1):
         with pytest.raises(UnsupportedSectionError, match="polynomial"):
-            section_intersection(3 * P1, other)
+            height(3 * P1, other, context)
+
+
+def test_heights_over_the_box_of_basis_combinations(example, context):
+    # Every s = v1 P1 + v2 P2 + v3 P3 with |v_i| <= 3: where s has polynomial
+    # coordinates, <s, s> = v^T G v and <s, P_i> = (G v)_i; elsewhere the
+    # component indices need a series expansion that `height` does not do.
+    basis = [example.section(name) for name in ("P1", "P2", "P3")]
+    answered = 0
+    for vector in itertools.product(range(-3, 4), repeat=3):
+        if not any(vector):
+            continue
+        section = Section.zero(example.model)
+        for count, generator in zip(vector, basis):
+            section = section + count * generator
+        if not (section.x.is_polynomial() and section.y.is_polynomial()):
+            with pytest.raises(UnsupportedSectionError, match="polynomial"):
+                height(section, section, context)
+            continue
+        answered += 1
+        image = [sum(g * v for g, v in zip(row, vector)) for row in BASIS_GRAM]
+        assert height(section, section, context) == sum(
+            v * w for v, w in zip(vector, image)
+        ), vector
+        for generator, expected in zip(basis, image):
+            assert height(section, generator, context) == expected, vector
+    assert answered == 52

@@ -243,15 +243,15 @@ def test_component_walk_through_iii_fibers():
     assert [component_index(torsion, fiber) for fiber in fibers] == [1, 1, 1, 1]
 
 
-def test_component_index_needs_the_stratum_only_at_infinity(example):
-    # x has degree 4: the section is polynomial but meets O at t = infinity.
+def test_component_index_is_the_identity_component_where_the_section_meets_o(example):
+    # x has degree 4: the section is polynomial but meets O at t = infinity,
+    # so it meets the component O meets there.
     section = 2 * (example.section("P1") + example.section("P2"))
     assert section.x.as_poly().degree == 4
     fibers = classify_fibers(example.model)
+    assert [component_index(section, fiber) for fiber in fibers] == [0, 0, 0, 0]
+    assert fibers[-1].location is INFINITY
     finite = [fiber for fiber in fibers if fiber.location is not INFINITY]
-    assert [component_index(section, fiber) for fiber in finite] == [0, 0, 0]
-    with pytest.raises(UnsupportedSectionError, match="stratum"):
-        component_index(section, fibers[-1])
     with pytest.raises(UnsupportedSectionError, match="polynomial"):
         component_index(3 * example.section("P1"), finite[0])
 

@@ -44,7 +44,7 @@ def values(example, context):
         certificate.classes[0],
         certificate.infinity[0],
         curves._pair_intersection(quartic, conic),
-        curves._pair_class_records(quartic, conic, [], quartic)[0],
+        curves._ClassRecord(1, 2, "smooth", (2,)),
         example,
         context,
         example.model,
