@@ -142,11 +142,20 @@ class _MultiPoly:
 
 
 class _Frac:
-    """Numerator/denominator pair; division is deferred to conversion time."""
+    """Numerator/denominator pair; division is deferred to conversion time.
+
+    A constant denominator is folded into the numerator at once, so a sum of
+    terms with rational coefficients keeps reduced coefficients rather than
+    the product of every term's denominator, which outgrows the coefficient
+    budget on the text that `TriForm.to_str` writes for a product of forms.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: _MultiPoly, den: _MultiPoly):
+        if den.is_constant() and den.constant_value() != ONE:
+            num = num * _MultiPoly.constant(num.nvars, den.constant_value().inv())
+            den = _MultiPoly.constant(den.nvars, ONE)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -18,6 +18,7 @@ from contactconics import (
 )
 from contactconics.field import I, SQRT2
 from contactconics.parsing import MAX_DEGREE, MAX_EXPONENT, MAX_INTEGER_BITS, MAX_NESTING
+from contactconics.poly import TriForm
 
 
 def test_field_elem_grammar():
@@ -122,3 +123,10 @@ def test_inputs_at_the_budgets_parse():
 def test_inputs_over_a_budget_name_the_limit(text, limit):
     with pytest.raises(PreconditionError, match=f"budget of {limit}"):
         parse_poly(text)
+
+
+def test_a_sum_of_small_fractions_stays_under_the_coefficient_budget():
+    # the product of the denominators 2..79 has over 256 bits; their lcm does not
+    text = " + ".join(f"1/{k}*T^2" for k in range(2, 80))
+    expected = FieldElem.from_rational(sum(Fraction(1, k) for k in range(2, 80)))
+    assert parse_triform(text) == TriForm(2, {(2, 0, 0): expected})
