@@ -35,13 +35,18 @@ and T = 1 of a form move each term by its exponents alone
 of a BiPoly are one translate kernel, and the Taylor shift t -> t + c of a
 Poly uses the same binomial rows (`_translate_rows`; von zur Gathen and
 Gerhard, ISSAC 1997, at these degrees the plain binomial form).
+
+Roots in K (`k_rational_roots`) come from factoring over Q: the orbit norm
+of p, the product of its distinct Galois conjugates, is rational, and
+`_rational_factors`, the package's one use of sympy, factors it over QQ.
+Quartic factors are split over K by Trager's shifted norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import IntegrityError, PreconditionError
 from .field import FieldElem, ONE, ZERO, ElemLike, _make, _reduced
@@ -421,9 +426,6 @@ class Poly:
 
     def is_rational(self) -> bool:
         return len(self._num) == 1
-
-    def map_coeffs(self, fn: Callable[[FieldElem], FieldElem]) -> "Poly":
-        return Poly(tuple(fn(c) for c in self.coeffs))
 
     def to_str(self, var: str = "t") -> str:
         coeffs = self.coeffs
@@ -1260,97 +1262,92 @@ def kth_subresultant_coeffs(chain: list[BiPoly], x_degree: int) -> BiPoly | None
 def k_rational_roots(p: Poly) -> tuple[list[tuple[FieldElem, int]], Poly]:
     """All roots of p in K with multiplicities, plus the rootless residual factor.
 
-    Roots are located through the rational norm of p (product of the four
-    Galois-conjugate polynomials) factored over Q; quadratic factors are
-    tested against the quadratic subfields Q(r2), Q(i), Q(i*r2) and
-    quartic factors against K itself.  The residual is monic.
-
-    sympy receives the norm as a dense polynomial over QQ, built from the
-    integer numerators and denominators of its coefficients, and factors it
-    through ``Poly.factor_list``; linear and quadratic factors are read back
-    as Fractions, so this path builds no sympy expression.
+    Roots are located through the orbit norm of p factored over Q: the
+    product of its distinct Galois conjugates, which is p itself when p is
+    rational, two conjugates over a quadratic subfield, four otherwise.  A
+    root in K has degree 1, 2 or 4 over Q: quadratic factors are tested
+    against Q(r2), Q(i), Q(i*r2), and quartic factors are split over K by a
+    shifted norm.  The residual is monic.
     """
     if p.is_zero():
         raise PreconditionError("roots of the zero polynomial")
     if p.degree == 0:
         return [], Poly.constant(ONE)
-    candidates = _k_root_candidates(p)
     roots: list[tuple[FieldElem, int]] = []
     remaining = p.monic()
-    for candidate in candidates:
+    for candidate in _k_root_candidates(remaining):
         mult = remaining.ord_at(candidate)
         if mult > 0:
             roots.append((candidate, mult))
-            remaining = remaining.exact_div(
-                Poly((-candidate, ONE)) ** mult
-            )
+            remaining = remaining.exact_div(Poly((-candidate, ONE)) ** mult)
     roots.sort(key=lambda item: item[0].sort_key())
     return roots, remaining.monic()
 
 
 def _k_root_candidates(p: Poly) -> list[FieldElem]:
-    from sympy import QQ, Poly as DensePoly, Symbol
+    """The roots in K of the rational factors of p's orbit norm.  Distinct
+    irreducible factors have distinct roots, so no candidate repeats."""
+    candidates: list[FieldElem] = []
+    for factor in _rational_factors(_orbit_norm(p)):
+        if factor.degree == 1:
+            candidates.append(-factor.coeff(0))
+        elif factor.degree == 2:
+            candidates.extend(_quadratic_roots_in_k(factor))
+        elif factor.degree == 4:
+            candidates.extend(_quartic_roots_in_k(factor))
+    return candidates
 
+
+def _orbit_norm(p: Poly) -> Poly:
+    """The product of the distinct Galois conjugates of p, a rational polynomial."""
     norm = Poly.constant(ONE)
-    for conj in (lambda c: c, FieldElem.conj_sqrt2, FieldElem.conj_i,
-                 lambda c: c.conj_sqrt2().conj_i()):
-        norm = norm * p.map_coeffs(conj)
+    for conjugate in dict.fromkeys(map(Poly, zip(*(c.conjugates() for c in p.coeffs)))):
+        norm = norm * conjugate
     if not norm.is_rational():
         raise IntegrityError("norm polynomial must be rational")
-    t = Symbol("t")
-    dense = DensePoly.from_list([QQ(c.n0, c.d) for c in reversed(norm.coeffs)], t, domain=QQ)
-    candidates: list[FieldElem] = []
-    seen: set = set()
-    for factor, _mult in dense.factor_list()[1]:
-        degree = factor.degree()
-        if degree == 4:
-            candidates.extend(_quartic_roots_in_k(factor, t))
-        elif degree <= 2:
-            coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in factor.rep.to_list()]
-            if degree == 1:
-                candidates.append(FieldElem.from_rational(-coeffs[1] / coeffs[0]))
-            else:
-                candidates.extend(_quadratic_roots_in_k(*coeffs))
-    out = []
-    for c in candidates:
-        key = c.coords
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
-    return out
+    return norm
 
 
-def _quadratic_roots_in_k(a2: Fraction, a1: Fraction, a0: Fraction) -> list[FieldElem]:
-    root = FieldElem.from_rational(a1 * a1 - 4 * a2 * a0).sqrt()
+def _rational_factors(n: Poly) -> list[Poly]:
+    """The monic irreducible factors over Q of a rational n, each once: the
+    package's one use of sympy, a dense ``Poly.factor_list`` over QQ."""
+    from sympy import QQ, Poly as DensePoly, Symbol
+
+    dense = DensePoly.from_list([QQ(c.n0, c.d) for c in reversed(n.coeffs)], Symbol("t"), domain=QQ)
+    return [
+        Poly(Fraction(int(c.numerator), int(c.denominator)) for c in reversed(factor.rep.to_list())).monic()
+        for factor, _mult in dense.factor_list()[1]
+    ]
+
+
+def _quadratic_roots_in_k(q: Poly) -> list[FieldElem]:
+    """The roots in K of a monic rational quadratic, if its discriminant is a square there."""
+    c, b, _ = q.coeffs
+    root = (b * b - c * 4).sqrt()
     if root is None:
         return []
-    half = FieldElem.from_rational(Fraction(1, 2) / a2)
-    minus_a1 = FieldElem.from_rational(-a1)
-    return [(minus_a1 + root) * half, (minus_a1 - root) * half]
+    return [(root - b) / 2, (-root - b) / 2]
 
 
-def _quartic_roots_in_k(factor, t) -> list[FieldElem]:
-    import sympy
+def _quartic_roots_in_k(h: Poly) -> list[FieldElem]:
+    """The roots in K of a monic irreducible rational quartic h, by Trager's
+    shifted norm (Trager, SYMSAC 1976; Cohen, GTM 138, section 3.6).
 
-    out = []
-    extended = sympy.Poly(factor, t, extension=[sympy.sqrt(2), sympy.I])
-    for linear, _ in extended.factor_list()[1]:
-        if linear.degree() == 1:
-            out.append(_from_sympy(sympy.expand(-linear.nth(0) / linear.nth(1))))
-    return out
-
-
-def _from_sympy(expr) -> FieldElem:
-    import sympy
-
-    expanded = sympy.expand(expr)
-    r2 = sympy.sqrt(2)
-    coords = [Fraction(0)] * 4
-    basis = {1: 0, r2: 1, sympy.I: 2, sympy.I * r2: 3}
-    for monom, coeff in expanded.as_coefficients_dict().items():
-        if monom not in basis:
-            # the roots of a linear factor over K lie in K
-            raise IntegrityError(f"expression {expr} is not in Q(r2, i)")
-        rational = sympy.Rational(coeff)
-        coords[basis[monom]] = Fraction(int(rational.p), int(rational.q))
-    return FieldElem(*coords)
+    theta = r2 + i generates K, and g = h(t - s*theta) has the roots
+    alpha_j + s*theta.  Once the orbit norm N(g) is square-free, each
+    rational factor H of N(g) is the norm of the factor gcd(g, H) of g over
+    K, so a quartic H gives a linear factor t - beta and the root
+    beta - s*theta.  Two of the 16 roots alpha_j + s*sigma(theta) of N(g)
+    are equal only for sigma != tau, and each of those 96 pairs for one s
+    at most, so at most 96 of the first 97 shifts fail.
+    """
+    for s in range(1, 98):
+        shift = FieldElem(0, s, s)
+        g = h.shift_argument(-shift)
+        norm = _orbit_norm(g)
+        if poly_gcd(norm, norm.derivative()).degree == 0:
+            return [
+                -poly_gcd(g, factor).coeff(0) - shift
+                for factor in _rational_factors(norm) if factor.degree == 4
+            ]
+    raise IntegrityError("no shift of the quartic within 97 has a square-free norm")

@@ -1,10 +1,14 @@
 """Polynomials, rational functions, and forms over Q(sqrt(2), i)."""
 
+import ast
+import functools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import contactconics
 from contactconics import (
     BiPoly,
     FieldElem,
@@ -20,6 +24,7 @@ from contactconics import (
     parse_poly,
     parse_triform,
 )
+from contactconics import poly
 from contactconics.field import I, SQRT2
 from contactconics.poly import (
     bipoly_pseudo_rem,
@@ -183,6 +188,7 @@ def test_k_rational_roots_finds_roots_of_a_quartic_norm_factor():
 # linear factor splits over Q into linear, quadratic and quartic factors.
 root_directions = st.sampled_from([
     FieldElem.from_rational(1), SQRT2, I, I * SQRT2, SQRT2 + I, ONE + SQRT2 + I * SQRT2,
+    FieldElem(0, Fraction(1, 2), 0, Fraction(1, 2)),  # zeta_8 = (r2 + i*r2)/2
 ])
 planted_roots = st.builds(
     lambda a, b, g: FieldElem.from_rational(a) + FieldElem.from_rational(b) * g,
@@ -221,6 +227,175 @@ def test_k_rational_roots_refuses_an_irrational_norm(monkeypatch):
     monkeypatch.setattr(FieldElem, "conj_i", lambda c: c)
     with pytest.raises(IntegrityError, match="norm polynomial must be rational"):
         k_rational_roots(parse_poly("t - i"))
+
+
+# -- K-roots against sympy's extension factoring ---------------------------------
+#
+# The reference is the route k_rational_roots took before it split quartic
+# factors by a shifted norm: the product of all four conjugates of p factored
+# over QQ, linear and quadratic factors read back as Fractions, and each
+# quartic factor factored by sympy over Q(sqrt(2), i), its linear factors
+# read back from sympy expressions.
+
+# The Galois group of K as coefficient maps, and the subgroups fixing K,
+# Q(r2), Q(i), Q(i*r2) and Q, by their indices into it.
+galois = (lambda c: c, FieldElem.conj_sqrt2, FieldElem.conj_i,
+          lambda c: c.conj_sqrt2().conj_i())
+fixing_subgroups = ((0,), (0, 2), (0, 1), (0, 3), (0, 1, 2, 3))
+THETA = SQRT2 + I
+
+
+def ref_norm(p: Poly) -> Poly:
+    """The product of the four Galois conjugates of p."""
+    norm = Poly.constant(ONE)
+    for conj in galois:
+        norm = norm * Poly(conj(c) for c in p.coeffs)
+    return norm
+
+
+def ref_from_sympy(expr) -> FieldElem:
+    import sympy
+
+    r2 = sympy.sqrt(2)
+    basis = {1: 0, r2: 1, sympy.I: 2, sympy.I * r2: 3}
+    coords = [Fraction(0)] * 4
+    for monom, coeff in sympy.expand(expr).as_coefficients_dict().items():
+        rational = sympy.Rational(coeff)
+        coords[basis[monom]] = Fraction(int(rational.p), int(rational.q))
+    return FieldElem(*coords)
+
+
+@functools.lru_cache(maxsize=None)
+def ref_quartic_roots_in_k(factor, t) -> list[FieldElem]:
+    import sympy
+
+    extended = sympy.Poly(factor, t, extension=[sympy.sqrt(2), sympy.I])
+    return [ref_from_sympy(-linear.nth(0) / linear.nth(1))
+            for linear, _ in extended.factor_list()[1] if linear.degree() == 1]
+
+
+def ref_quadratic_roots_in_k(a2, a1, a0) -> list[FieldElem]:
+    root = FieldElem.from_rational(a1 * a1 - 4 * a2 * a0).sqrt()
+    if root is None:
+        return []
+    half = FieldElem.from_rational(Fraction(1, 2) / a2)
+    minus_a1 = FieldElem.from_rational(-a1)
+    return [(minus_a1 + root) * half, (minus_a1 - root) * half]
+
+
+def ref_k_rational_roots(p: Poly):
+    import sympy
+
+    t = sympy.Symbol("t")
+    norm = ref_norm(p)
+    dense = sympy.Poly.from_list([sympy.QQ(c.n0, c.d) for c in reversed(norm.coeffs)], t,
+                                 domain=sympy.QQ)
+    candidates = []
+    for factor, _ in dense.factor_list()[1]:
+        coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in factor.rep.to_list()]
+        if factor.degree() == 1:
+            candidates.append(FieldElem.from_rational(-coeffs[1] / coeffs[0]))
+        elif factor.degree() == 2:
+            candidates.extend(ref_quadratic_roots_in_k(*coeffs))
+        elif factor.degree() == 4:
+            candidates.extend(ref_quartic_roots_in_k(factor, t))
+    roots, remaining = [], p.monic()
+    for candidate in dict.fromkeys(candidates):
+        mult = remaining.ord_at(candidate)
+        if mult:
+            roots.append((candidate, mult))
+            remaining = remaining.exact_div(Poly((-candidate, ONE)) ** mult)
+    return sorted(roots, key=lambda item: item[0].sort_key()), remaining.monic()
+
+
+@st.composite
+def orbit_polys(draw):
+    """A polynomial with coefficients in K, Q(r2), Q(i), Q(i*r2) or Q.
+
+    Each factor is t - r over the images of a planted root r under the
+    subgroup fixing the field, so over Q a factor is the root's minimal
+    polynomial, which is quartic when r generates K.  The rational cofactor
+    may hold a quartic that splits over K or one that does not.
+    """
+    group = draw(st.sampled_from(fixing_subgroups))
+    p = Poly.constant(draw(small_elems.filter(bool)))
+    planted = st.lists(st.tuples(planted_roots, st.integers(1, 2)), min_size=1, max_size=2)
+    for root, mult in draw(planted):
+        orbit = dict.fromkeys(galois[k](root) for k in group)
+        p = p * poly_from_roots(orbit) ** mult
+    cofactor = draw(st.sampled_from(
+        ["1", "t^4 + 1", "t^4 - 2*t^2 + 9", "t^4 - 3", "t^4 + 2", "t^2 - 3", "t^3 - 2"]))
+    return p * parse_poly(cofactor)
+
+
+@given(orbit_polys())
+@settings(deadline=None)
+def test_k_rational_roots_matches_the_sympy_extension_reference(p):
+    assert k_rational_roots(p) == ref_k_rational_roots(p)
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The polynomials k_rational_roots hands to sympy, in order."""
+    calls = []
+    rational_factors = poly._rational_factors
+    monkeypatch.setattr(poly, "_rational_factors", lambda n: (calls.append(n), rational_factors(n))[1])
+    return calls
+
+
+@pytest.mark.parametrize("text, members", [
+    ("t^4 + 1", 1),
+    ("t^2 - r2", 2),
+    ("t^2 - i", 2),
+    ("t^2 - i*r2", 2),
+    ("(t - r2 - i)*(t - 3)", 4),
+])
+def test_the_orbit_norm_multiplies_the_distinct_conjugates(factored, text, members):
+    p = parse_poly(text)
+    assert k_rational_roots(p) == ref_k_rational_roots(p)
+    assert factored[0].degree == members * p.degree
+
+
+@pytest.mark.parametrize("text, shift", [("t^4 + 1", 1), ("t^4 - 2*t^2 + 9", 2)])
+def test_the_shift_search_takes_the_first_square_free_norm(factored, text, shift):
+    h = parse_poly(text)
+    roots, residual = k_rational_roots(h)
+    assert len(roots) == 4 and residual == Poly.constant(ONE)
+    norms = [ref_norm(h.shift_argument(-THETA * s)) for s in range(1, shift + 1)]
+    assert [poly_gcd(n, n.derivative()).degree > 0 for n in norms] == [True] * (shift - 1) + [False]
+    # one factorization of the norm, h itself, and one at the square-free shift:
+    # a shift whose norm has a repeated factor makes none
+    assert factored == [h, norms[-1]]
+
+
+def sympy_scopes(node, scope):
+    """The scope of every import of sympy and every name or string naming it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        names = []
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        elif isinstance(child, ast.Name):
+            names = [child.id]
+        elif isinstance(child, ast.Attribute):
+            names = [child.attr]
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            names = [child.value]
+        if any(name == "sympy" or name.startswith("sympy.") for name in names):
+            yield inner
+        yield from sympy_scopes(child, inner)
+
+
+def test_sympy_is_named_only_in_rational_factors():
+    package = Path(contactconics.__file__).parent
+    scopes = set()
+    for path in sorted(package.glob("*.py")):
+        scopes.update(sympy_scopes(ast.parse(path.read_text()), path.stem))
+    assert scopes == {"poly._rational_factors"}
 
 
 def test_ratfunc_normalization_and_arithmetic():
@@ -766,8 +941,8 @@ def test_equal_polynomials_built_along_different_paths_are_equal(a, b, v):
     for r in paths:
         assert r == p and hash(r) == hash(p)
     # the four conjugates add up to four times the rational part, a rational polynomial
-    conjugates = [p.map_coeffs(f) for f in (FieldElem.conj_sqrt2, FieldElem.conj_i,
-                                             lambda c: c.conj_sqrt2().conj_i())]
+    conjugates = [Poly(f(c) for c in p.coeffs) for f in (
+        FieldElem.conj_sqrt2, FieldElem.conj_i, lambda c: c.conj_sqrt2().conj_i())]
     total = p + conjugates[0] + conjugates[1] + conjugates[2]
     rational = Poly(FieldElem(4 * c.coords[0]) for c in p.coeffs)
     assert total == rational and hash(total) == hash(rational) and total.is_rational()
