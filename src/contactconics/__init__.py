@@ -90,6 +90,7 @@ from .surface import (
     Section,
     WeierstrassModel,
     classify_fibers,
+    combine,
     component_index,
     from_quartic,
     plane_curve_to_sections,
@@ -111,7 +112,7 @@ __all__ = [
     "arrangement_fingerprint",
     "ContactCertificate", "ContactClass", "InfinityContact",
     # elliptic surface
-    "WeierstrassModel", "Section", "from_quartic",
+    "WeierstrassModel", "Section", "combine", "from_quartic",
     "FiberInfo", "FiberCollection", "classify_fibers", "component_index",
     "section_to_plane_curve", "plane_curve_to_sections", "INFINITY",
     # heights

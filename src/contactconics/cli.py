@@ -92,7 +92,7 @@ def _read_input(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read input file {path}: {exc}") from exc
 
 

@@ -32,6 +32,7 @@ from .poly import TriForm
 from .surface import (
     Section,
     WeierstrassModel,
+    combine,
     from_quartic,
     section_image_form,
 )
@@ -111,6 +112,9 @@ ARRANGEMENT_NAMES: tuple[str, ...] = tuple(sorted(ARRANGEMENTS))
 
 SECTION_NAMES: tuple[str, ...] = ("P0", "P1", "P2", "P3")
 
+# P0 over the case I basis P1, P2, P3; the load checks it by the group law.
+_P0_VECTOR = (-1, 1, 0)
+
 
 class WorkedExample(NamedTuple):
     """Parsed and verified data of the bundled example."""
@@ -127,6 +131,7 @@ class WorkedExample(NamedTuple):
     quartic: PlaneCurve
     model: WeierstrassModel
     sections: Mapping[str, Section]
+    vectors: Mapping[str, tuple[int, int, int]]  # P0..P3 over P1, P2, P3
     doubles: Mapping[str, Section]
     images: Mapping[str, TriForm]  # the forms of P0..P3 and [2]P0..[2]P2
     lines: Mapping[str, PlaneCurve]
@@ -326,9 +331,11 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
             lambda pair=pair: Section(model, pair[0], pair[1]),
         )
 
+    vectors = {"P0": _P0_VECTOR, "P1": (1, 0, 0), "P2": (0, 1, 0), "P3": (0, 0, 1)}
     check(
         "group relation P0 = P2 + (-P1)",
-        lambda: sections["P2"] + (-sections["P1"]) == sections["P0"],
+        lambda: combine([sections[name] for name in SECTION_NAMES[1:]], vectors["P0"])
+        == sections["P0"],
     )
 
     doubles: dict[str, Section] = {}
@@ -383,6 +390,7 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
         quartic=quartic,
         model=model,
         sections=MappingProxyType(sections),
+        vectors=MappingProxyType(vectors),
         doubles=MappingProxyType(doubles),
         images=MappingProxyType(images),
         lines=MappingProxyType(lines),

@@ -1,12 +1,13 @@
 """Height pairing on sections: chi = 1, intersection numbers, fiber corrections.
 
-The pairing is <P, Q> = chi + P.O + Q.O - P.Q - sum_v contr_v(P, Q), with the
-diagonal case <P, P> = 2 chi + 2 P.O - sum_v contr_v(P).  The component
-indices behind the local terms come from the blow-up walk in `surface`.
-Every intersection number comes from two standard facts (Shioda, "On the
-Mordell-Weil lattices", 1990; Schuett-Shioda, Mordell-Weil Lattices, 2019,
-ch. 6):
+The pairing is <P, Q> = chi + P.O + Q.O - P.Q - sum_v contr_v(P, Q).  The
+component indices behind the local terms come from the blow-up walk in
+`surface`.  Every intersection number comes from three standard facts
+(Shioda, "On the Mordell-Weil lattices", 1990; Schuett-Shioda,
+Mordell-Weil Lattices, 2019, ch. 6):
 
+- P.P = -chi, so the diagonal <P, P> = 2 chi + 2 P.O - sum_v contr_v(P, P)
+  is the same formula.
 - P.O is read off the pole orders of x(P) (see `_zero_intersection`), so
   no root is found.
 - Translation by -Q is an automorphism of the smooth model that takes Q to
@@ -87,21 +88,17 @@ def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
     """The pairing <P, Q> as an exact rational."""
     if left.is_zero or right.is_zero:
         return Fraction(0)
-    if left == right:
-        value = 2 * _CHI + 2 * _zero_intersection(left)
-        for fiber in ctx.fibers:
-            index = component_index(left, fiber)
-            value -= component_contribution(fiber.m_v, index, index)
-        return value
+    same = left == right
     value = (
         _CHI
         + _zero_intersection(left)
         + _zero_intersection(right)
-        - section_intersection(left, right)
+        - (-_CHI if same else section_intersection(left, right))
     )
     for fiber in ctx.fibers:
+        index = component_index(left, fiber)
         value -= component_contribution(
-            fiber.m_v, component_index(left, fiber), component_index(right, fiber)
+            fiber.m_v, index, index if same else component_index(right, fiber)
         )
     return value
 

@@ -23,7 +23,6 @@ image.  The topological conclusion itself is cited, not re-proved.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Mapping, NamedTuple, Sequence
@@ -32,7 +31,6 @@ from .curves import CONIC_TYPE_TABLE as _TYPE_TABLE, arrangement_fingerprint
 from .errors import IntegrityError, PreconditionError
 from .fixtures import ARRANGEMENTS, load_worked_example
 from .heights import _require_positive_definite, component_contribution
-from .surface import Section
 
 # Fiber roles: the plane-curve feature the fiber sits over.
 NODE_FIBER = "node"
@@ -570,18 +568,11 @@ class ZariskiReport(NamedTuple):
         return "\n".join(lines)
 
 
-# For each pair: the two arrangement names, the distinguished sections
-# (coordinates over the case I basis P1, P2, P3), and which member is
-# swapped between the arrangements.
-_SECTION_VECTORS: Mapping[str, tuple[int, int, int]] = {
-    "P0": (-1, 1, 0),
-    "P1": (1, 0, 0),
-    "P2": (0, 1, 0),
-}
-
 SWAP_COMPANION = "companion curve"
 SWAP_CONIC = "contact conic"
 
+# For each pair: the two arrangement names, the distinguished sections, and
+# which member is swapped between the arrangements.
 _PAIRS: Mapping[str, tuple[str, str, str, str, str]] = {
     "B11-B21": ("B11", "B21", "P1", "P2", SWAP_COMPANION),
     "B22-B12": ("B22", "B12", "P2", "P1", SWAP_COMPANION),
@@ -596,38 +587,20 @@ _PAIRS: Mapping[str, tuple[str, str, str, str, str]] = {
 PAIR_NAMES: tuple[str, ...] = tuple(sorted(_PAIRS))
 
 
-@lru_cache(maxsize=1)
-def _section_vectors() -> Mapping[str, tuple[int, int, int]]:
-    """`_SECTION_VECTORS`, each checked against the group law at first use.
-
-    The check runs once per process; one that fails raises and caches nothing.
-    """
-    example = load_worked_example()
-    basis = [example.sections[name] for name in ("P1", "P2", "P3")]
-    for name, vector in _SECTION_VECTORS.items():
-        combined = Section.zero(example.model)
-        for coefficient, section in zip(vector, basis):
-            combined = combined + coefficient * section
-        if combined != example.sections[name]:
-            raise IntegrityError(
-                f"stated coordinates {vector} of {name} disagree with the group law"
-            )
-    return _SECTION_VECTORS
-
-
 def zariski_pair_report(pair_id: str) -> ZariskiReport:
     """Re-verify the lattice hypotheses for one arrangement pair.
 
     The checks cover: both arrangements decompose as quartic + section
     image + doubled-section image; (s1, s2) extends to a basis of the
     section lattice (Smith normal form); s1 and [2]s1 are dependent; the
-    swapped pair is independent.  The images of s and [2]s are read from
-    `example.images`, which the load computed from the sections and their
-    stated doublings (checked against the group law) and matched to the
-    companion lines and the conics Cbar and C0-C2.  The fingerprint
-    comparison records whether the combinatorial necessary conditions
-    agree.  The topological conclusion is cited from the underlying
-    criterion, not re-proved here.
+    swapped pair is independent.  The coordinates of s over the basis are
+    read from `example.vectors` and the images of s and [2]s from
+    `example.images`: the load checked P0's coordinates and the stated
+    doublings against the group law, and matched the images to the
+    companion lines and the conics Cbar and C0-C2, so no report runs the
+    group law.  The fingerprint comparison records whether the
+    combinatorial necessary conditions agree.  The topological conclusion
+    is cited from the underlying criterion, not re-proved here.
     """
     if pair_id not in _PAIRS:
         raise PreconditionError(
@@ -637,9 +610,8 @@ def zariski_pair_report(pair_id: str) -> ZariskiReport:
     example = load_worked_example()
     checks: list[PairCheck] = []
 
-    vectors = _section_vectors()
-    s1_vector = vectors[s1_name]
-    s2_vector = vectors[s2_name]
+    s1_vector = example.vectors[s1_name]
+    s2_vector = example.vectors[s2_name]
 
     left_components = ARRANGEMENTS[left_name]
     right_components = ARRANGEMENTS[right_name]

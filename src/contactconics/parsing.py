@@ -53,9 +53,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit also takes '²' and other scripts' digits
             start = k
-            while k < len(text) and text[k].isdigit():
+            while k < len(text) and "0" <= text[k] <= "9":
                 k += 1
             if k - start > _MAX_LITERAL_DIGITS:
                 raise PreconditionError(
@@ -287,9 +287,7 @@ class _Parser:
 def _require_constant_den(value: _Frac, what: str) -> _MultiPoly:
     if not value.den.is_constant():
         raise ParseError(f"{what} must not contain division by a variable expression")
-    den = value.den.constant_value()
-    scaled = value.num * _MultiPoly.constant(value.num.nvars, den.inv())
-    return scaled
+    return value.num  # _Frac folds a constant denominator into the numerator
 
 
 def _to_poly(m: _MultiPoly) -> Poly:

@@ -7,7 +7,7 @@ located and classified exactly from valuations of the discriminant.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .curves import PlaneCurve
 from .errors import (
@@ -225,6 +225,14 @@ class Section:
             if count:
                 doubling = doubling + doubling
         return result
+
+
+def combine(basis: Sequence[Section], vector: Sequence[int]) -> Section:
+    """The section v1*B1 + ... + vn*Bn of a nonempty basis, by the group law."""
+    total = Section.zero(basis[0].model)
+    for count, section in zip(vector, basis, strict=True):
+        total = total + count * section
+    return total
 
 
 def section_image_form(point: Section) -> TriForm:

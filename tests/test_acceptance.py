@@ -17,8 +17,8 @@ from contactconics import (
     PAIR_NAMES,
     PlaneCurve,
     PlanePoint,
-    Section,
     classify_fibers,
+    combine,
     component_index,
     contact_conic_type,
     cremona_transform,
@@ -153,10 +153,7 @@ def test_criterion_7_weak_contact_certificates(example):
 
     basis = [example.section(name) for name in ("P1", "P2", "P3")]
     for vector, conic_type in sorted(lattice_type_of.items()):
-        section = Section.zero(example.model)
-        for count, generator in zip(vector, basis):
-            section = section + count * generator
-        curve = section_to_plane_curve(section)
+        curve = section_to_plane_curve(combine(basis, vector))
         certificate = is_weak_contact(example.quartic, curve)
         assert certificate.is_weak, vector
         assert certificate.bezout_total == 8, vector

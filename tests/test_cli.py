@@ -395,12 +395,19 @@ def test_refusals_before_any_geometry(capsys, tmp_path, argv, code, message):
             "precondition error: the image has degree 0: the curve is made of fundamental lines "
             "of the triangle, which the quadratic transformation contracts to points",
         ),
+        # only 0-9 are digits: a superscript two or an Arabic-Indic three is refused
+        (("weak-contact", "--conic", "x = t^\u00b2"), None, 1, "parse error: unexpected character '\u00b2' at position 3"),
+        (("cremona", "X*Z - T^\u00b2"), None, 1, "parse error: unexpected character '\u00b2' at position 8"),
+        (("weak-contact", "--conic", "x = \u0663*t"), None, 1, "parse error: unexpected character '\u0663' at position 1"),
+        # an input file that is not UTF-8
+        (("fingerprint", "--input", "{path}"), b"\xff\xfe X\n", 2, "precondition error: cannot read input file {path}: "),
+        (("cremona", "--input", "{path}"), b"\xff\xfe X\n", 2, "precondition error: cannot read input file {path}: "),
     ],
 )
 def test_each_input_is_answered_or_refused_in_one_line(capsys, tmp_path, argv, curves, code, line):
     path = tmp_path / "curves.txt"
     if curves is not None:
-        path.write_text(curves, encoding="utf-8")
+        path.write_bytes(curves if isinstance(curves, bytes) else curves.encode("utf-8"))
     got, out, err = run(capsys, *[arg.format(path=path) for arg in argv])
     line = line.format(path=path)
     assert got == code
@@ -530,7 +537,10 @@ _chart = st.builds(
     st.integers(0, 3),
     st.integers(0, 3),
 )
-_noise = st.text(alphabet="TXZtx0123456789+-*/^()r2i= ", max_size=24)
+# non-ASCII: a superscript two, an Arabic-Indic three, a letter and a no-break space
+_noise = st.text(alphabet="TXZtx0123456789+-*/^()r2i= \u00b2\u0663\u00e9\u00a0", max_size=24)
+# 0xff starts no UTF-8 sequence
+_not_utf8 = st.builds(lambda head, tail: head + b"\xff" + tail, st.binary(max_size=12), st.binary(max_size=12))
 
 
 def _run_bounded(argv):
@@ -558,7 +568,11 @@ def _argv(draw):
         conic = draw(st.one_of(_form(degrees=(2,)), _chart, _noise))
         return ["weak-contact", f"--conic={conic}", *fmt], None
     if command == "cremona":
+        if draw(st.integers(0, 4)) == 0:
+            return ["cremona", "--input", None, *fmt], draw(st.one_of(_form(), _noise, _not_utf8))
         return ["cremona", draw(st.one_of(_form(), _noise)), *fmt], None
+    if draw(st.integers(0, 9)) == 0:
+        return ["fingerprint", "--input", None, *fmt], draw(_not_utf8)
     curves = draw(st.lists(_form(), min_size=2, max_size=3))
     if draw(st.integers(0, 4)) == 0:
         curves.append(draw(_noise))
@@ -566,15 +580,15 @@ def _argv(draw):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM for the deadline")
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(_argv())
 def test_fuzzed_commands_end_in_a_documented_exit_code(case):
     argv, input_text = case
     with tempfile.TemporaryDirectory() as directory:
         if input_text is not None:
             path = os.path.join(directory, "curves.txt")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(input_text)
+            with open(path, "wb") as handle:
+                handle.write(input_text if isinstance(input_text, bytes) else input_text.encode("utf-8"))
             argv = [path if arg is None else arg for arg in argv]
         code, out, err = _run_bounded(argv)
     assert code in (0, 1, 2, 3)

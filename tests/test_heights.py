@@ -11,6 +11,7 @@ from contactconics import (
     Section,
     UnsupportedSectionError,
     WeierstrassModel,
+    combine,
     component_contribution,
     gram_matrix,
     height,
@@ -188,9 +189,7 @@ def test_heights_over_the_box_of_basis_combinations(example, context):
     for vector in itertools.product(range(-3, 4), repeat=3):
         if not any(vector):
             continue
-        section = Section.zero(example.model)
-        for count, generator in zip(vector, basis):
-            section = section + count * generator
+        section = combine(basis, vector)
         if not (section.x.is_polynomial() and section.y.is_polynomial()):
             with pytest.raises(UnsupportedSectionError, match="polynomial"):
                 height(section, section, context)

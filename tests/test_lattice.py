@@ -1,5 +1,8 @@
 """Case lattices: target heights, short-vector enumeration, pair reports."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt, lcm
@@ -18,7 +21,6 @@ from contactconics import (
     CASES,
     PAIR_NAMES,
     PreconditionError,
-    Section,
     TriForm,
     arrangement_fingerprint,
     count_by_type,
@@ -30,7 +32,7 @@ from contactconics import (
     vectors_for_type,
     zariski_pair_report,
 )
-from contactconics import curves, lattice
+from contactconics import curves, fixtures, lattice
 from contactconics.errors import IntegrityError
 from contactconics.heights import _require_positive_definite
 from contactconics.lattice import (
@@ -426,19 +428,29 @@ def test_pair_kinds_and_fingerprints():
     assert zariski_pair_report("B11-B21").fingerprints_equal
 
 
-def test_reports_after_the_first_run_no_group_law(monkeypatch):
-    zariski_pair_report("B11-B21")
-    additions = []
-    add = Section.__add__
-
-    def counting(self, other):
-        additions.append((self, other))
-        return add(self, other)
-
-    monkeypatch.setattr(Section, "__add__", counting)
-    for pair_id in PAIR_NAMES:
-        zariski_pair_report(pair_id)
-    assert not additions
+def test_no_report_runs_the_group_law_after_the_load():
+    # A fresh process, so that its first report is counted too: the load
+    # checked every section vector, and the reports only read them.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(lattice.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from contactconics import PAIR_NAMES, Section, load_worked_example, zariski_pair_report\n"
+        "load_worked_example()\n"
+        "additions = []\n"
+        "add = Section.__add__\n"
+        "Section.__add__ = lambda self, other: additions.append(other) or add(self, other)\n"
+        "reports = [zariski_pair_report(pair_id) for pair_id in PAIR_NAMES]\n"
+        "print(len(reports), all(report.all_lattice_checks_pass for report in reports), len(additions))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout == f"{len(PAIR_NAMES)} True 0\n"
 
 
 def test_warm_reports_build_no_curve_and_hash_no_chart(monkeypatch):
@@ -500,15 +512,15 @@ def test_a_failed_lattice_hypothesis_gives_no_conclusion(monkeypatch):
 
 
 def test_tampered_section_vector_fails_the_first_report(monkeypatch):
-    # P0 = -P1 + P2; the report on B11-B21 uses only P1 and P2, but the
-    # audit checks every stated vector at first use.
-    monkeypatch.setattr(lattice, "_SECTION_VECTORS", {**lattice._SECTION_VECTORS, "P0": (1, 1, 0)})
-    lattice._section_vectors.cache_clear()
+    # P0 = -P1 + P2; the report on B11-B21 uses only P1 and P2, but the load
+    # checks P0's stated vector against the group law before any report.
+    monkeypatch.setattr(fixtures, "_P0_VECTOR", (1, 1, 0))
+    load_worked_example.cache_clear()
     try:
-        with pytest.raises(IntegrityError, match=r"\(1, 1, 0\) of P0 disagree with the group law"):
+        with pytest.raises(IntegrityError, match=r"^worked example: group relation P0 = P2 \+ \(-P1\)$"):
             zariski_pair_report("B11-B21")
     finally:
-        lattice._section_vectors.cache_clear()
+        load_worked_example.cache_clear()
 
 
 def test_unknown_pair_is_rejected():

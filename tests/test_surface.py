@@ -12,6 +12,7 @@ from contactconics import (
     UnsupportedSectionError,
     WeierstrassModel,
     classify_fibers,
+    combine,
     component_index,
     from_quartic,
     parse_poly,
@@ -73,6 +74,16 @@ def test_doubling_oracles(example):
 
 def test_difference_relation(example):
     assert example.section("P2") + (-example.section("P1")) == example.section("P0")
+
+
+def test_combine_sums_multiples_of_a_basis(example, model):
+    basis = [example.section(name) for name in ("P1", "P2", "P3")]
+    assert combine(basis, (0, 0, 0)) == Section.zero(model)
+    for name, vector in example.vectors.items():
+        assert combine(basis, vector) == example.section(name)
+    for vector in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            combine(basis, vector)
 
 
 def test_identity_and_inverses(example, model):
