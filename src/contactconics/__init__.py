@@ -52,7 +52,7 @@ from .fixtures import (
     build_worked_example,
     load_worked_example,
 )
-from .heights import HeightContext, component_contribution, gram_matrix, height
+from .heights import component_contribution, gram_matrix, height
 from .lattice import (
     CASE_I,
     CASE_II,
@@ -85,7 +85,6 @@ from .parsing import (
 from .poly import BiPoly, Poly, RatFunc, TriForm
 from .surface import (
     INFINITY,
-    FiberCollection,
     FiberInfo,
     Section,
     WeierstrassModel,
@@ -113,10 +112,10 @@ __all__ = [
     "ContactCertificate", "ContactClass", "InfinityContact",
     # elliptic surface
     "WeierstrassModel", "Section", "combine", "from_quartic",
-    "FiberInfo", "FiberCollection", "classify_fibers", "component_index",
+    "FiberInfo", "classify_fibers", "component_index",
     "section_to_plane_curve", "plane_curve_to_sections", "INFINITY",
     # heights
-    "HeightContext", "height", "gram_matrix", "component_contribution",
+    "height", "gram_matrix", "component_contribution",
     # case lattices and enumeration
     "CaseLattice", "CaseFiber", "CASES", "CASE_NAMES", "CONIC_TYPES",
     "CASE_I", "CASE_II", "CASE_III", "CASE_IV",

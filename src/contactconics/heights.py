@@ -17,16 +17,10 @@ Mordell-Weil Lattices, 2019, ch. 6):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import IntegrityError, PreconditionError
-from .surface import (
-    FiberCollection,
-    Section,
-    WeierstrassModel,
-    classify_fibers,
-    component_index,
-)
+from .surface import Section, classify_fibers, component_index
 
 # chi, the Euler characteristic of the structure sheaf, is 1: deg a_i <= i
 # (checked by WeierstrassModel) makes every model a rational elliptic surface.
@@ -43,17 +37,6 @@ def component_contribution(count: int, i: int, j: int) -> Fraction:
     if low == 0:
         return Fraction(0)
     return Fraction(low * (count - high), count)
-
-
-class HeightContext(NamedTuple):
-    """Model data shared by every height computation."""
-
-    model: WeierstrassModel
-    fibers: FiberCollection
-
-    @classmethod
-    def for_model(cls, model: WeierstrassModel) -> "HeightContext":
-        return cls(model, classify_fibers(model))
 
 
 def _zero_intersection(point: Section) -> int:
@@ -84,8 +67,8 @@ def section_intersection(left: Section, right: Section) -> int:
     return _zero_intersection(left + (-right))
 
 
-def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
-    """The pairing <P, Q> as an exact rational."""
+def height(left: Section, right: Section) -> Fraction:
+    """The pairing <P, Q> as an exact rational, on the model both sections lie on."""
     if left.is_zero or right.is_zero:
         return Fraction(0)
     same = left == right
@@ -95,7 +78,7 @@ def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
         + _zero_intersection(right)
         - (-_CHI if same else section_intersection(left, right))
     )
-    for fiber in ctx.fibers:
+    for fiber in classify_fibers(left.model):
         index = component_index(left, fiber)
         value -= component_contribution(
             fiber.m_v, index, index if same else component_index(right, fiber)
@@ -103,13 +86,13 @@ def height(left: Section, right: Section, ctx: HeightContext) -> Fraction:
     return value
 
 
-def gram_matrix(basis: list[Section], ctx: HeightContext) -> list[list[Fraction]]:
+def gram_matrix(basis: list[Section]) -> list[list[Fraction]]:
     """Symmetric positive-definite matrix of pairwise heights."""
     size = len(basis)
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for row in range(size):
         for col in range(row, size):
-            value = height(basis[row], basis[col], ctx)
+            value = height(basis[row], basis[col])
             matrix[row][col] = value
             matrix[col][row] = value
     _require_positive_definite(

@@ -99,12 +99,12 @@ class CaseLattice:
     Gram matrix's LDLᵀ factors, computed once by the positive-definiteness
     audit and reused by every enumeration.  The type table is fixed here too:
     `targets` holds the target height of each of `CONIC_TYPES`, in order (see
-    `target_height`), and the fibers are split into the finite node fibers,
-    the finite cusp fibers and the fibers at infinity the type filter reads.
+    `target_height`), and the type filter reads the finite node fibers and
+    the finite cusp fibers.
     """
 
     __slots__ = ("name", "basis", "gram", "fibers", "ldl", "targets",
-                 "node_fibers", "cusp_fibers", "infinity_fibers")
+                 "node_fibers", "cusp_fibers")
 
     def __init__(
         self,
@@ -189,10 +189,8 @@ class CaseLattice:
         finite = [fiber for fiber in self.fibers if not fiber.at_infinity]
         nodes = tuple(fiber for fiber in finite if fiber.role == NODE_FIBER)
         cusps = tuple(fiber for fiber in finite if fiber.role == CUSP_FIBER)
-        infinity = tuple(fiber for fiber in self.fibers if fiber.at_infinity)
         object.__setattr__(self, "node_fibers", nodes)
         object.__setattr__(self, "cusp_fibers", cusps)
-        object.__setattr__(self, "infinity_fibers", infinity)
         targets: list[Fraction | None] = []
         for conic_type in CONIC_TYPES:
             nodes_needed, cusp_needed = _TYPE_TABLE[conic_type]
@@ -414,9 +412,17 @@ def _psi_value(fiber: CaseFiber, vector: Sequence[int]) -> int:
 
 
 def _matches_type(case: CaseLattice, vector: Sequence[int], conic_type: int) -> bool:
+    """Whether a vector at the type's target height hits the type's singular points.
+
+    A conic's section must also meet the identity component of the fiber at
+    infinity, and at the target height h that is implied.  The finite fibers
+    are node fibers of count 2 and cusp fibers of count 3, so the ones this
+    filter passes contribute 2 - h in total.  The height formula
+    h = 2 + 2 P.O - sum_v contr_v then leaves contr_inf = 2 P.O, an even
+    integer, while a nonzero index at infinity would give
+    0 < contr_inf <= 6/5, the most a fiber of count <= 5 gives.
+    """
     nodes_needed, cusp_needed = _TYPE_TABLE[conic_type]
-    if any(_psi_value(fiber, vector) for fiber in case.infinity_fibers):
-        return False
     nodes_hit = sum(1 for fiber in case.node_fibers if _psi_value(fiber, vector))
     cusp_hit = any(_psi_value(fiber, vector) for fiber in case.cusp_fibers)
     return nodes_hit == nodes_needed and cusp_hit == cusp_needed

@@ -46,16 +46,18 @@ class WeierstrassModel:
     """y^2 = x^3 + a2 x^2 + a4 x + a6 with polynomial coefficients in t.
 
     Models are equal when their coefficients are; the `_mirror` cache of
-    `at_infinity` takes no part in equality.
+    `at_infinity` and the `_fibers` cache of `classify_fibers` take no part
+    in equality.
     """
 
-    __slots__ = ("a2", "a4", "a6", "_mirror")
+    __slots__ = ("a2", "a4", "a6", "_mirror", "_fibers")
 
     def __init__(self, a2: Poly, a4: Poly, a6: Poly):
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "a4", a4)
         object.__setattr__(self, "a6", a6)
         object.__setattr__(self, "_mirror", None)
+        object.__setattr__(self, "_fibers", None)
         bounds = ((self.a2, 2), (self.a4, 4), (self.a6, 6))
         for coeff, bound in bounds:
             if coeff.degree > bound:
@@ -298,25 +300,6 @@ class FiberInfo(NamedTuple):
         return f"{self.kodaira} at t = {self.location}"
 
 
-class FiberCollection:
-    """Reducible/K-rational fibers plus the aggregate Euler mass of the rest."""
-
-    __slots__ = ("fibers", "residual_euler")
-
-    def __init__(self, fibers: tuple[FiberInfo, ...], residual_euler: int):
-        object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "residual_euler", residual_euler)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiberCollection is immutable")
-
-    def __iter__(self):
-        return iter(self.fibers)
-
-    def __getitem__(self, index: int) -> FiberInfo:
-        return self.fibers[index]
-
-
 def _classify_valuations(location, ord_delta: int, ord_c4: int) -> FiberInfo:
     if ord_c4 == 0:
         return FiberInfo(location, f"I{ord_delta}", ord_delta, ord_delta)
@@ -332,8 +315,15 @@ def _classify_valuations(location, ord_delta: int, ord_c4: int) -> FiberInfo:
     )
 
 
-def classify_fibers(model: WeierstrassModel) -> FiberCollection:
-    """Locate K-rational singular fibers exactly; report the rest by Euler mass."""
+def classify_fibers(model: WeierstrassModel) -> tuple[FiberInfo, ...]:
+    """The singular fibers at K-rational places and at t = infinity, once per model.
+
+    The other singular fibers are irreducible (I1 or II).  They are not
+    listed, and the audit that all Euler numbers sum to 12 counts them by
+    the degree of the rest of the discriminant.
+    """
+    if model._fibers is not None:
+        return model._fibers
     delta = model.discriminant()
     c4 = model.c4()
     roots, residual = k_rational_roots(delta)
@@ -354,17 +344,17 @@ def classify_fibers(model: WeierstrassModel) -> FiberCollection:
         if power == 1:
             continue
         if power == 2 and (c4 % factor).is_zero():
-            continue  # type II fibers survive the aggregate report
+            continue  # a type II fiber is irreducible too
         raise PreconditionError(
             "the discriminant has a repeated factor without K-rational roots; "
             "a reducible fiber sits at a non-K-rational place"
         )
 
-    residual_euler = residual.degree
-    total = sum(fiber.euler for fiber in fibers) + residual_euler
+    total = sum(fiber.euler for fiber in fibers) + residual.degree
     if total != 12:
         raise IntegrityError(f"fiber Euler numbers sum to {total}, not 12")
-    return FiberCollection(tuple(fibers), residual_euler)
+    object.__setattr__(model, "_fibers", tuple(fibers))
+    return model._fibers
 
 
 def _germ(point: Section, place: FieldElem | _Infinity) -> tuple[BiPoly, Poly, Poly]:

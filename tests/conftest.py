@@ -11,7 +11,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from contactconics import HeightContext, load_worked_example
+from contactconics import load_worked_example
 
 settings.register_profile("ci", max_examples=500)
 if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
@@ -26,8 +26,3 @@ def example():
 @pytest.fixture(scope="session")
 def model(example):
     return example.model
-
-
-@pytest.fixture(scope="session")
-def context(model):
-    return HeightContext.for_model(model)

@@ -121,11 +121,11 @@ def test_criterion_5_singularity_classification(example):
     }
 
 
-def test_criterion_6_height_gram_matrix(example, context):
+def test_criterion_6_height_gram_matrix(example):
     """The Gram matrix of (P1, P2, P3) computed from the surface data equals
     the stated case-I matrix exactly."""
     basis = [example.section(name) for name in ("P1", "P2", "P3")]
-    computed = gram_matrix(basis, context)
+    computed = gram_matrix(basis)
     assert computed == [
         [F(1, 3), F(1, 6), F(0)],
         [F(1, 6), F(1, 3), F(0)],
@@ -160,7 +160,7 @@ def test_criterion_7_weak_contact_certificates(example):
         assert contact_conic_type(example.quartic, curve) == conic_type, vector
 
 
-def test_criterion_8_property_suites(example, context):
+def test_criterion_8_property_suites(example):
     """Field axioms, multiplicity axioms, associativity, height bilinearity
     with the m^2 law, component-map additivity, enumeration symmetry, and
     fingerprint determinism — all exact."""
@@ -193,19 +193,13 @@ def test_criterion_8_property_suites(example, context):
     # height bilinearity and the m^2 law
     P1, P2 = example.section("P1"), example.section("P2")
     for probe in sections:
-        assert height(P1 + P2, probe, context) == height(P1, probe, context) + height(
-            P2, probe, context
-        )
+        assert height(P1 + P2, probe) == height(P1, probe) + height(P2, probe)
     # the m^2 law, checked on the doubles of all four named sections: they
     # have polynomial coordinates, which the component indices need
     for name in ("P0", "P1", "P2", "P3"):
         section = example.section(name)
-        assert height(2 * section, 2 * section, context) == 4 * height(
-            section, section, context
-        )
-        assert height(2 * section, section, context) == 2 * height(
-            section, section, context
-        )
+        assert height(2 * section, 2 * section) == 4 * height(section, section)
+        assert height(2 * section, section) == 2 * height(section, section)
 
     # the component map is additive fiber by fiber
     for fiber in classify_fibers(example.model):

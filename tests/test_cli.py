@@ -132,6 +132,27 @@ def test_weak_contact_false_with_parity_certificate(capsys):
     assert "audit: affine 6 + infinity 2 = 8" in out
 
 
+def test_weak_contact_true_against_a_quartic_without_conic_types(capsys):
+    # The quartic is not two-node one-cusp, so the conic has no type: the
+    # certificate prints without one.
+    argv = (
+        "weak-contact",
+        "--quartic", "(X*Z - T^2)*(X^2 + T^2 - Z^2) + T^4",
+        "--conic", "X*Z - T^2",
+    )
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "weak contact: true" in out
+    assert "  x (degree 1): multiplicity 4 (even)" in out
+    assert "  [0, 1, 0]: multiplicity 4 (even)" in out
+    assert "type" not in out
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["weak_contact"] is True
+    assert "type" not in payload
+
+
 def test_cremona_regression(capsys):
     code, out, _ = run(capsys, "cremona", "X*Z - T^2")
     assert code == 0

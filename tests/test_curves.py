@@ -293,6 +293,21 @@ def test_non_contact_conic_fails_with_odd_class(example):
     assert odd
 
 
+def test_odd_contacts_only_at_infinity_refuse_weak_contact():
+    # Every affine class is even and both odd contacts lie on Z = 0: a
+    # verdict that ignored the parity at infinity would answer true.
+    quartic = PlaneCurve(parse_triform(
+        "T^3*X + T^3*Z + 3*T^2*Z^2 + T*X^3 + 6*T*Z^3 + 4*X^3*Z + 3*X^2*Z^2 + 9*X*Z^3 + 8*Z^4"
+    ))
+    certificate = is_weak_contact(quartic, PlaneCurve(parse_triform("X*T - Z^2")))
+    assert [(c.degree, c.multiplicity) for c in certificate.classes] == [(3, 2)]
+    assert [(str(c.point), c.multiplicity) for c in certificate.infinity] == [
+        ("[0, 1, 0]", 1),
+        ("[1, 0, 0]", 1),
+    ]
+    assert not certificate.is_weak
+
+
 def test_lined_up_pair_is_certified_beyond_shear_eight():
     certificate = is_weak_contact(lined_up_quartic(), CONIC)
     assert certificate.shear == 10

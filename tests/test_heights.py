@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from contactconics import (
-    HeightContext,
+    IntegrityError,
     PreconditionError,
     Section,
     UnsupportedSectionError,
@@ -39,55 +39,59 @@ def test_component_contribution_table():
         component_contribution(2, 0, 2)
 
 
-def test_heights_of_generators(example, context):
+def test_heights_of_generators(example):
     values = {
-        name: height(example.section(name), example.section(name), context)
+        name: height(example.section(name), example.section(name))
         for name in ("P0", "P1", "P2", "P3")
     }
     assert values == {"P0": F(1, 3), "P1": F(1, 3), "P2": F(1, 3), "P3": F(1, 2)}
 
 
-def test_pairing_with_zero_section(example, context, model):
+def test_pairing_with_zero_section(example, model):
     zero = Section.zero(model)
-    assert height(zero, zero, context) == 0
-    assert height(example.section("P1"), zero, context) == 0
+    assert height(zero, zero) == 0
+    assert height(example.section("P1"), zero) == 0
 
 
-def test_gram_matrix_of_the_basis(example, context):
+def test_gram_matrix_of_the_basis(example):
     basis = [example.section(name) for name in ("P1", "P2", "P3")]
-    assert gram_matrix(basis, context) == BASIS_GRAM
+    assert gram_matrix(basis) == BASIS_GRAM
 
 
-def test_pairing_is_symmetric(example, context):
+def test_a_gram_matrix_with_a_zero_last_pivot_is_refused(example):
+    # P0 = P2 - P1, so the Gram matrix of (P1, P2, P0) is singular and its
+    # last pivot is exactly 0: a check of pivot < 0 would pass it.
+    basis = [example.section(name) for name in ("P1", "P2", "P0")]
+    with pytest.raises(IntegrityError, match="not positive definite"):
+        gram_matrix(basis)
+
+
+def test_pairing_is_symmetric(example):
     sections = [example.section(name) for name in ("P0", "P1", "P2", "P3")]
     for left in sections:
         for right in sections:
-            assert height(left, right, context) == height(right, left, context)
+            assert height(left, right) == height(right, left)
 
 
-def test_pairing_is_bilinear(example, context):
+def test_pairing_is_bilinear(example):
     P1 = example.section("P1")
     P2 = example.section("P2")
     P3 = example.section("P3")
     combined = P1 + P2
     for probe in (P1, P2, P3, P1 + P3):
-        assert height(combined, probe, context) == height(P1, probe, context) + height(
-            P2, probe, context
-        )
+        assert height(combined, probe) == height(P1, probe) + height(P2, probe)
 
 
-def test_doubling_quadruples_the_height(example, context):
+def test_doubling_quadruples_the_height(example):
     for name in ("P0", "P1", "P2"):
         section = example.section(name)
-        assert height(2 * section, 2 * section, context) == 4 * height(
-            section, section, context
-        )
+        assert height(2 * section, 2 * section) == 4 * height(section, section)
 
 
-def test_negation_preserves_the_height(example, context):
+def test_negation_preserves_the_height(example):
     P0 = example.section("P0")
-    assert height(-P0, -P0, context) == height(P0, P0, context)
-    assert height(-P0, P0, context) == -height(P0, P0, context)
+    assert height(-P0, -P0) == height(P0, P0)
+    assert height(-P0, P0) == -height(P0, P0)
 
 
 def sections_on(a4: str, a6: str, *coords: tuple[str, str]) -> list[Section]:
@@ -119,9 +123,8 @@ def test_section_meets_its_negative_where_y_vanishes_over_conjugate_places():
     # -P meet at a 2-torsion point of the fiber, once over each place.
     (P,) = sections_on("0", "(t^2 - 3)^2 - t^3", ("t", "t^2 - 3"))
     assert section_intersection(P, -P) == 2
-    context = HeightContext.for_model(P.model)
-    assert height(P, P, context) == F(4, 3)
-    assert height(P, -P, context) == -F(4, 3)
+    assert height(P, P) == F(4, 3)
+    assert height(P, -P) == -F(4, 3)
 
 
 def test_sections_through_conjugate_or_rational_singular_fibers_need_not_meet():
@@ -150,37 +153,36 @@ def test_sections_meeting_transversally_off_the_two_torsion():
 
 def test_heights_through_i4_and_iv_fibers():
     model = WeierstrassModel(parse_poly("1"), parse_poly("0"), parse_poly("t^4"))
-    context = HeightContext.for_model(model)
     P = Section.from_xy(model, parse_poly("i*t^2"), parse_poly("(1/2*r2 - 1/2*i*r2)*t^3"))
     Q = Section.from_xy(model, parse_poly("r2*t"), parse_poly("r2*t + t^2"))
-    assert height(P, P, context) == 1
-    assert height(Q, Q, context) == F(7, 12)
-    assert height(P, Q, context) == F(1, 2)
+    assert height(P, P) == 1
+    assert height(Q, Q) == F(7, 12)
+    assert height(P, Q) == F(1, 2)
     # P and -P meet at the I4 point and still meet after two blow-ups, on the
     # far component; Q and -Q meet where y = 0, on the smooth fiber at t = -r2.
     assert section_intersection(P, -P) == 1
-    assert height(P, -P, context) == -1
+    assert height(P, -P) == -1
     assert section_intersection(Q, -Q) == 1
-    assert height(Q, -Q, context) == -F(7, 12)
+    assert height(Q, -Q) == -F(7, 12)
 
 
 def test_two_torsion_through_iii_fibers_has_height_zero():
     model = WeierstrassModel(parse_poly("0"), parse_poly("t*(t - 1)*(t + 1)*(t - 2)"), parse_poly("0"))
     torsion = Section.from_xy(model, parse_poly("0"), parse_poly("0"))
-    assert height(torsion, torsion, HeightContext.for_model(model)) == 0
+    assert height(torsion, torsion) == 0
 
 
-def test_intersections_come_from_pole_orders_off_the_stratum(example, context):
+def test_intersections_come_from_pole_orders_off_the_stratum(example):
     P1 = example.section("P1")
     off_stratum = 2 * (P1 + example.section("P2"))  # polynomial, x of degree 4
     assert section_intersection(off_stratum, P1) == 1
     assert section_intersection(off_stratum, Section.zero(example.model)) == 1
     for other in (P1, 3 * P1):
         with pytest.raises(UnsupportedSectionError, match="polynomial"):
-            height(3 * P1, other, context)
+            height(3 * P1, other)
 
 
-def test_heights_over_the_box_of_basis_combinations(example, context):
+def test_heights_over_the_box_of_basis_combinations(example):
     # Every s = v1 P1 + v2 P2 + v3 P3 with |v_i| <= 3: where s has polynomial
     # coordinates, <s, s> = v^T G v and <s, P_i> = (G v)_i; elsewhere the
     # component indices need a series expansion that `height` does not do.
@@ -192,13 +194,13 @@ def test_heights_over_the_box_of_basis_combinations(example, context):
         section = combine(basis, vector)
         if not (section.x.is_polynomial() and section.y.is_polynomial()):
             with pytest.raises(UnsupportedSectionError, match="polynomial"):
-                height(section, section, context)
+                height(section, section)
             continue
         answered += 1
         image = [sum(g * v for g, v in zip(row, vector)) for row in BASIS_GRAM]
-        assert height(section, section, context) == sum(
+        assert height(section, section) == sum(
             v * w for v, w in zip(vector, image)
         ), vector
         for generator, expected in zip(basis, image):
-            assert height(section, generator, context) == expected, vector
+            assert height(section, generator) == expected, vector
     assert answered == 52

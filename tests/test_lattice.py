@@ -309,6 +309,29 @@ def test_lemma_vector_lists():
     assert vectors_for_type(CASE_IV, 6) == [(2, 0)]
 
 
+def test_no_vector_of_a_type_has_a_nonzero_index_at_infinity():
+    # `_matches_type` reads only the finite node and cusp fibers: at a target
+    # height they force the index at infinity to 0 (see its docstring).  The
+    # argument needs finite fibers of count 2 (node) and 3 (cusp) and fibers
+    # of count <= 5 at infinity, and its conclusion holds on all 19 cells.
+    # Case I's line fiber at infinity marked finite changes no count; this
+    # test fails on it.
+    cells = 0
+    for case in CASES.values():
+        finite = [fiber for fiber in case.fibers if not fiber.at_infinity]
+        at_infinity = [fiber for fiber in case.fibers if fiber.at_infinity]
+        assert {(fiber.role, fiber.count) for fiber in finite} <= {("node", 2), ("cusp", 3)}
+        assert at_infinity and all(fiber.count <= 5 for fiber in at_infinity)
+        for conic_type in range(1, 7):
+            if target_height(case, conic_type) is None:
+                continue
+            cells += 1
+            for vector in vectors_for_type(case, conic_type):
+                indices = [lattice._psi_value(fiber, vector) for fiber in at_infinity]
+                assert indices == [0] * len(at_infinity), (case, conic_type, vector)
+    assert cells == 19
+
+
 def test_main_theorem_table():
     rows = dict(main_theorem_rows())
     assert rows == {

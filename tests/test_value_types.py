@@ -2,7 +2,15 @@
 
 import pytest
 
-from contactconics import CASE_I, ONE, curves, is_weak_contact, parsing, zariski_pair_report
+from contactconics import (
+    CASE_I,
+    ONE,
+    classify_fibers,
+    curves,
+    is_weak_contact,
+    parsing,
+    zariski_pair_report,
+)
 
 TYPE_NAMES = [
     "ContactCertificate",
@@ -11,10 +19,8 @@ TYPE_NAMES = [
     "_PairIntersection",
     "_ClassRecord",
     "WorkedExample",
-    "HeightContext",
     "WeierstrassModel",
     "Section",
-    "FiberCollection",
     "FiberInfo",
     "CaseLattice",
     "CaseFiber",
@@ -33,7 +39,7 @@ TYPE_NAMES = [
 
 
 @pytest.fixture(scope="module")
-def values(example, context):
+def values(example):
     """One value of each type in TYPE_NAMES, by type name."""
     quartic, conic = example.quartic, example.conics["C0"]
     certificate = is_weak_contact(quartic, conic)
@@ -46,11 +52,9 @@ def values(example, context):
         curves._pair_intersection(quartic, conic),
         curves._ClassRecord(1, 2, "smooth", (2,)),
         example,
-        context,
         example.model,
         example.section("P1"),
-        context.fibers,
-        context.fibers[0],
+        classify_fibers(example.model)[0],
         CASE_I,
         CASE_I.fibers[0],
         CASE_I.ldl,
