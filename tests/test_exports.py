@@ -6,9 +6,8 @@ import contactconics
 
 
 def test_all_names_exactly_the_public_non_module_attributes():
-    # A name left in __all__ after its object is deleted (a stale
-    # "HeightContext", say) breaks only `from contactconics import *`; a
-    # public name left out is not exported.
+    # A name left in __all__ after its object is deleted breaks only
+    # `from contactconics import *`; a public name left out is not exported.
     public = {
         name
         for name, value in vars(contactconics).items()
