@@ -12,6 +12,8 @@ sections they come from) is bundled and re-verified on load; the
 ``contactconics`` command line exposes every capability.
 """
 
+from types import ModuleType as _ModuleType
+
 from .curves import (
     CASE_B,
     CASE_S,
@@ -96,37 +98,9 @@ from .surface import (
     section_to_plane_curve,
 )
 
+# Every public name imported above that is not a module.
 __all__ = [
-    # field and polynomial arithmetic
-    "FieldElem", "ONE", "ZERO",
-    "Poly", "RatFunc", "BiPoly", "TriForm",
-    # parsing
-    "parse_field_elem", "parse_poly", "parse_ratfunc", "parse_bipoly",
-    "parse_triform", "parse_point", "parse_section",
-    # plane curves
-    "PlaneCurve", "PlanePoint", "NODE", "CUSP", "SMOOTH", "OTHER",
-    "CASE_S", "CASE_B", "CASE_SC", "CASE_SN",
-    "intersection_multiplicity", "cremona_transform", "cremona_point",
-    "is_weak_contact", "contact_conic_type", "classify_tangent_case",
-    "arrangement_fingerprint",
-    "ContactCertificate", "ContactClass", "InfinityContact",
-    # elliptic surface
-    "WeierstrassModel", "Section", "combine", "from_quartic",
-    "FiberInfo", "classify_fibers", "component_index",
-    "section_to_plane_curve", "plane_curve_to_sections", "INFINITY",
-    # heights
-    "height", "gram_matrix", "component_contribution",
-    # case lattices and enumeration
-    "CaseLattice", "CaseFiber", "CASES", "CASE_NAMES", "CONIC_TYPES",
-    "CASE_I", "CASE_II", "CASE_III", "CASE_IV",
-    "target_height", "enumerate_height_vectors", "vectors_for_type",
-    "count_by_type", "main_theorem_rows", "smith_invariants",
-    "zariski_pair_report", "ZariskiReport", "PAIR_NAMES",
-    # worked example
-    "WorkedExample", "load_worked_example", "build_worked_example",
-    "ARRANGEMENTS", "ARRANGEMENT_NAMES", "SECTION_NAMES",
-    # errors
-    "ContactConicsError", "ParseError", "PreconditionError",
-    "IntegrityError", "InfiniteMultiplicityError", "NotKRationalError",
-    "UnsupportedSectionError",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -93,10 +93,6 @@ class PlanePoint:
     def __setattr__(self, name, value):
         raise AttributeError("PlanePoint is immutable")
 
-    @classmethod
-    def from_triple(cls, triple: Sequence[ElemLike]) -> "PlanePoint":
-        return cls(triple[0], triple[1], triple[2])
-
     @property
     def chart(self) -> int:
         """Index of the last nonzero (canonically 1) coordinate."""
@@ -197,8 +193,7 @@ class PlaneCurve:
         grads = [self.form.partial(k).eval(point.coords) for k in range(3)]
         if all(g.is_zero() for g in grads):
             raise PreconditionError(f"{point} is a singular point; no unique tangent line")
-        line = TriForm(1, {(1, 0, 0): grads[0], (0, 1, 0): grads[1], (0, 0, 1): grads[2]})
-        return PlaneCurve(line)
+        return PlaneCurve(_combine_forms([grads], _TXZ)[0])
 
     def singular_points(self) -> list[tuple[PlanePoint, str]]:
         """All singular points with classification; they must all be K-rational."""
@@ -446,7 +441,27 @@ def _classify_singular_point(form: TriForm, point: PlanePoint) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The standard quadratic transformation
+# Linear maps of the plane and the standard quadratic transformation
+
+# The coordinate forms T, X and Z.
+_TXZ = (
+    TriForm(1, {(1, 0, 0): ONE}),
+    TriForm(1, {(0, 1, 0): ONE}),
+    TriForm(1, {(0, 0, 1): ONE}),
+)
+
+
+def _combine_forms(
+    matrix: Sequence[Sequence[FieldElem]], forms: Sequence[TriForm]
+) -> tuple[TriForm, ...]:
+    """The forms sum_j M[i][j]*F_j, one per row i of the matrix."""
+    zero = TriForm(forms[0].degree, {})
+    return tuple(sum((f.scale(c) for c, f in zip(row, forms)), zero) for row in matrix)
+
+
+def _apply(matrix: Sequence[Sequence[FieldElem]], point: PlanePoint) -> PlanePoint:
+    """The point M*p."""
+    return PlanePoint(*(sum((m * c for m, c in zip(row, point.coords)), ZERO) for row in matrix))
 
 
 def _matrix_inverse_3x3(n: Sequence[Sequence[FieldElem]]) -> list[list[FieldElem]]:
@@ -490,13 +505,7 @@ def cremona_transform(
     grows steeply with the degree.
     """
     n = [list(_line_coefficients(line)) for line in triangle]
-    m = _matrix_inverse_3x3(n)
-    images = []
-    for i in range(3):
-        acc = TriForm(2, {})
-        for j in range(3):
-            acc = acc + _SIGMA[j].scale(m[i][j])
-        images.append(acc)
+    images = _combine_forms(_matrix_inverse_3x3(n), _SIGMA)
     # the map is dominant, so no nonzero form vanishes under it
     raw = curve.form.substitute(images)
     image = raw.divide_monomial(raw.min_exponents())
@@ -518,10 +527,7 @@ def cremona_point(
     """Image of a point off the triangle vertices under the quadratic map."""
     n = [list(_line_coefficients(line)) for line in triangle]
     _matrix_inverse_3x3(n)  # validates non-concurrency
-    q = [
-        n[i][0] * point.coords[0] + n[i][1] * point.coords[1] + n[i][2] * point.coords[2]
-        for i in range(3)
-    ]
+    q = _apply(n, point).coords
     image = (q[1] * q[2], q[0] * q[2], q[0] * q[1])
     if all(c.is_zero() for c in image):
         raise PreconditionError("the quadratic map is undefined at a triangle vertex")
@@ -717,10 +723,6 @@ def contact_conic_type(q: PlaneCurve, c: PlaneCurve) -> int:
 
 def classify_tangent_case(q: PlaneCurve, z: PlanePoint) -> str:
     """Position case of the tangent line at a smooth point: s, b, sc or sn."""
-    if not q.contains(z):
-        raise PreconditionError(f"{z} is not on the quartic")
-    if q.multiplicity_at(z) != 1:
-        raise PreconditionError(f"{z} is a singular point of the quartic")
     line = q.tangent_line(z)
     records = q.singular_points()
     for p, kind in records:
@@ -751,7 +753,7 @@ def _line_images(line: PlaneCurve) -> tuple[TriForm, TriForm, TriForm]:
         p, q = (ONE, -a * inv, ZERO), (ZERO, ZERO, ONE)
     else:
         p, q = (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)
-    return tuple(TriForm(1, {(1, 0, 0): p[k], (0, 1, 0): q[k]}) for k in range(3))
+    return _combine_forms([(p[k], q[k], ZERO) for k in range(3)], _TXZ)
 
 
 # ---------------------------------------------------------------------------
@@ -807,17 +809,19 @@ def _pair_entry(
     """The pair's sorted `pair (d1,d2): ...` block of the fingerprint,
     memoized in its `_pair_cache` entry.
 
-    The memo keeps the block under the exact forms of the other components
-    and of the quartic, since the refinement depends on nothing else, and
-    the split of the pair's classes at the quartic's singular points under
-    the quartic's form alone (None without a quartic).  Both kinds of entry
-    belong to the pair, so they share its one memo: a split's key is a form
-    or None and a block's key is a 2-tuple, so they never collide."""
+    The memo keeps the block under the exact forms of the other components,
+    since the refinement depends on nothing else, and the split of the
+    pair's classes at the quartic's singular points under the quartic's form
+    alone (None without a quartic).  Both kinds of entry belong to the pair,
+    so they share its one memo: a split's key is a form or None and a
+    block's key is a tuple, so they never collide."""
     pair, memo = _pair_classes(a, b)
-    quartic_form = None if quartic is None else quartic.form
-    key = (tuple(d.form for d in others), quartic_form)
+    # The quartic is the one degree-4 curve among the pair and the others,
+    # so with the pair fixed, the others' forms fix it too.
+    key = tuple(d.form for d in others)
     if key in memo:
         return memo[key]
+    quartic_form = None if quartic is None else quartic.form
     if quartic_form not in memo:
         memo[quartic_form] = _split_at_singular_points(pair, quartic)
     records: list[_ClassRecord] = []

@@ -20,13 +20,16 @@ from .curves import (
     NODE,
     PlaneCurve,
     PlanePoint,
+    _TXZ,
+    _apply,
+    _combine_forms,
     _matrix_inverse_3x3,
     cremona_point,
     cremona_transform,
     intersection_multiplicity,
 )
 from .errors import ContactConicsError, IntegrityError, PreconditionError
-from .field import FieldElem, ONE
+from .field import FieldElem
 from .parsing import parse_bipoly, parse_point, parse_section, parse_triform
 from .poly import TriForm
 from .surface import (
@@ -38,8 +41,6 @@ from .surface import (
 )
 
 _T = TypeVar("_T")
-
-_Z_FORM = TriForm(1, {(0, 0, 1): ONE})
 
 # Raw fixture data.  Projective forms use T, X, Z; affine charts use
 # t = T/Z, x = X/Z; r2 is the square root of 2 and i the imaginary unit.
@@ -174,20 +175,6 @@ class WorkedExample(NamedTuple):
         return (self.curve(first), self.curve(second), self.curve(third))
 
 
-def _linear_form(row: tuple[FieldElem, FieldElem, FieldElem]) -> TriForm:
-    return TriForm(1, {(1, 0, 0): row[0], (0, 1, 0): row[1], (0, 0, 1): row[2]})
-
-
-def _apply_point(
-    matrix: tuple[tuple[FieldElem, FieldElem, FieldElem], ...], point: PlanePoint
-) -> PlanePoint:
-    coords = tuple(
-        sum((matrix[i][j] * point.coords[j] for j in range(3)), start=FieldElem())
-        for i in range(3)
-    )
-    return PlanePoint(coords[0], coords[1], coords[2])
-
-
 def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedExample:
     """Parse and verify the example, optionally overriding raw fields.
 
@@ -222,18 +209,18 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
         PlaneCurve(parse_triform(raw["triangle_3"])),
     )
     tangent_line = PlaneCurve(parse_triform(raw["tangent_line"]))
-    tangency_point = PlanePoint.from_triple(parse_point(raw["tangency_point"]))
+    tangency_point = PlanePoint(*parse_point(raw["tangency_point"]))
     quartic_image = PlaneCurve(parse_triform(raw["quartic_image"]))
     conic_image = PlaneCurve(parse_triform(raw["conic_image"]))
-    marked_point = PlanePoint.from_triple(parse_point(raw["marked_point"]))
+    marked_point = PlanePoint(*parse_point(raw["marked_point"]))
     marked_tangent = PlaneCurve(parse_triform(raw["marked_tangent"]))
     frame = tuple(parse_point(raw[f"frame_row_{i}"]) for i in (1, 2, 3))
     quartic = PlaneCurve(TriForm.homogenize(parse_bipoly(raw["quartic_chart"]), 4))
     nodes = (
-        PlanePoint.from_triple(parse_point(raw["node_1"])),
-        PlanePoint.from_triple(parse_point(raw["node_2"])),
+        PlanePoint(*parse_point(raw["node_1"])),
+        PlanePoint(*parse_point(raw["node_2"])),
     )
-    cusp = PlanePoint.from_triple(parse_point(raw["cusp"]))
+    cusp = PlanePoint(*parse_point(raw["cusp"]))
     lines = {
         key: PlaneCurve(TriForm.homogenize(parse_bipoly(raw[field]), 1))
         for key, field in (("L1", "line_1"), ("L2", "line_2"), ("L3", "line_3"))
@@ -290,14 +277,14 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
     inverse_rows = guarded(
         "the frame is invertible", lambda: _matrix_inverse_3x3(frame)
     )
-    images = tuple(_linear_form(tuple(row)) for row in inverse_rows)
+    images = _combine_forms(inverse_rows, _TXZ)
     check(
         "the frame sends the marked point to the distinguished tangency",
-        lambda: _apply_point(frame, marked_point) == PlanePoint(0, 1, 0),
+        lambda: _apply(frame, marked_point) == PlanePoint(0, 1, 0),
     )
     check(
         "the frame sends the marked tangent to the line at infinity",
-        lambda: marked_tangent.form.substitute(images).is_proportional(_Z_FORM),
+        lambda: marked_tangent.form.substitute(images).is_proportional(_TXZ[2]),
     )
     check(
         "the frame image of the quartic matches the normalized chart",

@@ -308,17 +308,17 @@ def parse_field_elem(text: str) -> FieldElem:
     return num.constant_value()
 
 
-def parse_poly(text: str, var: str = "t") -> Poly:
-    """Read a univariate polynomial in the named variable."""
-    parser = _Parser(text, (var,))
+def parse_poly(text: str) -> Poly:
+    """Read a univariate polynomial in t."""
+    parser = _Parser(text, ("t",))
     value = parser.parse_expression()
     parser.expect_end()
     return _to_poly(_require_constant_den(value, "a polynomial"))
 
 
-def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
-    """Read a rational function in the named variable."""
-    parser = _Parser(text, (var,))
+def parse_ratfunc(text: str) -> RatFunc:
+    """Read a rational function in t."""
+    parser = _Parser(text, ("t",))
     value = parser.parse_expression()
     parser.expect_end()
     return _to_ratfunc(value)

@@ -115,9 +115,9 @@ def test_criterion_5_singularity_classification(example):
     """The normalized quartic has exactly the stated two nodes and one cusp."""
     records = dict(example.quartic.singular_points())
     assert records == {
-        PlanePoint.from_triple(parse_point("[-1, -1, 1]")): NODE,
-        PlanePoint.from_triple(parse_point("[1, 0, 1]")): NODE,
-        PlanePoint.from_triple(parse_point("[0, 0, 1]")): CUSP,
+        PlanePoint(*parse_point("[-1, -1, 1]")): NODE,
+        PlanePoint(*parse_point("[1, 0, 1]")): NODE,
+        PlanePoint(*parse_point("[0, 0, 1]")): CUSP,
     }
 
 
@@ -175,7 +175,7 @@ def test_criterion_8_property_suites(example):
 
     # intersection multiplicities: transversality, tangency, additivity
     conic = PlaneCurve(parse_triform("X*Z - T^2"))
-    origin = PlanePoint.from_triple(parse_point("[0, 0, 1]"))
+    origin = PlanePoint(*parse_point("[0, 0, 1]"))
     line = PlaneCurve(parse_triform("X"))
     through = PlaneCurve(parse_triform("T"))
     product = PlaneCurve(parse_triform("X*T"))

@@ -5,8 +5,9 @@ import itertools
 import operator
 import sys
 
+import hypothesis
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from contactconics import curves
 from contactconics import (
@@ -18,6 +19,7 @@ from contactconics import (
     CASE_SC,
     CASE_SN,
     CUSP,
+    ContactConicsError,
     FieldElem,
     InfiniteMultiplicityError,
     NODE,
@@ -35,12 +37,13 @@ from contactconics import (
     cremona_transform,
     intersection_multiplicity,
     is_weak_contact,
+    load_worked_example,
     parse_bipoly,
     parse_point,
     parse_triform,
 )
 from contactconics import poly
-from contactconics.curves import _t_on_class
+from contactconics.curves import _fulton, _line_images, _local_at_origin, _t_on_class
 from contactconics.poly import resultant_t
 
 
@@ -49,7 +52,7 @@ def curve(text: str) -> PlaneCurve:
 
 
 def point(text: str) -> PlanePoint:
-    return PlanePoint.from_triple(parse_point(text))
+    return PlanePoint(*parse_point(text))
 
 
 CONIC = curve("X*Z - T^2")
@@ -190,6 +193,32 @@ def test_singular_points_of_lines_are_their_crossings(lines):
     assert PlaneCurve(form).singular_points() == expected
 
 
+MILNOR_CURVES = [
+    "X^2*Z - T^3",
+    "X^2*Z - T^3 - T^2*Z",
+    "(X*Z - T^2)*(X*Z - 2*T^2)",  # two tacnodes
+    "T*X*(T - X)",  # an ordinary triple point
+    "T^2 - 3*Z^2",  # a node at infinity
+    "X^2*Z^2 - (T^2 - 2*Z^2)^2",  # two nodes and a tacnode at infinity
+]
+
+
+def test_node_and_cusp_agree_with_the_milnor_number(example):
+    """Second route (Milnor 1968): the Milnor number mu = I_p(g_t, g_x) of
+    the translated chart g is 1 exactly at a node and 2 exactly at a cusp.
+    Kills `_classify_singular_point` without its cubic-term test, which
+    calls every double point with one tangent, tacnodes too, a cusp."""
+    seen = []
+    for c in [example.quartic, example.quartic_image, *map(curve, MILNOR_CURVES)]:
+        for p, kind in c.singular_points():
+            g = _local_at_origin(c.form, p)
+            g_t = BiPoly(tuple(col.derivative() for col in g.coeffs))
+            mu = _fulton(g_t, g.derivative_x(), (c.degree - 1) ** 2)
+            assert kind == (NODE if mu == 1 else CUSP if mu == 2 else OTHER), (str(c), p)
+            seen.append(mu)
+    assert len(seen) == 15 and set(seen) == {1, 2, 3, 4}
+
+
 # -- intersection multiplicity ----------------------------------------------
 
 
@@ -259,6 +288,42 @@ def test_point_map_matches_curve_map(example):
 def test_point_map_is_undefined_at_a_triangle_vertex(example):
     with pytest.raises(PreconditionError, match="undefined at a triangle vertex"):
         cremona_point(example.triangle, point("[0, 1, 1]"))
+
+
+@st.composite
+def small_form_texts(draw):
+    """A form of degree 2-4 with coefficients in -3..3, as text."""
+    d = draw(st.integers(2, 4))
+    terms = [
+        f"({draw(st.integers(-3, 3))})*T^{a}*X^{b}*Z^{d - a - b}"
+        for a in range(d + 1)
+        for b in range(d + 1 - a)
+    ]
+    return " + ".join(terms)
+
+
+# The worked triangle's vertices are [0, 1, 1], [1, 1, 0] and [1, -1, 0].
+@settings(deadline=None)
+@given(small_form_texts())
+@hypothesis.example("T^2 - X^2 + X*Z")  # through all three vertices: a line
+@hypothesis.example("(X - Z)^2*Z - T^2*(T + Z)")  # a node at [0, 1, 1]
+@hypothesis.example("T^3 - T*X^2 + X^2*Z")  # through [1, 1, 0] and [1, -1, 0]
+def test_cremona_image_degree_drops_by_the_vertex_multiplicities(text):
+    """Second route (Fulton, Algebraic Curves, 7.4): a curve of degree d that
+    contains no fundamental line has an image of degree 2d - m1 - m2 - m3,
+    the m_i its multiplicities at the triangle's vertices.  The explicit
+    examples pass through vertices, so they kill `cremona_transform` that
+    divides out no monomial factor."""
+    triangle = load_worked_example().triangle
+    try:
+        c = curve(text)
+    except ContactConicsError:
+        assume(False)  # zero, or not square-free
+    assume(not any(c.form.substitute(_line_images(line)).is_zero() for line in triangle))
+    vertices = [point("[0, 1, 1]"), point("[1, 1, 0]"), point("[1, -1, 0]")]
+    assert all(sum(line.contains(v) for line in triangle) == 2 for v in vertices)
+    expected = 2 * c.degree - sum(c.multiplicity_at(v) for v in vertices)
+    assert cremona_transform(c, triangle).degree == expected
 
 
 def test_concurrent_triangle_is_rejected():
@@ -420,9 +485,9 @@ def test_tangent_line_needs_a_smooth_point_on_the_curve():
 
 
 def test_tangent_case_rejects_singular_and_off_curve_points(example):
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="is a singular point; no unique tangent line"):
         classify_tangent_case(example.quartic, example.cusp)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="is not on the curve"):
         classify_tangent_case(example.quartic, point("[17, 1, 1]"))
 
 
