@@ -9,12 +9,15 @@ letter ``O`` for the zero section.
 Every reader here raises ParseError with a position on malformed input,
 so stored fixture data is validated byte-by-byte when reloaded.  Input
 over one of the budgets below raises PreconditionError naming the limit,
-before any expensive arithmetic runs.
+before any expensive arithmetic runs: every value built is checked.
+
+Values are `poly` kernel charts, as a numerator over a denominator kept
+until the reader returns.  Only the rational-function readers accept
+division by an expression in a variable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -79,70 +82,84 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _MultiPoly:
-    """Internal accumulator: exponent-vector keyed polynomial over K."""
+# A polynomial value is held as its nonzero homogeneous parts, a dict from
+# degree to the part's chart: t and T read as the chart's t, x and X as its
+# x, and Z as 1, so the degree budget is the largest key.
+_Parts = dict[int, BiPoly]
+_T = BiPoly.from_poly_in_t(Poly((ZERO, ONE)))
+_VARIABLES = {"t": _T, "T": _T, "x": BiPoly.variable_x(), "X": BiPoly.variable_x(),
+              "Z": BiPoly.from_poly_in_t(Poly.constant(ONE))}
 
-    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], FieldElem]):
-        self.nvars = nvars
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-        for key, value in self.terms.items():
-            if sum(key) > MAX_DEGREE:
-                raise PreconditionError(f"degree exceeds the input budget of {MAX_DEGREE}")
-            integers = (value.n0, value.n1, value.n2, value.n3, value.d)
-            if max(abs(n).bit_length() for n in integers) > MAX_INTEGER_BITS:
-                raise PreconditionError(
-                    f"coefficient exceeds the input budget of {MAX_INTEGER_BITS} bits"
-                )
+def _fits(p: Poly) -> bool:
+    """Whether each coefficient has integers within the budget; a coefficient's
+    reduced integers never exceed p's common ones, read first."""
+    bound = p._den
+    for comp in p._num:
+        if comp:
+            bound = max(bound, max(comp), -min(comp))
+    if bound.bit_length() <= MAX_INTEGER_BITS:
+        return True
+    return all(
+        max(abs(n).bit_length() for n in (c.n0, c.n1, c.n2, c.n3, c.d)) <= MAX_INTEGER_BITS
+        for c in p.coeffs
+    )
 
-    @classmethod
-    def constant(cls, nvars: int, value: FieldElem) -> "_MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
 
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "_MultiPoly":
-        key = tuple(1 if k == index else 0 for k in range(nvars))
-        return cls(nvars, {key: ONE})
+def _value(parts: _Parts) -> _Parts:
+    """The nonzero parts, checked against the degree and coefficient budgets."""
+    value = {degree: part for degree, part in parts.items() if part}
+    if value and max(value) > MAX_DEGREE:
+        raise PreconditionError(f"degree exceeds the input budget of {MAX_DEGREE}")
+    if not all(_fits(col) for part in value.values() for col in part.coeffs):
+        raise PreconditionError(f"coefficient exceeds the input budget of {MAX_INTEGER_BITS} bits")
+    return value
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in key) for key in self.terms)
+def _constant(c: FieldElem) -> _Parts:
+    return _value({0: BiPoly.from_poly_in_t(Poly.constant(c))})
 
-    def constant_value(self) -> FieldElem:
-        return self.terms.get((0,) * self.nvars, ZERO)
 
-    def __add__(self, other: "_MultiPoly") -> "_MultiPoly":
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            out[key] = out.get(key, ZERO) + value
-        return _MultiPoly(self.nvars, out)
+def _add(a: _Parts, b: _Parts) -> _Parts:
+    out = dict(a)
+    for degree, part in b.items():
+        out[degree] = out[degree] + part if degree in out else part
+    return _value(out)
 
-    def __neg__(self) -> "_MultiPoly":
-        return _MultiPoly(self.nvars, {k: -v for k, v in self.terms.items()})
 
-    def __sub__(self, other: "_MultiPoly") -> "_MultiPoly":
-        return self + (-other)
+def _mul(a: _Parts, b: _Parts) -> _Parts:
+    out: _Parts = {}
+    for d, p in a.items():
+        for e, q in b.items():
+            out[d + e] = out[d + e] + p * q if d + e in out else p * q
+    return _value(out)
 
-    def __mul__(self, other: "_MultiPoly") -> "_MultiPoly":
-        out: dict[tuple[int, ...], FieldElem] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, ZERO) + v1 * v2
-        return _MultiPoly(self.nvars, out)
 
-    def __pow__(self, exponent: int) -> "_MultiPoly":
-        result = _MultiPoly.constant(self.nvars, ONE)
-        for _ in range(exponent):
-            result = result * self
-        return result
+def _power(a: _Parts, exponent: int) -> _Parts:
+    result = _constant(ONE)
+    for _ in range(exponent):
+        result = _mul(result, a)
+    return result
+
+
+def _times(a: _Parts | None, b: _Parts | None) -> _Parts | None:
+    """a * b, where None stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else _mul(a, b)
+
+
+def _sum(value: _Parts) -> BiPoly:
+    return sum(value.values(), BiPoly.zero())
+
+
+def _in_t(value: _Parts) -> Poly:
+    return _sum(value).coeff_x(0)
 
 
 class _Frac:
-    """Numerator/denominator pair; division is deferred to conversion time.
+    """Numerator/denominator pair; division is deferred to the reader.  A
+    denominator of None stands for 1.
 
     A constant denominator is folded into the numerator at once, so a sum of
     terms with rational coefficients keeps reduced coefficients rather than
@@ -152,10 +169,11 @@ class _Frac:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: _MultiPoly, den: _MultiPoly):
-        if den.is_constant() and den.constant_value() != ONE:
-            num = num * _MultiPoly.constant(num.nvars, den.constant_value().inv())
-            den = _MultiPoly.constant(den.nvars, ONE)
+    def __init__(self, num: _Parts, den: _Parts | None = None):
+        if den is not None and den.keys() == {0}:
+            c = den[0].coeff_x(0).coeff(0)
+            num = num if c == ONE else _mul(num, _constant(c.inv()))
+            den = None
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -163,29 +181,30 @@ class _Frac:
         raise AttributeError("_Frac is immutable")
 
     def __add__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+        num = _add(_times(self.num, other.den), _times(other.num, self.den))
+        return _Frac(num, _times(self.den, other.den))
 
     def __sub__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __neg__(self) -> "_Frac":
-        return _Frac(-self.num, self.den)
+        return _Frac(_value({d: BiPoly.zero() - p for d, p in self.num.items()}), self.den)
 
     def __mul__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.num, self.den * other.den)
+        return _Frac(_mul(self.num, other.num), _times(self.den, other.den))
 
     def divide(self, other: "_Frac", pos: int) -> "_Frac":
-        if other.num.is_zero():
+        if not other.num:
             raise ParseError(f"division by zero at position {pos}")
-        return _Frac(self.num * other.den, self.den * other.num)
+        return _Frac(_times(self.num, other.den), _times(self.den, other.num))
 
     def __pow__(self, exponent: int) -> "_Frac":
-        return _Frac(self.num**exponent, self.den**exponent)
+        num = _power(self.num, exponent)  # first: its refusal is the one reported
+        return _Frac(num, None if self.den is None else _power(self.den, exponent))
 
 
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
-        self.text = text
         self.variables = tuple(variables)
         self.tokens = _tokenize(text)
         self.k = 0
@@ -250,21 +269,18 @@ class _Parser:
         return base
 
     def parse_primary(self) -> _Frac:
-        n = len(self.variables)
         token = self.current
         if token.kind == "int":
             self.advance()
-            value = FieldElem.from_rational(Fraction(int(token.text)))
-            return _Frac(_MultiPoly.constant(n, value), _MultiPoly.constant(n, ONE))
+            return _Frac(_constant(FieldElem.from_rational(int(token.text))))
         if token.kind == "name":
             self.advance()
             if token.text == "r2":
-                return _Frac(_MultiPoly.constant(n, SQRT2), _MultiPoly.constant(n, ONE))
+                return _Frac(_constant(SQRT2))
             if token.text == "i":
-                return _Frac(_MultiPoly.constant(n, I), _MultiPoly.constant(n, ONE))
+                return _Frac(_constant(I))
             if token.text in self.variables:
-                index = self.variables.index(token.text)
-                return _Frac(_MultiPoly.variable(n, index), _MultiPoly.constant(n, ONE))
+                return _Frac({1: _VARIABLES[token.text]})
             raise ParseError(
                 f"unknown name {token.text!r} at position {token.pos}"
                 f" (variables here: {', '.join(self.variables) or 'none'})"
@@ -284,68 +300,53 @@ class _Parser:
         raise ParseError(f"unexpected token {token.text!r} at position {token.pos}")
 
 
-def _require_constant_den(value: _Frac, what: str) -> _MultiPoly:
-    if not value.den.is_constant():
+def _parse(text: str, variables: Sequence[str]) -> _Frac:
+    """The value of the whole text as one expression."""
+    parser = _Parser(text, variables)
+    value = parser.parse_expression()
+    parser.expect_end()
+    return value
+
+
+def _numerator(value: _Frac, what: str) -> _Parts:
+    if value.den is not None:
         raise ParseError(f"{what} must not contain division by a variable expression")
-    return value.num  # _Frac folds a constant denominator into the numerator
+    return value.num
 
 
-def _to_poly(m: _MultiPoly) -> Poly:
-    """The univariate polynomial with the accumulator's coefficients."""
-    return BiPoly.from_terms(((e, 0), coeff) for (e,), coeff in m.terms.items()).coeff_x(0)
-
-
-def _to_ratfunc(value: _Frac) -> RatFunc:
-    return RatFunc(_to_poly(value.num), _to_poly(value.den))
+def _ratfunc(value: _Frac) -> RatFunc:
+    return RatFunc(_in_t(value.num), None if value.den is None else _in_t(value.den))
 
 
 def parse_field_elem(text: str) -> FieldElem:
     """Read one element of K, e.g. ``3/4 + 1/2*r2 - i*r2``."""
-    parser = _Parser(text, ())
-    value = parser.parse_expression()
-    parser.expect_end()
-    num = _require_constant_den(value, "a field element")
-    return num.constant_value()
+    return _in_t(_parse(text, ()).num).coeff(0)  # without variables, every divisor is constant
 
 
 def parse_poly(text: str) -> Poly:
     """Read a univariate polynomial in t."""
-    parser = _Parser(text, ("t",))
-    value = parser.parse_expression()
-    parser.expect_end()
-    return _to_poly(_require_constant_den(value, "a polynomial"))
+    return _in_t(_numerator(_parse(text, ("t",)), "a polynomial"))
 
 
 def parse_ratfunc(text: str) -> RatFunc:
     """Read a rational function in t."""
-    parser = _Parser(text, ("t",))
-    value = parser.parse_expression()
-    parser.expect_end()
-    return _to_ratfunc(value)
+    return _ratfunc(_parse(text, ("t",)))
 
 
 def parse_bipoly(text: str) -> BiPoly:
     """Read a polynomial in t and x."""
-    parser = _Parser(text, ("t", "x"))
-    value = parser.parse_expression()
-    parser.expect_end()
-    num = _require_constant_den(value, "a polynomial in t and x")
-    return BiPoly.from_terms(num.terms.items())
+    return _sum(_numerator(_parse(text, ("t", "x")), "a polynomial in t and x"))
 
 
 def parse_triform(text: str) -> TriForm:
     """Read a homogeneous form in T, X, Z; inhomogeneous input is rejected."""
-    parser = _Parser(text, ("T", "X", "Z"))
-    value = parser.parse_expression()
-    parser.expect_end()
-    num = _require_constant_den(value, "a form")
-    if num.is_zero():
+    parts = _numerator(_parse(text, ("T", "X", "Z")), "a form")
+    if not parts:
         raise ParseError("the zero form has no degree")
-    degrees = {sum(key) for key in num.terms}
-    if len(degrees) != 1:
-        raise ParseError(f"form is not homogeneous (term degrees {sorted(degrees)})")
-    degree = degrees.pop()
-    return TriForm(degree, dict(num.terms))
+    if len(parts) != 1:
+        raise ParseError(f"form is not homogeneous (term degrees {sorted(parts)})")
+    ((degree, chart),) = parts.items()
+    return TriForm.homogenize(chart, degree)
 
 
 def parse_point(text: str) -> tuple[FieldElem, FieldElem, FieldElem]:
@@ -353,13 +354,9 @@ def parse_point(text: str) -> tuple[FieldElem, FieldElem, FieldElem]:
     parser = _Parser(text, ())
     parser.expect("[")
     coords: list[FieldElem] = []
-    for k in range(3):
-        value = parser.parse_expression()
-        num = _require_constant_den(value, "a coordinate")
-        coords.append(num.constant_value())
-        if k < 2:
-            parser.expect(",")
-    parser.expect("]")
+    for separator in (",", ",", "]"):
+        coords.append(_in_t(parser.parse_expression().num).coeff(0))
+        parser.expect(separator)
     parser.expect_end()
     if all(c.is_zero() for c in coords):
         raise ParseError("[0, 0, 0] is not a projective point")
@@ -378,4 +375,4 @@ def parse_section(text: str) -> tuple[RatFunc, RatFunc] | None:
     second = parser.parse_expression()
     parser.expect(")")
     parser.expect_end()
-    return _to_ratfunc(first), _to_ratfunc(second)
+    return _ratfunc(first), _ratfunc(second)

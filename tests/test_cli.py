@@ -564,6 +564,35 @@ _noise = st.text(alphabet="TXZtx0123456789+-*/^()r2i= \u00b2\u0663\u00e9\u00a0",
 _not_utf8 = st.builds(lambda head, tail: head + b"\xff" + tail, st.binary(max_size=12), st.binary(max_size=12))
 
 
+# section coefficients: r2, i, and a 255-bit literal
+_t_coefficient = st.sampled_from(["1", "-2", "1/4", "r2", "i", "1/4*r2", "i*r2", str(2**255 - 19)])
+
+
+@st.composite
+def _t_expression(draw, depth=0):
+    """A polynomial text in t, one time in three divided by another."""
+    terms = [f"{draw(_t_coefficient)}*t^{draw(st.integers(0, 4))}" for _ in range(draw(st.integers(1, 3)))]
+    text = " + ".join(terms)
+    if depth < 2 and draw(st.integers(0, 2)) == 0:
+        text = f"({text}) / ({draw(_t_expression(depth + 1))})"
+    return text
+
+
+# the example's names, an unknown one, sections on the surface ([-1]P1 and
+# [3]P1, whose coordinates have denominators), drawn coordinates, and noise
+_section = st.one_of(
+    st.sampled_from(["P0", "P1", "P2", "P3", "O", "P9"]),
+    st.sampled_from([
+        "(0, -1/4*r2*t*(t - 1))",
+        "((-2*t^3 - 1/2*t^2 + 2*t + 1/2) / (t^2 + 3*t + 9/4), "
+        "(7/4*r2*t^5 + 13/8*r2*t^4 - 17/16*r2*t^3 - 45/32*r2*t^2 - 21/32*r2*t - 1/4*r2)"
+        " / (t^3 + 9/2*t^2 + 27/4*t + 27/8))",
+    ]),
+    st.builds(lambda x, y: f"({x}, {y})", _t_expression(), _t_expression()),
+    _noise,
+)
+
+
 def _run_bounded(argv):
     """cli.main on argv with its output captured, or _Expired after the deadline."""
     def expire(signum, frame):
@@ -584,7 +613,12 @@ def _run_bounded(argv):
 @st.composite
 def _argv(draw):
     fmt = draw(st.sampled_from([[], ["--format", "structured"]]))
-    command = draw(st.sampled_from(["weak-contact", "cremona", "fingerprint"]))
+    command = draw(st.sampled_from(["weak-contact", "cremona", "fingerprint", "height", "group-op"]))
+    if command == "height":
+        return ["height", *draw(st.lists(_section, min_size=1, max_size=2)), *fmt], None
+    if command == "group-op":
+        op = draw(st.sampled_from(["add", "double", "negate"]))
+        return ["group-op", op, *draw(st.lists(_section, min_size=1, max_size=2)), *fmt], None
     if command == "weak-contact":
         conic = draw(st.one_of(_form(degrees=(2,)), _chart, _noise))
         return ["weak-contact", f"--conic={conic}", *fmt], None

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from contactconics import (
     FieldElem,
@@ -16,9 +17,10 @@ from contactconics import (
     parse_section,
     parse_triform,
 )
-from contactconics.field import I, SQRT2
+from contactconics import parsing
+from contactconics.field import I, ONE, SQRT2, ZERO
 from contactconics.parsing import MAX_DEGREE, MAX_EXPONENT, MAX_INTEGER_BITS, MAX_NESTING
-from contactconics.poly import TriForm
+from contactconics.poly import BiPoly, RatFunc, TriForm
 
 
 def test_field_elem_grammar():
@@ -130,3 +132,312 @@ def test_a_sum_of_small_fractions_stays_under_the_coefficient_budget():
     text = " + ".join(f"1/{k}*T^2" for k in range(2, 80))
     expected = FieldElem.from_rational(sum(Fraction(1, k) for k in range(2, 80)))
     assert parse_triform(text) == TriForm(2, {(2, 0, 0): expected})
+
+
+# -- the kernel parser against the exponent-tuple reference ---------------------
+#
+# The reference is the evaluator the parser used before it computed on the
+# polynomial kernel: a dict from exponent tuples to field elements, with its
+# own sum, product and power, checked against the budgets on every value it
+# builds.  It shares the tokenizer and the recursive descent, which only
+# combine values by their operators, and replaces the values.
+
+
+class _ReferenceBudgetError(PreconditionError):
+    """A budget refusal of the reference, which also says whether the value it
+    refused breaks both the degree and the coefficient budget."""
+
+    def __init__(self, message, terms):
+        super().__init__(message)
+        self.breaks_both = any(sum(key) > MAX_DEGREE for key in terms) and any(
+            _over_bits(value) for value in terms.values()
+        )
+
+
+def _over_bits(value):
+    integers = (value.n0, value.n1, value.n2, value.n3, value.d)
+    return max(abs(n).bit_length() for n in integers) > MAX_INTEGER_BITS
+
+
+class _MultiPoly:
+    """Exponent-vector keyed polynomial over K."""
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+        for key, value in self.terms.items():
+            if sum(key) > MAX_DEGREE:
+                raise _ReferenceBudgetError(
+                    f"degree exceeds the input budget of {MAX_DEGREE}", self.terms
+                )
+            if _over_bits(value):
+                raise _ReferenceBudgetError(
+                    f"coefficient exceeds the input budget of {MAX_INTEGER_BITS} bits", self.terms
+                )
+
+    @classmethod
+    def constant(cls, nvars, value):
+        return cls(nvars, {(0,) * nvars: value})
+
+    @classmethod
+    def variable(cls, nvars, index):
+        return cls(nvars, {tuple(1 if k == index else 0 for k in range(nvars)): ONE})
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_constant(self):
+        return all(all(e == 0 for e in key) for key in self.terms)
+
+    def constant_value(self):
+        return self.terms.get((0,) * self.nvars, ZERO)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            out[key] = out.get(key, ZERO) + value
+        return _MultiPoly(self.nvars, out)
+
+    def __neg__(self):
+        return _MultiPoly(self.nvars, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                out[key] = out.get(key, ZERO) + v1 * v2
+        return _MultiPoly(self.nvars, out)
+
+    def __pow__(self, exponent):
+        result = _MultiPoly.constant(self.nvars, ONE)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+
+class _ReferenceFrac:
+    """Numerator/denominator pair; a constant denominator is folded at once."""
+
+    def __init__(self, num, den):
+        if den.is_constant() and den.constant_value() != ONE:
+            num = num * _MultiPoly.constant(num.nvars, den.constant_value().inv())
+            den = _MultiPoly.constant(den.nvars, ONE)
+        self.num = num
+        self.den = den
+
+    def __add__(self, other):
+        return _ReferenceFrac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return _ReferenceFrac(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return _ReferenceFrac(-self.num, self.den)
+
+    def __mul__(self, other):
+        return _ReferenceFrac(self.num * other.num, self.den * other.den)
+
+    def divide(self, other, pos):
+        if other.num.is_zero():
+            raise ParseError(f"division by zero at position {pos}")
+        return _ReferenceFrac(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, exponent):
+        return _ReferenceFrac(self.num**exponent, self.den**exponent)
+
+
+class _ReferenceParser(parsing._Parser):
+    def parse_primary(self):
+        n = len(self.variables)
+        token = self.current
+        one = _MultiPoly.constant(n, ONE)
+        if token.kind == "int":
+            self.advance()
+            return _ReferenceFrac(_MultiPoly.constant(n, FieldElem.from_rational(int(token.text))), one)
+        if token.kind == "name" and token.text in ("r2", "i"):
+            self.advance()
+            return _ReferenceFrac(_MultiPoly.constant(n, SQRT2 if token.text == "r2" else I), one)
+        if token.kind == "name" and token.text in self.variables:
+            self.advance()
+            return _ReferenceFrac(_MultiPoly.variable(n, self.variables.index(token.text)), one)
+        return super().parse_primary()  # the parenthesis and every refusal
+
+
+def _reference_parse(text, variables):
+    parser = _ReferenceParser(text, variables)
+    value = parser.parse_expression()
+    parser.expect_end()
+    return value
+
+
+def _require_constant_den(value, what):
+    if not value.den.is_constant():
+        raise ParseError(f"{what} must not contain division by a variable expression")
+    return value.num
+
+
+def _reference_poly(m):
+    return BiPoly.from_terms(((e, 0), coeff) for (e,), coeff in m.terms.items()).coeff_x(0)
+
+
+def _reference_ratfunc(value):
+    return RatFunc(_reference_poly(value.num), _reference_poly(value.den))
+
+
+def _reference_triform(text):
+    num = _require_constant_den(_reference_parse(text, ("T", "X", "Z")), "a form")
+    if num.is_zero():
+        raise ParseError("the zero form has no degree")
+    degrees = {sum(key) for key in num.terms}
+    if len(degrees) != 1:
+        raise ParseError(f"form is not homogeneous (term degrees {sorted(degrees)})")
+    return TriForm(degrees.pop(), dict(num.terms))
+
+
+def _reference_point(text):
+    parser = _ReferenceParser(text, ())
+    parser.expect("[")
+    coords = []
+    for k in range(3):
+        coords.append(_require_constant_den(parser.parse_expression(), "a coordinate").constant_value())
+        if k < 2:
+            parser.expect(",")
+    parser.expect("]")
+    parser.expect_end()
+    if all(c.is_zero() for c in coords):
+        raise ParseError("[0, 0, 0] is not a projective point")
+    return tuple(coords)
+
+
+def _reference_section(text):
+    if text.strip() == "O":
+        return None
+    parser = _ReferenceParser(text, ("t",))
+    parser.expect("(")
+    first = parser.parse_expression()
+    parser.expect(",")
+    second = parser.parse_expression()
+    parser.expect(")")
+    parser.expect_end()
+    return _reference_ratfunc(first), _reference_ratfunc(second)
+
+
+REFERENCE_READERS = {
+    parse_field_elem: lambda text: _require_constant_den(
+        _reference_parse(text, ()), "a field element"
+    ).constant_value(),
+    parse_poly: lambda text: _reference_poly(
+        _require_constant_den(_reference_parse(text, ("t",)), "a polynomial")
+    ),
+    parse_ratfunc: lambda text: _reference_ratfunc(_reference_parse(text, ("t",))),
+    parse_bipoly: lambda text: BiPoly.from_terms(
+        _require_constant_den(_reference_parse(text, ("t", "x")), "a polynomial in t and x").terms.items()
+    ),
+    parse_triform: _reference_triform,
+    parse_point: _reference_point,
+    parse_section: _reference_section,
+}
+
+# 255-, 256- and 257-bit literals, around the coefficient budget
+_WIDE = [2**254 + 1, 2**255 - 19, 2**256 - 1, 2**256, 2**257 - 1]
+_small = st.integers(0, 12).map(str)
+_wide = st.sampled_from(_WIDE).map(str)
+_atom = st.one_of(
+    _small,
+    _small,
+    st.sampled_from(["r2", "i"]),
+    _wide,
+    st.builds(lambda n, unit: f"{n}*{unit}", _wide, st.sampled_from(["r2", "i", "i*r2"])),
+)
+
+
+@st.composite
+def _expression(draw, names, depth=0):
+    """An expression text over the names, with r2, i and wide literals, an
+    unknown name now and then, the five operators, exponents up to 13, and
+    quotients raised to a power."""
+    if depth >= 3 or draw(st.integers(0, 3)) == 0:
+        if draw(st.integers(0, 49)) == 0:
+            return "y"
+        if names and draw(st.booleans()):
+            return f"{draw(st.sampled_from(names))}^{draw(st.integers(0, 13))}"
+        return draw(st.one_of(_atom, st.sampled_from(names) if names else _atom))
+    left = draw(_expression(names, depth + 1))
+    right = draw(_expression(names, depth + 1))
+    shape = draw(st.sampled_from(["+", "-", "*", "/", "^", "(/)^", "-()", "nest"]))
+    if shape in "+-*/":
+        return f"{left} {shape} {right}"
+    if shape == "^":
+        return f"({left})^{draw(st.integers(0, 13))}"
+    if shape == "(/)^":
+        return f"({left}/({right}))^{draw(st.sampled_from([0, 0, 1, 2, 13]))}"
+    if shape == "-()":
+        return f"-({left})"
+    levels = draw(st.sampled_from([1, 1, 1, 2, parsing.MAX_NESTING, parsing.MAX_NESTING + 1]))
+    return "(" * levels + left + ")" * levels
+
+
+@st.composite
+def _reader_and_text(draw):
+    reader = draw(st.sampled_from(list(REFERENCE_READERS)))
+    if reader is parse_field_elem:
+        text = draw(_expression(()))
+    elif reader in (parse_poly, parse_ratfunc):
+        text = draw(_expression(("t",)))
+    elif reader is parse_bipoly:
+        text = draw(_expression(("t", "x")))
+    elif reader is parse_triform:
+        text = draw(_expression(("T", "X", "Z")))
+    elif reader is parse_point:
+        text = "[" + ", ".join(draw(_expression(())) for _ in range(3)) + "]"
+    else:
+        text = draw(st.one_of(
+            st.just(" O "),
+            st.builds(lambda x, y: f"({x}, {y})", _expression(("t",)), _expression(("t",))),
+        ))
+    return reader, text + draw(st.sampled_from([""] * 12 + [" t", " )", ", 1", "^", " 2"]))
+
+
+def _outcome(reader, text):
+    try:
+        return "value", reader(text)
+    except Exception as error:  # the class and the message are compared
+        return "error", error
+
+
+# (W + t^12)*(2 + t) with W = 2^256 - 1: the product's first term, 2*W, is
+# over the coefficient budget and its last, t^13, over the degree budget
+_BOTH_BUDGETS = f"({2**256 - 1} + t^12)*(2 + t)"
+
+
+@settings(deadline=None)
+@given(_reader_and_text())
+@example((parse_poly, _BOTH_BUDGETS))
+def test_the_kernel_parser_matches_the_exponent_tuple_reference(case):
+    """Every reader gives the reference's value, or its exception class and
+    message.  One difference is allowed: when the first value that breaks a
+    budget breaks both the degree and the coefficient budget, the kernel
+    parser names the degree, and the reference the limit its first broken
+    term breaks.  Such a case is reported as a hypothesis event."""
+    reader, text = case
+    kind, got = _outcome(reader, text)
+    expected_kind, expected = _outcome(REFERENCE_READERS[reader], text)
+    assert kind == expected_kind, (got, expected)
+    if kind == "value":
+        assert got == expected
+        return
+    if isinstance(expected, _ReferenceBudgetError) and expected.breaks_both:
+        assert (type(got), str(got)) == (
+            PreconditionError, f"degree exceeds the input budget of {MAX_DEGREE}"
+        )
+        if str(got) != str(expected):
+            event("one value broke both the degree and the coefficient budget")
+        return
+    assert (type(got), str(got)) == (
+        PreconditionError if isinstance(expected, _ReferenceBudgetError) else type(expected),
+        str(expected),
+    )

@@ -1,10 +1,12 @@
-"""Value types: their fields refuse assignment, and a section is no sequence."""
+"""Value types: their fields refuse assignment, their reprs name them, and a
+section is no sequence."""
 
 import pytest
 
 from contactconics import (
     CASE_I,
     ONE,
+    RatFunc,
     classify_fibers,
     curves,
     is_weak_contact,
@@ -44,7 +46,6 @@ def values(example):
     quartic, conic = example.quartic, example.conics["C0"]
     certificate = is_weak_contact(quartic, conic)
     report = zariski_pair_report("B11-B21")
-    one = parsing._MultiPoly.constant(1, ONE)
     found = [
         certificate,
         certificate.classes[0],
@@ -61,7 +62,7 @@ def values(example):
         report,
         report.checks[0],
         parsing._tokenize("1")[0],
-        parsing._Frac(one, one),
+        parsing._Frac(parsing._constant(ONE)),
         example.model.a2,
         example.section("P1").x,
         example.model.cubic(),
@@ -79,6 +80,20 @@ def test_fields_refuse_assignment(values, name):
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(value, field))
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_a_repr_starts_with_the_type_name(values, name):
+    # _Frac keeps object's repr, which names the type after its module
+    value = values[name]
+    assert repr(value).startswith((name, f"<{type(value).__module__}.{name} object"))
+
+
+def test_equal_rational_functions_hash_equal(example):
+    x = example.section("P3").x
+    factor = x.num + x.den  # cancelled on construction
+    same = RatFunc(x.num * factor, x.den * factor)
+    assert same == x and hash(same) == hash(x)
 
 
 def test_a_section_is_no_sequence(example):

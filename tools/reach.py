@@ -53,7 +53,6 @@ KINDS = (
     "invariant",  # an IntegrityError or AssertionError guard, with why it cannot fire
     "child process",  # runs only in a process the tests start
     "perfbench",  # read by perfbench/tracer.py, which the tests do not run
-    "protocol",  # a protocol method kept on purpose
 )
 
 
