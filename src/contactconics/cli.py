@@ -97,230 +97,206 @@ def _read_input(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (payload, text)
+# Commands: each `_cmd_*` returns its payload, the structured output, and the
+# `_text_*` of the same command renders the text output from the payload alone.
 
 
-def _cmd_verify_example(args: argparse.Namespace) -> tuple[dict, str]:
-    example = fixtures.load_worked_example()
-    lines = [f"ok: {label}" for label in example.verified]
-    lines.append(f"verified {len(example.verified)} identities")
-    payload = {
-        "command": "verify-example",
-        "verified": list(example.verified),
-        "count": len(example.verified),
-    }
-    return payload, "\n".join(lines)
+def _cmd_verify_example(args: argparse.Namespace) -> dict:
+    verified = fixtures.load_worked_example().verified
+    return {"command": "verify-example", "verified": list(verified), "count": len(verified)}
 
 
-def _cmd_fibers(args: argparse.Namespace) -> tuple[dict, str]:
-    example = fixtures.load_worked_example()
-    fibers = classify_fibers(example.model)
-    lines = ["singular fibers of the worked-example surface:"]
-    rows = []
-    for fiber in fibers:
-        location = str(fiber.location)
-        lines.append(
-            f"  t = {location}: type {fiber.kodaira}, "
-            f"{fiber.m_v} components, euler {fiber.euler}"
-        )
-        rows.append(
-            {
-                "location": location,
-                "kodaira": fiber.kodaira,
-                "components": fiber.m_v,
-                "euler": fiber.euler,
-            }
-        )
-    # classify_fibers has checked that all Euler numbers sum to 12
-    residual_euler = 12 - sum(fiber.euler for fiber in fibers)
-    lines.append(f"residual euler contribution: {residual_euler}")
-    lines.append("euler total: 12")
-    payload = {
+def _text_verify_example(payload: dict) -> str:
+    lines = [f"ok: {label}" for label in payload["verified"]]
+    lines.append(f"verified {payload['count']} identities")
+    return "\n".join(lines)
+
+
+def _cmd_fibers(args: argparse.Namespace) -> dict:
+    fibers = classify_fibers(fixtures.load_worked_example().model)
+    rows = [
+        {"location": str(f.location), "kodaira": f.kodaira, "components": f.m_v, "euler": f.euler}
+        for f in fibers
+    ]
+    return {
         "command": "fibers",
         "fibers": rows,
-        "residual_euler": residual_euler,
+        # classify_fibers has checked that all Euler numbers sum to 12
+        "residual_euler": 12 - sum(f.euler for f in fibers),
         "euler_total": 12,
     }
-    return payload, "\n".join(lines)
 
 
-def _cmd_height(args: argparse.Namespace) -> tuple[dict, str]:
+def _text_fibers(payload: dict) -> str:
+    lines = ["singular fibers of the worked-example surface:"]
+    for row in payload["fibers"]:
+        lines.append(
+            f"  t = {row['location']}: type {row['kodaira']}, "
+            f"{row['components']} components, euler {row['euler']}"
+        )
+    lines.append(f"residual euler contribution: {payload['residual_euler']}")
+    lines.append(f"euler total: {payload['euler_total']}")
+    return "\n".join(lines)
+
+
+def _cmd_height(args: argparse.Namespace) -> dict:
     left_name, left = _resolve_section(args.left)
-    right_name, right = (
-        _resolve_section(args.right) if args.right is not None else (left_name, left)
-    )
+    right_name, right = (left_name, left) if args.right is None else _resolve_section(args.right)
     value = height(left, right)
-    text = f"<{left_name}, {right_name}> = {value}"
-    payload = {
-        "command": "height",
-        "left": left_name,
-        "right": right_name,
-        "value": str(value),
-    }
-    return payload, text
+    return {"command": "height", "left": left_name, "right": right_name, "value": str(value)}
 
 
-def _cmd_group_op(args: argparse.Namespace) -> tuple[dict, str]:
+def _text_height(payload: dict) -> str:
+    return f"<{payload['left']}, {payload['right']}> = {payload['value']}"
+
+
+def _cmd_group_op(args: argparse.Namespace) -> dict:
     expected = {"add": 2, "double": 1, "negate": 1}[args.op]
     if len(args.sections) != expected:
         raise _UsageError(
             f"group-op {args.op} takes {expected} section argument(s), "
             f"got {len(args.sections)}"
         )
-    resolved = [_resolve_section(text) for text in args.sections]
+    names, sections = zip(*(_resolve_section(text) for text in args.sections))
     if args.op == "add":
-        result = resolved[0][1] + resolved[1][1]
-        description = f"{resolved[0][0]} + {resolved[1][0]}"
+        result = sections[0] + sections[1]
     elif args.op == "double":
-        result = 2 * resolved[0][1]
-        description = f"[2]{resolved[0][0]}"
+        result = 2 * sections[0]
     else:
-        result = -resolved[0][1]
-        description = f"-{resolved[0][0]}"
-    lines = [f"op: {description}"]
-    if result.is_zero:
-        lines.append("result = O")
-        coordinates = None
-    else:
-        lines.append(f"x = {result.x.to_str()}")
-        lines.append(f"y = {result.y.to_str()}")
-        coordinates = {"x": result.x.to_str(), "y": result.y.to_str()}
-    payload = {
+        result = -sections[0]
+    return {
         "command": "group-op",
         "op": args.op,
-        "operands": [name for name, _ in resolved],
-        "result": coordinates if coordinates is not None else "O",
+        "operands": list(names),
+        "result": "O" if result.is_zero else {"x": result.x.to_str(), "y": result.y.to_str()},
     }
-    return payload, "\n".join(lines)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, str]:
+def _text_group_op(payload: dict) -> str:
+    operands, result = payload["operands"], payload["result"]
+    description = {
+        "add": " + ".join(operands),
+        "double": f"[2]{operands[0]}",
+        "negate": f"-{operands[0]}",
+    }[payload["op"]]
+    if result == "O":
+        return f"op: {description}\nresult = O"
+    return f"op: {description}\nx = {result['x']}\ny = {result['y']}"
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> dict:
     case = lattice.CASES[args.case]
-    conic_type = args.type
-    target = lattice.target_height(case, conic_type)
+    target = lattice.target_height(case, args.type)
+    payload = {"command": "enumerate", "case": case.name, "type": args.type}
     if target is None:
-        text = (
-            f"case {case.name}, type {conic_type}: not realizable "
-            f"(a required singular fiber lies at infinity)"
-        )
-        payload = {
-            "command": "enumerate",
-            "case": case.name,
-            "type": conic_type,
-            "realizable": False,
-            "count": 0,
-            "classes": [],
-        }
-        return payload, text
-    vectors = lattice.vectors_for_type(case, conic_type)
-    plural = "class" if len(vectors) == 1 else "classes"
-    lines = [
-        f"case {case.name}, type {conic_type} ({_TYPE_DESCRIPTIONS[conic_type]}): "
-        f"target height {target}, {len(vectors)} conic {plural}"
-    ]
-    for vector in vectors:
-        rendered = ", ".join(str(c) for c in vector)
-        lines.append(f"  ({rendered})  {case.combination_label(vector)}")
-    payload = {
-        "command": "enumerate",
-        "case": case.name,
-        "type": conic_type,
+        return {**payload, "realizable": False, "count": 0, "classes": []}
+    vectors = lattice.vectors_for_type(case, args.type)
+    return {
+        **payload,
         "realizable": True,
         "height": str(target),
         "count": len(vectors),
         "classes": [list(v) for v in vectors],
         "labels": [case.combination_label(v) for v in vectors],
     }
-    return payload, "\n".join(lines)
 
 
-def _cmd_main_theorem(args: argparse.Namespace) -> tuple[dict, str]:
-    rows = lattice.main_theorem_rows()
-    width = max(len(f"case {name}") for name, _ in rows)
-    header = "type".ljust(width) + "".join(f"{t:>4}" for t in lattice.CONIC_TYPES)
-    lines = [header]
-    for name, counts in rows:
-        lines.append(
-            f"case {name}".ljust(width) + "".join(f"{c:>4}" for c in counts)
-        )
-    payload = {
+def _text_enumerate(payload: dict) -> str:
+    conic_type = payload["type"]
+    head = f"case {payload['case']}, type {conic_type}"
+    if not payload["realizable"]:
+        return f"{head}: not realizable (a required singular fiber lies at infinity)"
+    plural = "class" if payload["count"] == 1 else "classes"
+    lines = [
+        f"{head} ({_TYPE_DESCRIPTIONS[conic_type]}): "
+        f"target height {payload['height']}, {payload['count']} conic {plural}"
+    ]
+    for vector, label in zip(payload["classes"], payload["labels"]):
+        lines.append(f"  ({', '.join(str(c) for c in vector)})  {label}")
+    return "\n".join(lines)
+
+
+def _cmd_main_theorem(args: argparse.Namespace) -> dict:
+    return {
         "command": "main-theorem",
         "types": list(lattice.CONIC_TYPES),
-        "rows": {name: list(counts) for name, counts in rows},
+        "rows": {name: list(counts) for name, counts in lattice.main_theorem_rows()},
     }
-    return payload, "\n".join(lines)
 
 
-def _cmd_weak_contact(args: argparse.Namespace) -> tuple[dict, str]:
+def _text_main_theorem(payload: dict) -> str:
+    rows = payload["rows"]
+    width = max(len(f"case {name}") for name in rows)
+    lines = ["type".ljust(width) + "".join(f"{t:>4}" for t in payload["types"])]
+    for name, counts in rows.items():
+        lines.append(f"case {name}".ljust(width) + "".join(f"{c:>4}" for c in counts))
+    return "\n".join(lines)
+
+
+def _multiplicity(multiplicity: int) -> dict:
+    return {"multiplicity": multiplicity, "parity": "even" if multiplicity % 2 == 0 else "odd"}
+
+
+def _cmd_weak_contact(args: argparse.Namespace) -> dict:
     quartic_name, quartic = _resolve_curve(args.quartic)
     conic_name, conic = _resolve_curve(args.conic)
     certificate = is_weak_contact(quartic, conic)
-    lines = [
-        f"quartic: {quartic_name}",
-        f"conic: {conic_name}",
-        f"weak contact: {'true' if certificate.is_weak else 'false'}",
-        f"certificate: shear x -> x + {certificate.shear}*t",
-    ]
-    class_rows = []
-    if certificate.classes:
-        lines.append("intersection classes (affine):")
-        for cls in certificate.classes:
-            parity = "even" if cls.multiplicity % 2 == 0 else "odd"
-            lines.append(
-                f"  {cls.factor} (degree {cls.degree}): "
-                f"multiplicity {cls.multiplicity} ({parity})"
-            )
-            class_rows.append(
-                {
-                    "factor": cls.factor,
-                    "degree": cls.degree,
-                    "multiplicity": cls.multiplicity,
-                    "parity": parity,
-                }
-            )
-    infinity_rows = []
-    if certificate.infinity:
-        lines.append("intersection points at infinity:")
-        for contact in certificate.infinity:
-            parity = "even" if contact.multiplicity % 2 == 0 else "odd"
-            lines.append(
-                f"  {contact.point}: multiplicity {contact.multiplicity} ({parity})"
-            )
-            infinity_rows.append(
-                {
-                    "point": str(contact.point),
-                    "multiplicity": contact.multiplicity,
-                    "parity": parity,
-                }
-            )
-    affine_total = sum(c.degree * c.multiplicity for c in certificate.classes)
-    infinity_total = sum(c.multiplicity for c in certificate.infinity)
-    lines.append(
-        f"audit: affine {affine_total} + infinity {infinity_total} "
-        f"= {certificate.bezout_total}"
-    )
     payload = {
         "command": "weak-contact",
         "quartic": quartic_name,
         "conic": conic_name,
         "weak_contact": certificate.is_weak,
         "shear": certificate.shear,
-        "classes": class_rows,
-        "infinity": infinity_rows,
+        "classes": [
+            {"factor": cls.factor, "degree": cls.degree, **_multiplicity(cls.multiplicity)}
+            for cls in certificate.classes
+        ],
+        "infinity": [
+            {"point": str(contact.point), **_multiplicity(contact.multiplicity)}
+            for contact in certificate.infinity
+        ],
         "bezout_total": certificate.bezout_total,
     }
     if certificate.is_weak:
         try:
-            conic_type = contact_conic_type(quartic, conic)
+            payload["type"] = contact_conic_type(quartic, conic)
         except PreconditionError:
             pass  # types are defined only against a two-node one-cusp quartic
-        else:
-            lines.append(f"type: {conic_type} ({_TYPE_DESCRIPTIONS[conic_type]})")
-            payload["type"] = conic_type
-    return payload, "\n".join(lines)
+    return payload
 
 
-def _cmd_cremona(args: argparse.Namespace) -> tuple[dict, str]:
+def _text_weak_contact(payload: dict) -> str:
+    lines = [
+        f"quartic: {payload['quartic']}",
+        f"conic: {payload['conic']}",
+        f"weak contact: {'true' if payload['weak_contact'] else 'false'}",
+        f"certificate: shear x -> x + {payload['shear']}*t",
+    ]
+    classes, infinity = payload["classes"], payload["infinity"]
+    if classes:
+        lines.append("intersection classes (affine):")
+        for cls in classes:
+            lines.append(
+                f"  {cls['factor']} (degree {cls['degree']}): "
+                f"multiplicity {cls['multiplicity']} ({cls['parity']})"
+            )
+    if infinity:
+        lines.append("intersection points at infinity:")
+        for point in infinity:
+            lines.append(
+                f"  {point['point']}: multiplicity {point['multiplicity']} ({point['parity']})"
+            )
+    affine_total = sum(cls["degree"] * cls["multiplicity"] for cls in classes)
+    infinity_total = sum(point["multiplicity"] for point in infinity)
+    lines.append(
+        f"audit: affine {affine_total} + infinity {infinity_total} = {payload['bezout_total']}"
+    )
+    if "type" in payload:
+        lines.append(f"type: {payload['type']} ({_TYPE_DESCRIPTIONS[payload['type']]})")
+    return "\n".join(lines)
+
+
+def _cmd_cremona(args: argparse.Namespace) -> dict:
     if args.curve is not None and args.input is not None:
         raise _UsageError("give the curve either inline or via --input, not both")
     if args.curve is None and args.input is None:
@@ -329,48 +305,50 @@ def _cmd_cremona(args: argparse.Namespace) -> tuple[dict, str]:
     curve = PlaneCurve(parse_triform(text))
     if args.triangle is None:
         triangle = fixtures.load_worked_example().triangle
-        triangle_text = "; ".join(str(line) for line in triangle)
     else:
         parts = [part.strip() for part in args.triangle.split(";")]
         if len(parts) != 3:
             raise _UsageError("--triangle needs three lines separated by ';'")
         triangle = tuple(PlaneCurve(parse_triform(part)) for part in parts)
-        triangle_text = "; ".join(str(line) for line in triangle)
     image = cremona_transform(curve, triangle)
-    lines = [
-        f"input: {curve}",
-        f"triangle: {triangle_text}",
-        f"image: {image}",
-    ]
-    payload = {
+    return {
         "command": "cremona",
         "input": str(curve),
-        "triangle": triangle_text,
+        "triangle": "; ".join(str(line) for line in triangle),
         "image": str(image),
     }
-    return payload, "\n".join(lines)
 
 
-def _cmd_zariski(args: argparse.Namespace) -> tuple[dict, str]:
+def _text_cremona(payload: dict) -> str:
+    return "\n".join(f"{key}: {payload[key]}" for key in ("input", "triangle", "image"))
+
+
+def _cmd_zariski(args: argparse.Namespace) -> dict:
     report = lattice.zariski_pair_report(args.pair)
-    payload = {
+    return {
         "command": "zariski",
         "pair": report.pair_id,
         "left": report.left,
         "right": report.right,
         "swapped": report.swapped,
         "sections": [report.section_1, report.section_2],
-        "checks": [
-            {"name": check.name, "passed": check.passed, "detail": check.detail}
-            for check in report.checks
-        ],
+        "checks": [check._asdict() for check in report.checks],
         "fingerprints_equal": report.fingerprints_equal,
         "conclusion": report.conclusion,
     }
-    return payload, report.render()
 
 
-def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, str]:
+def _text_zariski(payload: dict) -> str:
+    # the report's own renderer, which the recorded report bytes pin
+    return lattice.ZariskiReport(
+        payload["pair"], payload["left"], payload["right"], payload["swapped"],
+        *payload["sections"],
+        tuple(lattice.PairCheck(**check) for check in payload["checks"]),
+        payload["fingerprints_equal"], payload["conclusion"],
+    ).render()
+
+
+def _cmd_fingerprint(args: argparse.Namespace) -> dict:
     if args.input is not None:
         if args.names:
             raise _UsageError(
@@ -388,31 +366,37 @@ def _cmd_fingerprint(args: argparse.Namespace) -> tuple[dict, str]:
                 f"curves of degrees {high} and {next_high} meet in {high * next_high} "
                 f"points, which exceeds the input budget of {MAX_PAIR_BEZOUT} per pair"
             )
-        fingerprint = arrangement_fingerprint(curves)
-        text = "\n".join([f"arrangement from {args.input}:", fingerprint])
-        payload = {
+        return {
             "command": "fingerprint",
-            "arrangements": {args.input: fingerprint},
+            "input": args.input,
+            "arrangements": {args.input: arrangement_fingerprint(curves)},
         }
-        return payload, text
     if not args.names:
         raise _UsageError("fingerprint needs arrangement names or --input")
     example = fixtures.load_worked_example()
-    lines = []
-    prints: dict[str, str] = {}
-    for name in args.names:
-        components = " + ".join(fixtures.ARRANGEMENTS.get(name, ()))
-        fingerprint = arrangement_fingerprint(example.arrangement(name))
-        prints[name] = fingerprint
-        lines.append(f"arrangement {name} ({components}):")
-        lines.append(fingerprint)
+    # one entry per distinct name, in argument order
+    prints = {
+        name: arrangement_fingerprint(example.arrangement(name))
+        for name in dict.fromkeys(args.names)
+    }
     payload = {"command": "fingerprint", "arrangements": prints}
     if len(args.names) == 2:
         first, second = args.names
-        equal = prints[first] == prints[second]
-        lines.append(f"fingerprints equal: {'true' if equal else 'false'}")
-        payload["equal"] = equal
-    return payload, "\n".join(lines)
+        payload["equal"] = prints[first] == prints[second]
+    return payload
+
+
+def _text_fingerprint(payload: dict) -> str:
+    prints = payload["arrangements"]
+    if "input" in payload:
+        return f"arrangement from {payload['input']}:\n{prints[payload['input']]}"
+    lines = []
+    for name, fingerprint in prints.items():
+        lines.append(f"arrangement {name} ({' + '.join(fixtures.ARRANGEMENTS[name])}):")
+        lines.append(fingerprint)
+    if "equal" in payload:
+        lines.append(f"fingerprints equal: {'true' if payload['equal'] else 'false'}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +421,13 @@ def _build_parser() -> _Parser:
         "verify-example",
         parents=[common],
         help="re-verify every stored identity of the worked example",
-    ).set_defaults(handler=_cmd_verify_example)
+    ).set_defaults(handler=_cmd_verify_example, render=_text_verify_example)
 
     commands.add_parser(
         "fibers",
         parents=[common],
         help="classify the singular fibers of the worked-example surface",
-    ).set_defaults(handler=_cmd_fibers)
+    ).set_defaults(handler=_cmd_fibers, render=_text_fibers)
 
     height_parser = commands.add_parser(
         "height",
@@ -454,7 +438,7 @@ def _build_parser() -> _Parser:
     height_parser.add_argument(
         "right", nargs="?", default=None, help="second section (default: left)"
     )
-    height_parser.set_defaults(handler=_cmd_height)
+    height_parser.set_defaults(handler=_cmd_height, render=_text_height)
 
     group_parser = commands.add_parser(
         "group-op",
@@ -463,7 +447,7 @@ def _build_parser() -> _Parser:
     )
     group_parser.add_argument("op", choices=("add", "double", "negate"))
     group_parser.add_argument("sections", nargs="+", help="section names or literals")
-    group_parser.set_defaults(handler=_cmd_group_op)
+    group_parser.set_defaults(handler=_cmd_group_op, render=_text_group_op)
 
     enumerate_parser = commands.add_parser(
         "enumerate",
@@ -474,13 +458,13 @@ def _build_parser() -> _Parser:
     enumerate_parser.add_argument(
         "--type", required=True, type=int, choices=lattice.CONIC_TYPES
     )
-    enumerate_parser.set_defaults(handler=_cmd_enumerate)
+    enumerate_parser.set_defaults(handler=_cmd_enumerate, render=_text_enumerate)
 
     commands.add_parser(
         "main-theorem",
         parents=[common],
         help="the full count table over all cases and types",
-    ).set_defaults(handler=_cmd_main_theorem)
+    ).set_defaults(handler=_cmd_main_theorem, render=_text_main_theorem)
 
     weak_parser = commands.add_parser(
         "weak-contact",
@@ -491,7 +475,7 @@ def _build_parser() -> _Parser:
         "--quartic", default="Q", help="quartic curve (default: the example quartic)"
     )
     weak_parser.add_argument("--conic", required=True, help="conic to test")
-    weak_parser.set_defaults(handler=_cmd_weak_contact)
+    weak_parser.set_defaults(handler=_cmd_weak_contact, render=_text_weak_contact)
 
     cremona_parser = commands.add_parser(
         "cremona",
@@ -507,7 +491,7 @@ def _build_parser() -> _Parser:
         default=None,
         help="three fundamental lines separated by ';' (default: example triangle)",
     )
-    cremona_parser.set_defaults(handler=_cmd_cremona)
+    cremona_parser.set_defaults(handler=_cmd_cremona, render=_text_cremona)
 
     zariski_parser = commands.add_parser(
         "zariski",
@@ -515,7 +499,7 @@ def _build_parser() -> _Parser:
         help="lattice hypothesis report for an arrangement pair",
     )
     zariski_parser.add_argument("--pair", required=True, help="pair id, e.g. B11-B21")
-    zariski_parser.set_defaults(handler=_cmd_zariski)
+    zariski_parser.set_defaults(handler=_cmd_zariski, render=_text_zariski)
 
     fingerprint_parser = commands.add_parser(
         "fingerprint",
@@ -528,7 +512,7 @@ def _build_parser() -> _Parser:
     fingerprint_parser.add_argument(
         "--input", default=None, help="file with one curve per line"
     )
-    fingerprint_parser.set_defaults(handler=_cmd_fingerprint)
+    fingerprint_parser.set_defaults(handler=_cmd_fingerprint, render=_text_fingerprint)
 
     return parser
 
@@ -550,7 +534,7 @@ def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, text = args.handler(args)
+        payload = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -566,7 +550,7 @@ def _run(argv: Sequence[str] | None) -> int:
     if args.format == "structured":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(text)
+        print(args.render(payload))
     return 0
 
 

@@ -173,6 +173,20 @@ def test_fingerprint_pair_comparison(capsys):
     assert "fingerprints equal: true" in out
 
 
+@pytest.mark.parametrize("names", [["B11", "B11"], ["B21", "B11"]])
+def test_fingerprint_text_is_rendered_from_its_structured_payload(capsys, names):
+    args = cli._build_parser().parse_args(["fingerprint", *names])
+    payload = args.handler(args)
+    code, out, _ = run(capsys, "fingerprint", *names, "--format", "structured")
+    assert code == 0 and json.loads(out) == payload
+    code, out, _ = run(capsys, "fingerprint", *names)
+    assert code == 0 and out == args.render(payload) + "\n"
+    # one block per distinct name, in argument order, and the comparison
+    heads = [line.split(" (")[0] for line in out.splitlines() if line.startswith("arrangement ")]
+    assert heads == [f"arrangement {name}" for name in dict.fromkeys(names)]
+    assert out.endswith("fingerprints equal: true\n")
+
+
 def test_structured_output_is_sorted_json(capsys):
     code, out, _ = run(capsys, "height", "P3", "--format", "structured")
     assert code == 0
@@ -535,20 +549,30 @@ class _Expired(Exception):
 
 _FUZZ_DEADLINE_S = 10
 
+# Every strategy below makes the same draws whatever values it draws, and
+# chooses among them afterwards.  Hypothesis mutates a test case by copying
+# one part of it over another part drawn by the same strategy, and discards
+# the case as invalid when the copy asks for more draws than the case holds;
+# with fixed draws, no copy does.  So a repeated part is a plain list of
+# draws, not st.lists, and a recursive text recurses by a plain call.
+
 _coefficient = st.sampled_from(["1", "2", "-3", "1/2", "r2", "i", "(1+i)", "(2-r2)/3", "98765432109876543210"])
 
 
 @st.composite
 def _form(draw, degrees=(1, 2, 3)):
-    """A homogeneous form in T, X, Z; one time in ten with a term T^k, k <= 14, added."""
+    """A homogeneous form in T, X, Z of two to five terms; one time in ten
+    with a term T^k, k <= 14, added."""
     degree = draw(st.sampled_from(degrees))
     terms = []
-    for _ in range(draw(st.integers(2, 5))):
+    for _ in range(5):
         a = draw(st.integers(0, degree))
         b = draw(st.integers(0, degree - a))
         terms.append(f"{draw(_coefficient)}*T^{a}*X^{b}*Z^{degree - a - b}")
+    terms = terms[: draw(st.integers(2, 5))]
+    power = f"T^{draw(st.integers(0, 14))}"
     if draw(st.integers(0, 9)) == 0:
-        terms.append(f"T^{draw(st.integers(0, 14))}")
+        terms.append(power)
     return " + ".join(terms)
 
 
@@ -568,29 +592,40 @@ _not_utf8 = st.builds(lambda head, tail: head + b"\xff" + tail, st.binary(max_si
 _t_coefficient = st.sampled_from(["1", "-2", "1/4", "r2", "i", "1/4*r2", "i*r2", str(2**255 - 19)])
 
 
-@st.composite
-def _t_expression(draw, depth=0):
-    """A polynomial text in t, one time in three divided by another."""
-    terms = [f"{draw(_t_coefficient)}*t^{draw(st.integers(0, 4))}" for _ in range(draw(st.integers(1, 3)))]
-    text = " + ".join(terms)
-    if depth < 2 and draw(st.integers(0, 2)) == 0:
-        text = f"({text}) / ({draw(_t_expression(depth + 1))})"
+def _t_text(draw, depth):
+    terms = [f"{draw(_t_coefficient)}*t^{draw(st.integers(0, 4))}" for _ in range(3)]
+    text = " + ".join(terms[: draw(st.integers(1, 3))])
+    if depth < 2:
+        divisor = _t_text(draw, depth + 1)
+        if draw(st.integers(0, 2)) == 0:
+            text = f"({text}) / ({divisor})"
     return text
 
 
-# the example's names, an unknown one, sections on the surface ([-1]P1 and
-# [3]P1, whose coordinates have denominators), drawn coordinates, and noise
-_section = st.one_of(
-    st.sampled_from(["P0", "P1", "P2", "P3", "O", "P9"]),
-    st.sampled_from([
-        "(0, -1/4*r2*t*(t - 1))",
-        "((-2*t^3 - 1/2*t^2 + 2*t + 1/2) / (t^2 + 3*t + 9/4), "
-        "(7/4*r2*t^5 + 13/8*r2*t^4 - 17/16*r2*t^3 - 45/32*r2*t^2 - 21/32*r2*t - 1/4*r2)"
-        " / (t^3 + 9/2*t^2 + 27/4*t + 27/8))",
-    ]),
-    st.builds(lambda x, y: f"({x}, {y})", _t_expression(), _t_expression()),
-    _noise,
-)
+@st.composite
+def _t_expression(draw):
+    """A polynomial text in t of one to three terms, one time in three
+    divided by another, two quotients deep at most."""
+    return _t_text(draw, 0)
+
+
+@st.composite
+def _section(draw):
+    """The example's names, an unknown one, sections on the surface ([-1]P1
+    and [3]P1, whose coordinates have denominators), drawn coordinates, or
+    noise, one time in four each."""
+    choices = [
+        draw(st.sampled_from(["P0", "P1", "P2", "P3", "O", "P9"])),
+        draw(st.sampled_from([
+            "(0, -1/4*r2*t*(t - 1))",
+            "((-2*t^3 - 1/2*t^2 + 2*t + 1/2) / (t^2 + 3*t + 9/4), "
+            "(7/4*r2*t^5 + 13/8*r2*t^4 - 17/16*r2*t^3 - 45/32*r2*t^2 - 21/32*r2*t - 1/4*r2)"
+            " / (t^3 + 9/2*t^2 + 27/4*t + 27/8))",
+        ])),
+        f"({draw(_t_expression())}, {draw(_t_expression())})",
+        draw(_noise),
+    ]
+    return choices[draw(st.integers(0, 3))]
 
 
 def _run_bounded(argv):
@@ -614,23 +649,25 @@ def _run_bounded(argv):
 def _argv(draw):
     fmt = draw(st.sampled_from([[], ["--format", "structured"]]))
     command = draw(st.sampled_from(["weak-contact", "cremona", "fingerprint", "height", "group-op"]))
-    if command == "height":
-        return ["height", *draw(st.lists(_section, min_size=1, max_size=2)), *fmt], None
-    if command == "group-op":
-        op = draw(st.sampled_from(["add", "double", "negate"]))
-        return ["group-op", op, *draw(st.lists(_section, min_size=1, max_size=2)), *fmt], None
+    if command in ("height", "group-op"):
+        op = [draw(st.sampled_from(["add", "double", "negate"]))] if command == "group-op" else []
+        sections = [draw(_section()), draw(_section())][: draw(st.integers(1, 2))]
+        return [command, *op, *sections, *fmt], None
     if command == "weak-contact":
         conic = draw(st.one_of(_form(degrees=(2,)), _chart, _noise))
         return ["weak-contact", f"--conic={conic}", *fmt], None
     if command == "cremona":
+        form, noise, not_utf8 = draw(_form()), draw(_noise), draw(_not_utf8)
         if draw(st.integers(0, 4)) == 0:
-            return ["cremona", "--input", None, *fmt], draw(st.one_of(_form(), _noise, _not_utf8))
-        return ["cremona", draw(st.one_of(_form(), _noise)), *fmt], None
-    if draw(st.integers(0, 9)) == 0:
-        return ["fingerprint", "--input", None, *fmt], draw(_not_utf8)
-    curves = draw(st.lists(_form(), min_size=2, max_size=3))
+            text = [form, noise, not_utf8][draw(st.integers(0, 2))]
+            return ["cremona", "--input", None, *fmt], text
+        return ["cremona", [form, noise][draw(st.integers(0, 1))], *fmt], None
+    curves = [draw(_form()) for _ in range(3)][: draw(st.integers(2, 3))]
+    noise, not_utf8 = draw(_noise), draw(_not_utf8)
     if draw(st.integers(0, 4)) == 0:
-        curves.append(draw(_noise))
+        curves.append(noise)
+    if draw(st.integers(0, 9)) == 0:
+        return ["fingerprint", "--input", None, *fmt], not_utf8
     return ["fingerprint", "--input", None, *fmt], "\n".join(curves) + "\n"
 
 

@@ -351,34 +351,60 @@ _atom = st.one_of(
     _small,
     st.sampled_from(["r2", "i"]),
     _wide,
-    st.builds(lambda n, unit: f"{n}*{unit}", _wide, st.sampled_from(["r2", "i", "i*r2"])),
+    st.sampled_from(tuple(f"{wide}*{unit}" for wide in _WIDE for unit in ("r2", "i", "i*r2"))),
 )
+
+# Each expression makes the same draws whatever values it draws, and chooses
+# among them afterwards.  Hypothesis mutates a test case by copying one part
+# of it over another part drawn by the same strategy, and discards the case
+# as invalid when the copy asks for more draws than the case holds; with
+# fixed draws, no copy does.  So the tree recurses by a plain call, each of
+# its nodes draws every value any of its shapes needs, and every branch of
+# `_atom` is one draw.
+
+
+def _leaf(draw, names):
+    """One time in fifty the unknown name y; otherwise an atom, or, over
+    names, a name raised to a power up to 13 (two times in four), an atom
+    or a name."""
+    unknown, atom = draw(st.integers(0, 49)) == 0, draw(_atom)
+    if names:
+        power = draw(st.sampled_from(tuple(f"{name}^{k}" for name in names for k in range(14))))
+        atom = [power, power, atom, draw(st.sampled_from(names))][draw(st.integers(0, 3))]
+    return "y" if unknown else atom
+
+
+def _expression_text(draw, names, depth):
+    """The text of a tree of operators below the given depth, and its first
+    leaf, which a node that draws itself a leaf returns."""
+    if depth == 3:
+        leaf = _leaf(draw, names)
+        return leaf, leaf
+    left, leaf = _expression_text(draw, names, depth + 1)
+    right, _ = _expression_text(draw, names, depth + 1)
+    is_leaf = draw(st.integers(0, 3)) == 0
+    shape = draw(st.sampled_from(["+", "-", "*", "/", "^", "(/)^", "-()", "nest"]))
+    power, quotient_power = draw(st.integers(0, 13)), draw(st.sampled_from([0, 0, 1, 2, 13]))
+    levels = draw(st.sampled_from([1, 1, 1, 2, parsing.MAX_NESTING, parsing.MAX_NESTING + 1]))
+    if is_leaf:
+        return leaf, leaf
+    if shape in "+-*/":
+        return f"{left} {shape} {right}", leaf
+    if shape == "^":
+        return f"({left})^{power}", leaf
+    if shape == "(/)^":
+        return f"({left}/({right}))^{quotient_power}", leaf
+    if shape == "-()":
+        return f"-({left})", leaf
+    return "(" * levels + left + ")" * levels, leaf
 
 
 @st.composite
-def _expression(draw, names, depth=0):
+def _expression(draw, names):
     """An expression text over the names, with r2, i and wide literals, an
     unknown name now and then, the five operators, exponents up to 13, and
-    quotients raised to a power."""
-    if depth >= 3 or draw(st.integers(0, 3)) == 0:
-        if draw(st.integers(0, 49)) == 0:
-            return "y"
-        if names and draw(st.booleans()):
-            return f"{draw(st.sampled_from(names))}^{draw(st.integers(0, 13))}"
-        return draw(st.one_of(_atom, st.sampled_from(names) if names else _atom))
-    left = draw(_expression(names, depth + 1))
-    right = draw(_expression(names, depth + 1))
-    shape = draw(st.sampled_from(["+", "-", "*", "/", "^", "(/)^", "-()", "nest"]))
-    if shape in "+-*/":
-        return f"{left} {shape} {right}"
-    if shape == "^":
-        return f"({left})^{draw(st.integers(0, 13))}"
-    if shape == "(/)^":
-        return f"({left}/({right}))^{draw(st.sampled_from([0, 0, 1, 2, 13]))}"
-    if shape == "-()":
-        return f"-({left})"
-    levels = draw(st.sampled_from([1, 1, 1, 2, parsing.MAX_NESTING, parsing.MAX_NESTING + 1]))
-    return "(" * levels + left + ")" * levels
+    quotients raised to a power, three operators deep at most."""
+    return _expression_text(draw, names, 0)[0]
 
 
 @st.composite
