@@ -5,6 +5,9 @@ lattices; curve arguments accept component names of the example (Q, L1,
 L2, L3, Cbar, C0, C1, C2), projective forms in T, X, Z, or affine charts
 in t, x (optionally written as an equation `lhs = rhs`).
 
+Each command is one row of `_COMMANDS`: its name, help line, arguments,
+handler and renderer, from which `_build_parser` builds its subcommand.
+
 Identical invocations produce byte-identical reports.  Exit codes:
 0 success, 1 usage or input-grammar errors, 2 precondition violations,
 3 integrity failures, 141 standard output closed by its reader.
@@ -67,8 +70,7 @@ def _resolve_curve(text: str) -> tuple[str, PlaneCurve]:
     stripped = text.strip()
     if stripped in _QUARTIC_ALIASES:
         return "Q", fixtures.load_worked_example().quartic
-    example_names = {"L1", "L2", "L3", "Cbar", "C0", "C1", "C2"}
-    if stripped in example_names:
+    if stripped in fixtures.COMPONENT_FIELDS:
         return stripped, fixtures.load_worked_example().curve(stripped)
     if "=" in stripped:
         left_text, _, right_text = stripped.partition("=")
@@ -150,8 +152,11 @@ def _text_height(payload: dict) -> str:
     return f"<{payload['left']}, {payload['right']}> = {payload['value']}"
 
 
+_GROUP_OP_ARITY = {"add": 2, "double": 1, "negate": 1}
+
+
 def _cmd_group_op(args: argparse.Namespace) -> dict:
-    expected = {"add": 2, "double": 1, "negate": 1}[args.op]
+    expected = _GROUP_OP_ARITY[args.op]
     if len(args.sections) != expected:
         raise _UsageError(
             f"group-op {args.op} takes {expected} section argument(s), "
@@ -403,6 +408,52 @@ def _text_fingerprint(payload: dict) -> str:
 # Parser assembly
 
 
+def _arg(*flags: str, **options: object) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+# One row a command: its name, help line, arguments, handler and renderer.
+# Rows hold only private functions: perfbench's tracer wraps the public ones
+# by rebinding module attributes, which a reference kept in a row would miss.
+_COMMANDS = (
+    ("verify-example", "re-verify every stored identity of the worked example", (),
+     _cmd_verify_example, _text_verify_example),
+    ("fibers", "classify the singular fibers of the worked-example surface", (),
+     _cmd_fibers, _text_fibers),
+    ("height", "height pairing of two sections (one section for its height)", (
+        _arg("left", help="section: O, P0..P3, or (x, y)"),
+        _arg("right", nargs="?", default=None, help="second section (default: left)"),
+    ), _cmd_height, _text_height),
+    ("group-op", "group law on sections: add, double, negate", (
+        _arg("op", choices=tuple(_GROUP_OP_ARITY)),
+        _arg("sections", nargs="+", help="section names or literals"),
+    ), _cmd_group_op, _text_group_op),
+    ("enumerate", "enumerate weak contact conic classes of one case and type", (
+        _arg("--case", required=True, choices=lattice.CASE_NAMES),
+        _arg("--type", required=True, type=int, choices=lattice.CONIC_TYPES),
+    ), _cmd_enumerate, _text_enumerate),
+    ("main-theorem", "the full count table over all cases and types", (),
+     _cmd_main_theorem, _text_main_theorem),
+    ("weak-contact", "test a conic for weak contact with a quartic", (
+        _arg("--quartic", default="Q", help="quartic curve (default: the example quartic)"),
+        _arg("--conic", required=True, help="conic to test"),
+    ), _cmd_weak_contact, _text_weak_contact),
+    ("cremona", "standard quadratic transformation of a curve", (
+        _arg("curve", nargs="?", default=None, help="projective form in T, X, Z"),
+        _arg("--input", default=None, help="file with the form"),
+        _arg("--triangle", default=None,
+             help="three fundamental lines separated by ';' (default: example triangle)"),
+    ), _cmd_cremona, _text_cremona),
+    ("zariski", "lattice hypothesis report for an arrangement pair", (
+        _arg("--pair", required=True, help="pair id, e.g. B11-B21"),
+    ), _cmd_zariski, _text_zariski),
+    ("fingerprint", "combinatorial fingerprint of arrangements", (
+        _arg("names", nargs="*", help="arrangement names, e.g. B11 B21"),
+        _arg("--input", default=None, help="file with one curve per line"),
+    ), _cmd_fingerprint, _text_fingerprint),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="contactconics",
@@ -410,110 +461,15 @@ def _build_parser() -> _Parser:
     )
     common = _Parser(add_help=False)
     common.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
+        "--format", choices=("text", "structured"), default="text",
         help="output format (default: text)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    commands.add_parser(
-        "verify-example",
-        parents=[common],
-        help="re-verify every stored identity of the worked example",
-    ).set_defaults(handler=_cmd_verify_example, render=_text_verify_example)
-
-    commands.add_parser(
-        "fibers",
-        parents=[common],
-        help="classify the singular fibers of the worked-example surface",
-    ).set_defaults(handler=_cmd_fibers, render=_text_fibers)
-
-    height_parser = commands.add_parser(
-        "height",
-        parents=[common],
-        help="height pairing of two sections (one section for its height)",
-    )
-    height_parser.add_argument("left", help="section: O, P0..P3, or (x, y)")
-    height_parser.add_argument(
-        "right", nargs="?", default=None, help="second section (default: left)"
-    )
-    height_parser.set_defaults(handler=_cmd_height, render=_text_height)
-
-    group_parser = commands.add_parser(
-        "group-op",
-        parents=[common],
-        help="group law on sections: add, double, negate",
-    )
-    group_parser.add_argument("op", choices=("add", "double", "negate"))
-    group_parser.add_argument("sections", nargs="+", help="section names or literals")
-    group_parser.set_defaults(handler=_cmd_group_op, render=_text_group_op)
-
-    enumerate_parser = commands.add_parser(
-        "enumerate",
-        parents=[common],
-        help="enumerate weak contact conic classes of one case and type",
-    )
-    enumerate_parser.add_argument("--case", required=True, choices=lattice.CASE_NAMES)
-    enumerate_parser.add_argument(
-        "--type", required=True, type=int, choices=lattice.CONIC_TYPES
-    )
-    enumerate_parser.set_defaults(handler=_cmd_enumerate, render=_text_enumerate)
-
-    commands.add_parser(
-        "main-theorem",
-        parents=[common],
-        help="the full count table over all cases and types",
-    ).set_defaults(handler=_cmd_main_theorem, render=_text_main_theorem)
-
-    weak_parser = commands.add_parser(
-        "weak-contact",
-        parents=[common],
-        help="test a conic for weak contact with a quartic",
-    )
-    weak_parser.add_argument(
-        "--quartic", default="Q", help="quartic curve (default: the example quartic)"
-    )
-    weak_parser.add_argument("--conic", required=True, help="conic to test")
-    weak_parser.set_defaults(handler=_cmd_weak_contact, render=_text_weak_contact)
-
-    cremona_parser = commands.add_parser(
-        "cremona",
-        parents=[common],
-        help="standard quadratic transformation of a curve",
-    )
-    cremona_parser.add_argument(
-        "curve", nargs="?", default=None, help="projective form in T, X, Z"
-    )
-    cremona_parser.add_argument("--input", default=None, help="file with the form")
-    cremona_parser.add_argument(
-        "--triangle",
-        default=None,
-        help="three fundamental lines separated by ';' (default: example triangle)",
-    )
-    cremona_parser.set_defaults(handler=_cmd_cremona, render=_text_cremona)
-
-    zariski_parser = commands.add_parser(
-        "zariski",
-        parents=[common],
-        help="lattice hypothesis report for an arrangement pair",
-    )
-    zariski_parser.add_argument("--pair", required=True, help="pair id, e.g. B11-B21")
-    zariski_parser.set_defaults(handler=_cmd_zariski, render=_text_zariski)
-
-    fingerprint_parser = commands.add_parser(
-        "fingerprint",
-        parents=[common],
-        help="combinatorial fingerprint of arrangements",
-    )
-    fingerprint_parser.add_argument(
-        "names", nargs="*", help="arrangement names, e.g. B11 B21"
-    )
-    fingerprint_parser.add_argument(
-        "--input", default=None, help="file with one curve per line"
-    )
-    fingerprint_parser.set_defaults(handler=_cmd_fingerprint, render=_text_fingerprint)
-
+    for name, help_line, arguments, handler, render in _COMMANDS:
+        command = commands.add_parser(name, parents=[common], help=help_line)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(handler=handler, render=render)
     return parser
 
 

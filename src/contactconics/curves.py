@@ -339,17 +339,23 @@ def _affine_singular_points(form: TriForm) -> list[PlanePoint]:
         if x_residual.degree >= 1:
             raise NotKRationalError("singular point with non-K x-coordinate detected")
         points.extend(PlanePoint(t0, x0, ONE) for x0, _mx in x_roots)
-    if residual.degree >= 1 and _residual_is_singular(f, polars[1], chain_u, residual):
-        raise NotKRationalError(
-            f"possible singular point over the residual factor {residual}"
-        )
+    if residual.degree >= 1:
+        pieces = [rho for rho, _m in squarefree_decomposition(residual)]
+        if _residual_is_singular(f, polars[1], chain_u, pieces):
+            squarefree = Poly.constant(ONE)
+            for rho in pieces:
+                squarefree = squarefree * rho
+            raise NotKRationalError(
+                f"possible singular point over the residual factor {squarefree}"
+            )
     return points
 
 
 def _residual_is_singular(
-    f: BiPoly, polar_v: BiPoly, chain_u: list[BiPoly], residual: Poly
+    f: BiPoly, polar_v: BiPoly, chain_u: list[BiPoly], pieces: list[Poly]
 ) -> bool:
-    """Whether some root of the residual t-factor can support a singular point.
+    """Whether some root of the residual t-factor, given by its square-free
+    pieces, can support a singular point.
 
     For each square-free residual piece rho, the unique common x of f and
     its polar D_u f over roots of rho is read off the degree-1 subresultant
@@ -362,7 +368,7 @@ def _residual_is_singular(
         return True
     s11 = s1.coeff_x(1)
     s10 = s1.coeff_x(0)
-    for rho, _m in squarefree_decomposition(residual):
+    for rho in pieces:
         if (f.lc_x % rho).is_zero():
             return True
         if poly_gcd(rho, s11).degree >= 1:

@@ -113,6 +113,20 @@ ARRANGEMENT_NAMES: tuple[str, ...] = tuple(sorted(ARRANGEMENTS))
 
 SECTION_NAMES: tuple[str, ...] = ("P0", "P1", "P2", "P3")
 
+# The arrangement components besides the quartic Q, in the order the
+# unknown-curve refusal lists them: name -> (raw field, degree).
+COMPONENT_FIELDS: Mapping[str, tuple[str, int]] = MappingProxyType(
+    {
+        "L1": ("line_1", 1),
+        "L2": ("line_2", 1),
+        "L3": ("line_3", 1),
+        "C0": ("conic_0", 2),
+        "C1": ("conic_1", 2),
+        "C2": ("conic_2", 2),
+        "Cbar": ("conic_bar", 2),
+    }
+)
+
 # P0 over the case I basis P1, P2, P3; the load checks it by the group law.
 _P0_VECTOR = (-1, 1, 0)
 
@@ -135,8 +149,7 @@ class WorkedExample(NamedTuple):
     vectors: Mapping[str, tuple[int, int, int]]  # P0..P3 over P1, P2, P3
     doubles: Mapping[str, Section]
     images: Mapping[str, TriForm]  # the forms of P0..P3 and [2]P0..[2]P2
-    lines: Mapping[str, PlaneCurve]
-    conics: Mapping[str, PlaneCurve]
+    components: Mapping[str, PlaneCurve]  # L1..L3, C0..C2, Cbar
     nodes: tuple[PlanePoint, PlanePoint]
     cusp: PlanePoint
     verified: tuple[str, ...]
@@ -145,13 +158,10 @@ class WorkedExample(NamedTuple):
         """Look up an arrangement component: Q, L1..L3, Cbar, C0..C2."""
         if name == "Q":
             return self.quartic
-        if name in self.lines:
-            return self.lines[name]
-        if name in self.conics:
-            return self.conics[name]
-        known = ["Q", *sorted(self.lines), *sorted(self.conics)]
+        if name in self.components:
+            return self.components[name]
         raise PreconditionError(
-            f"unknown curve {name!r}; expected one of {', '.join(known)}"
+            f"unknown curve {name!r}; expected one of Q, {', '.join(COMPONENT_FIELDS)}"
         )
 
     def section(self, name: str) -> Section:
@@ -221,18 +231,9 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
         PlanePoint(*parse_point(raw["node_2"])),
     )
     cusp = PlanePoint(*parse_point(raw["cusp"]))
-    lines = {
-        key: PlaneCurve(TriForm.homogenize(parse_bipoly(raw[field]), 1))
-        for key, field in (("L1", "line_1"), ("L2", "line_2"), ("L3", "line_3"))
-    }
-    conics = {
-        key: PlaneCurve(TriForm.homogenize(parse_bipoly(raw[field]), 2))
-        for key, field in (
-            ("Cbar", "conic_bar"),
-            ("C0", "conic_0"),
-            ("C1", "conic_1"),
-            ("C2", "conic_2"),
-        )
+    components = {
+        name: PlaneCurve(TriForm.homogenize(parse_bipoly(raw[field]), degree))
+        for name, (field, degree) in COMPONENT_FIELDS.items()
     }
 
     check(
@@ -293,7 +294,7 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
     check(
         "the frame image of the contact conic matches Cbar",
         lambda: conic_image.form.substitute(images).is_proportional(
-            conics["Cbar"].form
+            components["Cbar"].form
         ),
     )
 
@@ -352,16 +353,16 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
     for sec_name, line_name in (("P1", "L1"), ("P2", "L2"), ("P3", "L3")):
         check(
             f"companion line {line_name} is the image of section {sec_name}",
-            lambda s=sec_name, l=line_name: image_matches(s, sections[s], lines[l]),
+            lambda s=sec_name, l=line_name: image_matches(s, sections[s], components[l]),
         )
     check(
         "contact conic Cbar is the image of section P0",
-        lambda: image_matches("P0", sections["P0"], conics["Cbar"]),
+        lambda: image_matches("P0", sections["P0"], components["Cbar"]),
     )
     for j in ("0", "1", "2"):
         check(
             f"contact conic C{j} is the image of the doubled section of P{j}",
-            lambda j=j: image_matches(f"[2]P{j}", doubles[f"P{j}"], conics[f"C{j}"]),
+            lambda j=j: image_matches(f"[2]P{j}", doubles[f"P{j}"], components[f"C{j}"]),
         )
 
     return WorkedExample(
@@ -380,8 +381,7 @@ def build_worked_example(overrides: Mapping[str, str] | None = None) -> WorkedEx
         vectors=MappingProxyType(vectors),
         doubles=MappingProxyType(doubles),
         images=MappingProxyType(images),
-        lines=MappingProxyType(lines),
-        conics=MappingProxyType(conics),
+        components=MappingProxyType(components),
         nodes=nodes,
         cusp=cusp,
         verified=tuple(verified),

@@ -300,7 +300,7 @@ CASES: Mapping[str, CaseLattice] = {
     "IV": CASE_IV,
 }
 
-CASE_NAMES: tuple[str, ...] = ("I", "II", "III", "IV")
+CASE_NAMES: tuple[str, ...] = tuple(CASES)
 
 
 def target_height(case: CaseLattice, conic_type: int) -> Fraction | None:

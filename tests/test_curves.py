@@ -156,6 +156,10 @@ def test_singular_points_of_special_curves(text, expected):
         # the line x = 0 meets the conic at t = +-1/sqrt(3)
         ("T*X*(3*T^2 + 2*T*X - Z^2)", "residual factor"),
         ("(X^2 - 3*T^2 + X*Z)*(X^2 - 3*T^2 + T*Z)", "on the line at infinity"),
+        # a squared residual, (t^2 - 3)^2 here and (t^2 - 1/3)^2 for the curve two
+        # rows up, is named by its square-free part
+        ("X^2*Z^2 - (T^2 - 3*Z^2)^2", r"^possible singular point over the residual factor t\^2 - 3$"),
+        ("T*X*(3*T^2 + 2*T*X - Z^2)", r"^possible singular point over the residual factor t\^2 - 1/3$"),
     ],
 )
 def test_non_k_singular_points_are_refused(text, message):
@@ -168,13 +172,31 @@ def test_a_curve_containing_the_line_at_infinity_is_refused():
         curve("Z*(X*Z - T^2)").singular_points()
 
 
-LINE_COEFFS = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).filter(
-    lambda c: c[0] or c[1]  # never the line Z = 0
-)
+# The coefficient vectors in [-3, 3]^3, grouped by the line they define;
+# never the line Z = 0.
+LINE_CLASSES = {}
+for coeffs in itertools.product(range(-3, 4), repeat=3):
+    if coeffs[0] or coeffs[1]:
+        LINE_CLASSES.setdefault(PlanePoint(*coeffs), []).append(coeffs)
+
+
+@st.composite
+def distinct_lines(draw):
+    """Two to five distinct lines, each as one of its coefficient vectors.
+
+    Five lines are drawn every time, each from those not drawn yet, so each
+    example makes the same number of choices and none is discarded."""
+    count = draw(st.integers(2, 5))
+    pool = list(LINE_CLASSES.values())
+    lines = []
+    for _ in range(5):
+        vectors = pool.pop(draw(st.integers(0, len(pool) - 1)))
+        lines.append(vectors[draw(st.integers(0, len(vectors) - 1))])
+    return lines[:count]
 
 
 @settings(deadline=None)
-@given(st.lists(LINE_COEFFS, min_size=2, max_size=5, unique_by=lambda c: PlanePoint(*c)))
+@given(distinct_lines())
 def test_singular_points_of_lines_are_their_crossings(lines):
     """Oracle: two lines meet at the cross product of their coefficient
     vectors; the point is a node where two lines pass and `other` where

@@ -26,7 +26,8 @@ def test_load_is_cached():
 def test_curve_and_section_lookups(example):
     assert example.curve("Q") is example.quartic
     assert example.section("O").is_zero
-    with pytest.raises(PreconditionError):
+    expected = "^unknown curve 'L9'; expected one of Q, L1, L2, L3, C0, C1, C2, Cbar$"
+    with pytest.raises(PreconditionError, match=expected):
         example.curve("L9")
     with pytest.raises(PreconditionError):
         example.section("P9")

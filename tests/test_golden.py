@@ -4,7 +4,8 @@ The recorded outputs are the files of perfbench/expected, read where they
 are, so the benchmark's oracles and Tier-1 check the same bytes.  A change
 that alters an output on purpose changes its file, and the diff of that
 file shows each changed byte.  The documented refusals are recorded in
-tests/golden/refusals.txt, with their exit codes.
+tests/golden/refusals.txt, with their exit codes, and the help texts and
+usage errors in tests/golden/help.txt.
 """
 
 import contextlib
@@ -45,7 +46,10 @@ def _main(argv):
     """cli.main on argv: its exit code, standard output and standard error."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # -h prints its help, then exits
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -112,6 +116,28 @@ def test_documented_refusal_prints_its_recorded_message(
     path.write_text(curves, encoding="utf-8")
     argv = [arg.replace("{input}", str(path)) for arg in shlex.split(argv)]
     assert _main([*argv, "--format", fmt]) == (code, "", message + "\n")
+
+
+def _transcript(argv):
+    """The command line of argv, then its exit code, standard output and
+    standard error, as tests/golden/help.txt records them."""
+    code, out, err = _main(argv)
+    command = shlex.join(["contactconics", *argv])
+    return f"$ {command}\nexit {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+def _help_cases():
+    text = (ROOT / "tests" / "golden" / "help.txt").read_text(encoding="utf-8")
+    for case in re.split(r"^(?=\$ )", text, flags=re.MULTILINE)[1:]:
+        yield pytest.param(case, id=case.split("\n", 1)[0][2:])
+
+
+@pytest.mark.parametrize("case", _help_cases())
+def test_help_and_usage_error_print_their_recorded_bytes(monkeypatch, case):
+    # argparse wraps its text to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = shlex.split(case.split("\n", 1)[0][2:])[1:]
+    assert _transcript(argv) == case
 
 
 def test_every_arrangement_has_a_recorded_output():

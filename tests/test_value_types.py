@@ -43,7 +43,7 @@ TYPE_NAMES = [
 @pytest.fixture(scope="module")
 def values(example):
     """One value of each type in TYPE_NAMES, by type name."""
-    quartic, conic = example.quartic, example.conics["C0"]
+    quartic, conic = example.quartic, example.curve("C0")
     certificate = is_weak_contact(quartic, conic)
     report = zariski_pair_report("B11-B21")
     found = [
