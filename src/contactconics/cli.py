@@ -66,19 +66,25 @@ def _curve_from_chart(chart: BiPoly) -> PlaneCurve:
 
 
 def _resolve_curve(text: str) -> tuple[str, PlaneCurve]:
-    """A curve argument: an example component name, a form, or a chart."""
+    """A curve argument: an example component name, a form, or a chart.
+
+    The text is parsed as typed, the right side of `left = right` with the
+    left side and `=` blanked, so a refusal's position counts from the
+    argument's first character.
+    """
     stripped = text.strip()
     if stripped in _QUARTIC_ALIASES:
         return "Q", fixtures.load_worked_example().quartic
     if stripped in fixtures.COMPONENT_FIELDS:
         return stripped, fixtures.load_worked_example().curve(stripped)
-    if "=" in stripped:
-        left_text, _, right_text = stripped.partition("=")
-        chart = parse_bipoly(left_text) - parse_bipoly(right_text)
+    if "=" in text:
+        left_text, _, right_text = text.partition("=")
+        right_in_place = " " * (len(left_text) + 1) + right_text
+        chart = parse_bipoly(left_text) - parse_bipoly(right_in_place)
         return stripped, _curve_from_chart(chart)
-    if any(upper in stripped for upper in "TXZ"):
-        return stripped, PlaneCurve(parse_triform(stripped))
-    return stripped, _curve_from_chart(parse_bipoly(stripped))
+    if any(upper in text for upper in "TXZ"):
+        return stripped, PlaneCurve(parse_triform(text))
+    return stripped, _curve_from_chart(parse_bipoly(text))
 
 
 def _resolve_section(text: str) -> tuple[str, Section]:

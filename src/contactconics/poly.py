@@ -39,11 +39,17 @@ Gerhard, ISSAC 1997, at these degrees the plain binomial form).
 Roots in K (`k_rational_roots`) come from factoring over Q: the orbit norm
 of p, the product of its distinct Galois conjugates, is rational, and
 `_rational_factors`, the package's one use of sympy, factors it over QQ.
-Quartic factors are split over K by Trager's shifted norm.
+Quartic factors are split over K by Trager's shifted norm.  The call that
+imports sympy pauses the cyclic garbage collector for the import and then
+freezes what is alive, so no collection walks sympy's objects again; a
+reference cycle among them that becomes garbage later is never collected,
+which is the trade-off (see `_rational_factors`).
 """
 
 from __future__ import annotations
 
+import gc
+import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
@@ -1310,7 +1316,27 @@ def _orbit_norm(p: Poly) -> Poly:
 
 def _rational_factors(n: Poly) -> list[Poly]:
     """The monic irreducible factors over Q of a rational n, each once: the
-    package's one use of sympy, a dense ``Poly.factor_list`` over QQ."""
+    package's one use of sympy, a dense ``Poly.factor_list`` over QQ.
+
+    The call that imports sympy first collects the garbage already there,
+    pauses the cyclic collector for the import and then freezes every live
+    object, sympy's module graph among them, so no later collection walks
+    it, at interpreter exit included.  The collector's enabled state is
+    restored.  Reference counting still frees the frozen objects; only a
+    reference cycle among them that becomes garbage later is never
+    collected.  When sympy was imported before, the collector is not
+    touched.
+    """
+    if "sympy" not in sys.modules:
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            import sympy  # noqa: F401 - loaded here, with the collector paused
+            gc.freeze()
+        finally:
+            if enabled:
+                gc.enable()
     from sympy import QQ, Poly as DensePoly, Symbol
 
     dense = DensePoly.from_list([QQ(c.n0, c.d) for c in reversed(n.coeffs)], Symbol("t"), domain=QQ)

@@ -431,12 +431,33 @@ def test_refusals_before_any_geometry(capsys, tmp_path, argv, code, message):
             "of the triangle, which the quadratic transformation contracts to points",
         ),
         # only 0-9 are digits: a superscript two or an Arabic-Indic three is refused
-        (("weak-contact", "--conic", "x = t^\u00b2"), None, 1, "parse error: unexpected character '\u00b2' at position 3"),
+        (("weak-contact", "--conic", "x = t^\u00b2"), None, 1, "parse error: unexpected character '\u00b2' at position 6"),
         (("cremona", "X*Z - T^\u00b2"), None, 1, "parse error: unexpected character '\u00b2' at position 8"),
-        (("weak-contact", "--conic", "x = \u0663*t"), None, 1, "parse error: unexpected character '\u0663' at position 1"),
+        (("weak-contact", "--conic", "x = \u0663*t"), None, 1, "parse error: unexpected character '\u0663' at position 4"),
         # an input file that is not UTF-8
         (("fingerprint", "--input", "{path}"), b"\xff\xfe X\n", 2, "precondition error: cannot read input file {path}: "),
         (("cremona", "--input", "{path}"), b"\xff\xfe X\n", 2, "precondition error: cannot read input file {path}: "),
+        # a position counts from the first character of the argument as typed:
+        # past the left side of a chart and past leading blanks
+        (
+            ("weak-contact", "--conic", "x = t^2 + y"),
+            None,
+            1,
+            "parse error: unknown name 'y' at position 10 (variables here: t, x)",
+        ),
+        (("weak-contact", "--conic", "  x$"), None, 1, "parse error: unexpected character '$' at position 3"),
+        (
+            ("weak-contact", "--conic", "x = t^13"),
+            None,
+            2,
+            "precondition error: exponent 13 at position 6 exceeds the input budget of 12",
+        ),
+        (
+            ("fingerprint", "--input", "{path}"),
+            "x = t + y\nX\n",
+            1,
+            "parse error: unknown name 'y' at position 8 (variables here: t, x)",
+        ),
     ],
 )
 def test_each_input_is_answered_or_refused_in_one_line(capsys, tmp_path, argv, curves, code, line):
@@ -538,6 +559,48 @@ def test_lattice_only_commands_load_neither_sympy_nor_the_worked_example():
         "          fixtures.load_worked_example.cache_info().currsize)\n"
     )
     assert _fresh_process_output(code).splitlines() == ["main-theorem False 0", "enumerate False 0"]
+
+
+# The call that imports sympy pauses the cyclic collector for the import and
+# freezes what is alive after it, once a process; the collector's enabled
+# state is restored, and a process that imported sympy itself is left alone.
+
+
+def test_the_sympy_import_freezes_the_heap_once_and_leaves_the_collector_on():
+    code = (
+        "import contextlib, gc, io\n"
+        "from contactconics import cli, fixtures, poly\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['main-theorem']) == 0\n"
+        "print(gc.get_freeze_count())\n"
+        "fixtures.load_worked_example()\n"
+        "frozen = gc.get_freeze_count()\n"
+        "print(gc.isenabled(), frozen > 0)\n"
+        "poly.k_rational_roots(poly.Poly([-2, 0, 1]))\n"
+        "print(gc.get_freeze_count() == frozen)\n"
+    )
+    assert _fresh_process_output(code).splitlines() == ["0", "True True", "True"]
+
+
+def test_the_sympy_import_leaves_a_disabled_collector_disabled():
+    code = (
+        "import gc\n"
+        "from contactconics import fixtures\n"
+        "gc.disable()\n"
+        "fixtures.load_worked_example()\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+    assert _fresh_process_output(code).strip() == "False True"
+
+
+def test_a_caller_that_imported_sympy_keeps_its_heap_unfrozen():
+    code = (
+        "import gc, sympy\n"
+        "from contactconics import fixtures\n"
+        "fixtures.load_worked_example()\n"
+        "print(gc.isenabled(), gc.get_freeze_count())\n"
+    )
+    assert _fresh_process_output(code).strip() == "True 0"
 
 
 # -- fuzzing the command line ---------------------------------------------------

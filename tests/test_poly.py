@@ -42,8 +42,25 @@ small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 small_elems = st.builds(FieldElem, small_rationals, small_rationals, small_rationals, small_rationals)
 # Where a value must be nonzero, a zero drawn is read as 1 rather than
 # filtered out: a filter discards every draw of a branch that gives only zero.
-nonzero_small_elems = small_elems.map(lambda c: c or ONE)
+nonzero_small_elems = st.builds(lambda c: c or ONE, small_elems)
 polys = st.lists(small_elems, min_size=0, max_size=4).map(Poly)
+
+
+def fixed_lists(elements, max_size, min_size=0):
+    """Lists of min_size..max_size values of `elements`, from max_size draws.
+
+    Hypothesis discards a case as invalid when a copy of one part of it over
+    another part with the same label asks for more draws than the case
+    holds.  st.lists makes one draw more per element, so copies between
+    lists of different lengths overrun; a list drawn in full and cut
+    afterwards makes the same draws at every length.  The label of
+    st.builds and st.tuples names their parts, so lists of other sizes or
+    elements are not copied over this one either; every `.map` has one
+    label, so the strategies built on this one use st.builds instead."""
+    return st.builds(
+        lambda values, size: list(values[:size]),
+        st.tuples(*[elements] * max_size), st.integers(min_size, max_size),
+    )
 
 
 @given(polys, polys)
@@ -322,7 +339,7 @@ def orbit_polys(draw):
     """
     group = draw(st.sampled_from(fixing_subgroups))
     p = Poly.constant(draw(nonzero_small_elems))
-    planted = st.lists(st.tuples(planted_roots, st.integers(1, 2)), min_size=1, max_size=2)
+    planted = fixed_lists(st.tuples(planted_roots, st.integers(1, 2)), 2, min_size=1)
     for root, mult in draw(planted):
         orbit = dict.fromkeys(galois[k](root) for k in group)
         p = p * poly_from_roots(orbit) ** mult
@@ -601,19 +618,23 @@ def assert_canonical(f: BiPoly):
         assert col == Poly(col.coeffs)
 
 
+# The strategies from here on make the same draws whatever values they draw,
+# and choose among them afterwards, as the kernel strategies further down do
+# (see `fixed_lists`): a branch is a choice between values drawn in full.
+#
 # Elements of K over denominators 1..4, half of them rational.
 digits = st.integers(-6, 6)
-k_elems = st.one_of(
-    st.builds(lambda n, d: FieldElem(Fraction(n, d)), digits, st.integers(1, 4)),
-    st.builds(
-        lambda ns, d: FieldElem(*(Fraction(n, d) for n in ns)),
-        st.tuples(digits, digits, digits, digits), st.integers(1, 4),
-    ),
+k_elems = st.builds(
+    lambda rational, ns, d: FieldElem(*(Fraction(n, d) for n in ns[: 1 if rational else 4])),
+    st.booleans(), st.tuples(digits, digits, digits, digits), st.integers(1, 4),
 )
-nonzero_k_elems = k_elems.map(lambda c: c or ONE)
-k_polys = st.lists(k_elems, max_size=3).map(Poly)
-bipolys = st.lists(k_polys, max_size=5).map(BiPoly)
-shift_values = st.one_of(st.integers(-3, 3), k_elems)
+nonzero_k_elems = st.builds(lambda c: c or ONE, k_elems)
+k_polys = st.builds(Poly, fixed_lists(k_elems, 3))
+bipolys = st.builds(BiPoly, fixed_lists(k_polys, 5))
+# a small integer or an element of K
+shift_values = st.builds(
+    lambda n, c, integer: n if integer else c, st.integers(-3, 3), k_elems, st.booleans()
+)
 
 
 @given(bipolys, shift_values, shift_values)
@@ -628,7 +649,7 @@ def test_shears_and_shifts_match_horner_composition(f, k, c):
         assert_canonical(result)
 
 
-@given(st.lists(k_elems, max_size=6).map(Poly), shift_values, bipolys)
+@given(st.builds(Poly, fixed_lists(k_elems, 6)), shift_values, bipolys)
 @settings(deadline=None)
 def test_taylor_shift_matches_composition(p, c, f):
     line = Poly((c, ONE))
@@ -640,11 +661,14 @@ def test_taylor_shift_matches_composition(p, c, f):
 
 @st.composite
 def triforms(draw, degree=None):
-    """Forms of degree 0..4 with up to five terms, the zero form included."""
-    d = draw(st.integers(0, 4)) if degree is None else degree
+    """Forms of degree 0..4 with up to five terms, the zero form included.
+    A degree is drawn also when one is given, and each term's monomial is
+    an index into the degree's monomials, read modulo their number."""
+    drawn = draw(st.integers(0, 4))
+    d = drawn if degree is None else degree
     keys = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
-    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=5))
-    return TriForm(d, {key: draw(k_elems) for key in chosen})
+    terms = draw(fixed_lists(st.tuples(st.integers(0, 14), k_elems), 5))
+    return TriForm(d, {keys[k % len(keys)]: c for k, c in terms})
 
 
 # (T, X, Z) -> images whose chart Z = 1 is the chart where the coordinate is 1
@@ -665,7 +689,7 @@ def test_chart_permutation_matches_substitution(form):
         assert_canonical(form.dehomogenize(chart))
 
 
-@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), k_elems, max_size=6))
+@given(st.builds(dict, fixed_lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), k_elems), 6)))
 def test_from_terms_matches_a_sum_of_monomials(terms):
     expected = BiPoly.zero()
     for (i, j), coeff in terms.items():
@@ -691,18 +715,18 @@ def form_pairs(draw):
     zero forms and degree mismatches."""
     f = draw(triforms())
     kind = draw(st.sampled_from(("scaled", "perturbed", "unrelated", "zero", "degree")))
+    scale, index, moved = draw(nonzero_k_elems), draw(st.integers(0, 4)), draw(k_elems)
+    other = draw(triforms(degree=(f.degree + 1) % 5 if kind == "degree" else f.degree))
     if kind == "scaled":
-        g = f.scale(draw(nonzero_k_elems))
+        g = f.scale(scale)
     elif kind == "perturbed" and f.terms:
         # one coefficient of a rescaled copy moved, so mostly the same support
-        key = draw(st.sampled_from(sorted(f.terms)))
-        g = f.scale(draw(nonzero_k_elems)) + TriForm(f.degree, {key: draw(k_elems)})
+        key = sorted(f.terms)[index % len(f.terms)]
+        g = f.scale(scale) + TriForm(f.degree, {key: moved})
     elif kind == "zero":
         g = TriForm(f.degree, {})
-    elif kind == "degree":
-        g = draw(triforms(degree=(f.degree + 1) % 5))
     else:
-        g = draw(triforms(degree=f.degree))
+        g = other  # unrelated, of f's degree or, for "degree", of the next
     return (f, g) if draw(st.booleans()) else (g, f)
 
 
