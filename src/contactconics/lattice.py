@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import index, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .curves import CONIC_TYPE_TABLE as _TYPE_TABLE, arrangement_fingerprint
@@ -69,11 +70,16 @@ class _IntegerLDL(NamedTuple):
     y_k = scales[k]·(x_k + c_k) = scales[k]·x_k + sum_{(r, n) in shifts[k]} n·x_r,
     where scales[k] is the lcm of the denominators of the L[r][k], r > k, and
     the norm is sum_k weights[k]·y_k² with weights[k] = d_k / scales[k]².
+    weight_den is W, the lcm of the weights' denominators, and
+    coefficients[k] is the integer W·weights[k], so W times the norm is the
+    integer sum_k coefficients[k]·y_k².
     """
 
     scales: tuple[int, ...]
     shifts: tuple[tuple[tuple[int, int], ...], ...]
     weights: tuple[Fraction, ...]
+    weight_den: int
+    coefficients: tuple[int, ...]
 
 
 def _integer_ldl(
@@ -89,7 +95,9 @@ def _integer_ldl(
         scales.append(scale)
         shifts.append(tuple((r, int(entry * scale)) for r, entry in below))
     weights = tuple(pivot / (scale * scale) for pivot, scale in zip(pivots, scales))
-    return _IntegerLDL(tuple(scales), tuple(shifts), weights)
+    weight_den = lcm(*(w.denominator for w in weights))
+    coefficients = tuple(w.numerator * (weight_den // w.denominator) for w in weights)
+    return _IntegerLDL(tuple(scales), tuple(shifts), weights, weight_den, coefficients)
 
 
 class CaseLattice:
@@ -339,76 +347,62 @@ def _short_vectors(ldl: _IntegerLDL, height: Fraction) -> list[tuple[int, ...]]:
     of the Gram matrix G in integer form: Q(x) = sum_k d_k·(x_k + c_k)²
     = sum_k w_k·y_k², where c_k = sum_{r>k} L[r][k]·x_r and the integer
     y_k = den_k·(x_k + c_k) depend only on x_k and the later coordinates
-    (see `_IntegerLDL`).  With S the lcm of the denominators of the height
-    and of the w_k, the coefficients e_k = S·w_k and the target R = S·height
-    are integers.  The walk fixes coordinates from the last one down; at
-    level k it takes every integer x_k with e_k·y_k² <= R - sum_{i>k} e_i·y_i²,
-    and as y_k² is an integer that is |y_k| <= isqrt(remainder // e_k).
-    Completeness: every term of Q is >= 0, so a vector of norm H has each
-    partial sum sum_{i>=k} e_i·y_i² <= R, and the nested intervals contain
-    it.  At the first coordinate the last term must equal what is left, so
-    y_0 is solved for by an exact integer square root instead of scanned,
-    inside the loop over x_1 rather than by one more level of the walk.
-    Each vector is reached once, so keeping the ones whose first nonzero
-    coordinate is positive keeps one per class.
+    (see `_IntegerLDL`).  With W the lcm of the denominators of the w_k,
+    W·Q(x) = sum_k e_k·y_k² is an integer for the integer e_k = W·w_k, so a
+    height n/d is attained only if d divides W·n; otherwise no walk runs.
+    The walk fixes coordinates from the last one down against the integer
+    target R = W·n/d; at level k >= 1 it takes every integer x_k with
+    e_k·y_k² <= R - sum_{i>k} e_i·y_i², and as y_k² is an integer that is
+    |y_k| <= isqrt(remainder // e_k).  Completeness: every term of W·Q is
+    >= 0, so a vector of norm n/d has each partial sum
+    sum_{i>=k} e_i·y_i² <= R, and the nested intervals contain it.  At the
+    first coordinate the last term must equal what is left, so y_0 is solved
+    for, not scanned: e_0 divides the remainder with quotient root², and
+    y_0 = ±root gives x_0 wherever den_0 divides y_0 minus the shift; a
+    rank-1 form is that solve alone.  Each vector is reached once, so
+    keeping the ones whose first nonzero coordinate is positive keeps one
+    per class.
     """
-    scales, shifts, weights = ldl
-    scale = lcm(height.denominator, *(w.denominator for w in weights))
-    coefficients = [w.numerator * (scale // w.denominator) for w in weights]
-    target = height.numerator * (scale // height.denominator)
-    first_den, first_coefficient, first_shifts = scales[0], coefficients[0], shifts[0]
-    if len(weights) == 1:
-        roots = _level_roots(target, first_coefficient, first_den, 0)
-        return sorted((x,) for x in roots if x > 0)
-    vector = [0] * len(weights)
+    scales, shifts, _weights, weight_den, coefficients = ldl
+    target, rest = divmod(weight_den * height.numerator, height.denominator)
+    if rest:
+        return []
+    vector = [0] * len(scales)
     classes: list[tuple[int, ...]] = []
 
     def walk(k: int, remainder: int) -> None:
+        den, coefficient = scales[k], coefficients[k]
+        if not k:
+            square, rest = divmod(remainder, coefficient)
+            if rest:
+                return
+            root = isqrt(square)
+            if root * root != square:
+                return
         shift = 0
         for r, n in shifts[k]:
             shift += n * vector[r]
-        den, coefficient = scales[k], coefficients[k]
-        for x in _level_range(remainder, coefficient, den, shift):
-            vector[k] = x
-            y = den * x + shift
-            rest = remainder - coefficient * y * y
-            if k > 1:
-                walk(k - 1, rest)
+        if k:
+            bound = isqrt(remainder // coefficient)
+            for x in range(-((bound + shift) // den), (bound - shift) // den + 1):
+                vector[k] = x
+                y = den * x + shift
+                walk(k - 1, remainder - coefficient * y * y)
+            return
+        for y in (root, -root) if root else (0,):
+            x, off = divmod(y - shift, den)
+            if off:
                 continue
-            first_shift = 0
-            for r, n in first_shifts:
-                first_shift += n * vector[r]
-            for x0 in _level_roots(rest, first_coefficient, first_den, first_shift):
-                vector[0] = x0
-                if next(c for c in vector if c) > 0:
-                    classes.append(tuple(vector))
+            vector[0] = x
+            if x > 0 or (not x and next(c for c in vector if c) > 0):
+                classes.append(tuple(vector))
 
-    walk(len(weights) - 1, target)
+    walk(len(scales) - 1, target)
     return sorted(classes)
 
 
-def _level_range(remainder: int, coefficient: int, den: int, shift: int) -> range:
-    """The integers x with coefficient·(den·x + shift)² <= remainder.
-
-    All four are integers, remainder >= 0 and coefficient, den > 0.  As
-    y = den·x + shift is an integer, so is y², and the condition is
-    y² <= remainder // coefficient, that is |y| <= isqrt(remainder // coefficient).
-    """
-    bound = isqrt(remainder // coefficient)
-    return range(-((bound + shift) // den), (bound - shift) // den + 1)
-
-
-def _level_roots(remainder: int, coefficient: int, den: int, shift: int) -> list[int]:
-    """The integers x with coefficient·(den·x + shift)² == remainder."""
-    square, rest = divmod(remainder, coefficient)
-    root = isqrt(square)
-    if rest or root * root != square:
-        return []
-    return [(y - shift) // den for y in {root, -root} if (y - shift) % den == 0]
-
-
 def _psi_value(fiber: CaseFiber, vector: Sequence[int]) -> int:
-    return sum(p * v for p, v in zip(fiber.psi, vector)) % fiber.count
+    return sum(map(mul, fiber.psi, vector)) % fiber.count
 
 
 def _matches_type(case: CaseLattice, vector: Sequence[int], conic_type: int) -> bool:
@@ -423,8 +417,15 @@ def _matches_type(case: CaseLattice, vector: Sequence[int], conic_type: int) -> 
     0 < contr_inf <= 6/5, the most a fiber of count <= 5 gives.
     """
     nodes_needed, cusp_needed = _TYPE_TABLE[conic_type]
-    nodes_hit = sum(1 for fiber in case.node_fibers if _psi_value(fiber, vector))
-    cusp_hit = any(_psi_value(fiber, vector) for fiber in case.cusp_fibers)
+    nodes_hit = 0
+    for fiber in case.node_fibers:
+        if _psi_value(fiber, vector):
+            nodes_hit += 1
+    cusp_hit = False
+    for fiber in case.cusp_fibers:
+        if _psi_value(fiber, vector):
+            cusp_hit = True
+            break
     return nodes_hit == nodes_needed and cusp_hit == cusp_needed
 
 
@@ -457,51 +458,67 @@ def main_theorem_rows() -> list[tuple[str, tuple[int, ...]]]:
 def smith_invariants(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix, in divisibility order.
 
-    One elimination for every shape.  Each round pivots on an entry p of
-    least absolute value and reduces its column, then its row, once by floor
-    division, leaving remainders a - (a // p)·p of absolute value below |p|.
-    While one is left the pivot row stays in; otherwise the round records |p|
-    and drops the pivot's row and column.
+    One elimination for every shape, on a copy of the rows; an entry that
+    is not an integer (`operator.index` refuses it) is refused with its row
+    and column.  Zero rows are dropped as they appear, and a single nonzero
+    row left has the gcd of its entries as its only invariant factor.  Until
+    then each round pivots on an entry p of least absolute value and
+    reduces its column once by floor division, updating the rows in place
+    and leaving remainders a - (a // p)·p of absolute value below |p|.
+    When the column is clear it reduces the pivot row the same way, and
+    when that leaves p alone in its row the round records |p| and drops the
+    row; the column, zero below, stays.  A gcd/lcm pass then puts the
+    diagonal in divisibility order.
     """
-    work = [list(map(int, row)) for row in rows]
+    try:
+        work = [list(map(index, row)) for row in rows]
+    except TypeError:
+        r, c, entry = next(
+            (r, c, entry)
+            for r, row in enumerate(rows)
+            for c, entry in enumerate(row)
+            if not hasattr(type(entry), "__index__")
+        )
+        raise PreconditionError(
+            f"integer matrix entry {entry!r} at row {r}, column {c} is not an integer"
+        ) from None
     width = len(work[0]) if work else 0
     for row in work:
         if len(row) != width:
             raise PreconditionError("ragged integer matrix")
+    work = [row for row in work if any(row)]
     invariants: list[int] = []
-    while True:
+    while len(work) > 1:
         least = 0
-        for r, row in enumerate(work):
+        for row in work:
             for entry in row:
                 if entry and (not least or abs(entry) < least):
-                    least, r0, p = abs(entry), r, entry
-        if not least:
-            break
-        pivot_row = work[r0]
+                    least, pivot_row, p = abs(entry), row, entry
         c0 = pivot_row.index(p)
-        left = False
-        for r, row in enumerate(work):
-            if row[c0] and r != r0:
-                q = row[c0] // p
-                row = work[r] = [a - q * b for a, b in zip(row, pivot_row)]
+        left = cleared = False
+        for row in work:
+            head = row[c0]
+            if head and row is not pivot_row:
+                q = head // p
+                for c, b in enumerate(pivot_row):
+                    if b:
+                        row[c] -= q * b
                 if row[c0]:
                     left = True
-        # reduce the row unless p is already its only nonzero entry
-        if pivot_row.count(0) < width - 1:
-            quotients = [a // p for a in pivot_row]
-            quotients[c0] = 0
-            for r, row in enumerate(work):
-                head = row[c0]
-                if head:
-                    work[r] = [a - q * head for a, q in zip(row, quotients)]
-            left = left or work[r0].count(0) < width - 1
+                elif not any(row):
+                    cleared = True
+        if cleared:
+            work = [row for row in work if any(row)]
         if left:
             continue
-        invariants.append(least)
-        del work[r0]
-        for row in work:
-            del row[c0]
-        width -= 1
+        for c, a in enumerate(pivot_row):
+            if a and c != c0:
+                pivot_row[c] = a % p
+        if pivot_row.count(0) == width - 1:
+            invariants.append(least)
+            work.remove(pivot_row)
+    if work:
+        invariants.append(gcd(*work[0]))
     # A diagonal form determines the invariant factors after gcd/lcm
     # normalization into a divisibility chain.
     changed = len(invariants) > 1

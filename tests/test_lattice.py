@@ -1,6 +1,7 @@
 """Case lattices: target heights, short-vector enumeration, pair reports."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -37,9 +38,8 @@ from contactconics.errors import IntegrityError
 from contactconics.heights import _require_positive_definite
 from contactconics.lattice import (
     CaseLattice,
+    _IntegerLDL,
     _integer_ldl,
-    _level_range,
-    _level_roots,
     _short_vectors,
     extends_to_basis,
     integer_rank,
@@ -143,10 +143,12 @@ def test_enumeration_matches_the_exact_box_at_every_attained_norm(case, limit):
 
 
 def test_height_off_the_norm_lattice_has_no_vectors():
-    # Norms of case I lie in (1/6)Z and of case III in (1/10)Z.
-    assert enumerate_height_vectors(CASE_I, F(1, 7)) == []
-    assert enumerate_height_vectors(CASE_I, F(170, 7)) == []
-    assert enumerate_height_vectors(CASE_III, F(1, 3)) == []
+    # Norms of case I lie in (1/6)Z and of case III in (1/10)Z.  W·Q(v) is
+    # an integer, so a height n/d with d ∤ W·n is answered with no walk.
+    for case, height in ((CASE_I, F(1, 7)), (CASE_I, F(170, 7)), (CASE_III, F(1, 3))):
+        assert case.ldl.weight_den * height.numerator % height.denominator, height
+        assert enumerate_height_vectors(case, height) == _brute_force_classes(case.gram, height) == []
+    # Case III has W = 20, so 3001/20 passes that test and the walk finds nothing.
     assert enumerate_height_vectors(CASE_III, F(3001, 20)) == []
 
 
@@ -182,6 +184,9 @@ def test_case_lattices_keep_the_integer_factors_of_their_audit():
     assert CASE_III.ldl.scales == (2, 1)
     assert CASE_III.ldl.shifts == (((1, 1),), ())
     assert CASE_III.ldl.weights == (F(1, 20), F(1, 4))
+    # W = lcm(20, 4), and 20·Q = 1·y_0² + 5·y_1² in integers.
+    assert CASE_III.ldl.weight_den == 20
+    assert CASE_III.ldl.coefficients == (1, 5)
 
 
 def _ldl_gram(pivots, below):
@@ -261,13 +266,27 @@ def test_short_vectors_with_denominators_up_to_ten_thousand(case):
     st.integers(-200, 200),
 )
 def test_interval_and_roots_are_exact(remainder, coefficient, den, shift):
-    # |den·x + shift| <= sqrt(5000) < 71, so every solution has |x| <= 271.
-    candidates = range(-300, 301)
-    assert list(_level_range(remainder, coefficient, den, shift)) == [
-        x for x in candidates if coefficient * (den * x + shift) ** 2 <= remainder
-    ]
-    assert sorted(_level_roots(remainder, coefficient, den, shift)) == [
-        x for x in candidates if coefficient * (den * x + shift) ** 2 == remainder
+    # A two-level integer form with W = 1 and den at both levels:
+    #   Q(x_0, x_1) = coefficient·(den·x_0 + shift·x_1)² + top·(den·x_1)²,
+    # with top = remainder + 1 and height remainder + top·den².  The level-1
+    # interval is |den·x_1| <= den, its bound attained, and x_1 = ±1 leaves
+    # the first-coordinate solve coefficient·(den·x_0 ± shift)² == remainder.
+    top = remainder + 1
+    ldl = _IntegerLDL(
+        scales=(den, den),
+        shifts=(((1, shift),), ()),
+        weights=(F(coefficient), F(top)),
+        weight_den=1,
+        coefficients=(coefficient, top),
+    )
+    height = F(remainder + top * den * den)
+    classes = _short_vectors(ldl, height)
+    gram = _ldl_gram([F(coefficient * den * den), F(top * den * den)], [F(shift, den)])
+    assert classes == _brute_force_classes(gram, height)
+    # The classes off x_1 = 0, read at x_1 = 1, are the x_0 of a direct
+    # scan: |den·x_0 + shift| <= sqrt(5000) < 71, so each has |x_0| <= 271.
+    assert sorted(x0 * x1 for x0, x1 in classes if x1) == [
+        x0 for x0 in range(-300, 301) if coefficient * (den * x0 + shift) ** 2 == remainder
     ]
 
 
@@ -378,8 +397,30 @@ def test_smith_invariants_of_zero_rows_and_columns():
     assert smith_invariants([[0, 0], [0, 0]]) == []
     assert smith_invariants([[0, 3], [0, 6]]) == [3]
     assert smith_invariants([[0], [0], [-4]]) == [4]
+    # one nonzero row left: the gcd of its entries is its only invariant
+    assert smith_invariants([[0, 0], [4, 6]]) == [2]
+    assert smith_invariants([[-6, 0, 9]]) == [3]
+    assert smith_invariants([[2, 4], [0, 0], [0, 0]]) == [2]
     assert integer_rank([[0, 3], [0, 6]]) == 1
     assert not extends_to_basis([[0, 1], [0, 0]])
+
+
+def test_smith_invariants_leave_the_callers_rows_unchanged():
+    rows = [[4, 6, 0], [6, 4, 2], [0, 0, 0], [2, 4, 6]]
+    kept = [list(row) for row in rows]
+    assert smith_invariants(rows) == determinantal_invariants(kept)
+    assert rows == kept
+
+
+@pytest.mark.parametrize("helper, rows, entry", [
+    (smith_invariants, [[F(1, 2), 1]], "Fraction(1, 2) at row 0, column 0"),
+    (smith_invariants, [[1.5, 2]], "1.5 at row 0, column 0"),
+    (integer_rank, [[0.9, 0], [0, 0.9]], "0.9 at row 0, column 0"),
+    (extends_to_basis, [[1, 0], [0, "1"]], "'1' at row 1, column 1"),
+])
+def test_a_non_integer_entry_is_refused_with_its_place(helper, rows, entry):
+    with pytest.raises(PreconditionError, match=re.escape(f"entry {entry} is not an integer")):
+        helper(rows)
 
 
 def determinant(rows):
